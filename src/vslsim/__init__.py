@@ -30,7 +30,6 @@ from .control import (
     derated_command,
     lc_distance,
     rule_commands,
-    scheduled_limits,
     switch_time,
     v0_command,
 )
@@ -42,7 +41,6 @@ from .ctm import (
     TrafficState,
     bottleneck_outflow,
     capacity_drop,
-    critical_density,
     equilibrium_density,
     interface_flows,
     vsl_max_flow,
@@ -50,16 +48,12 @@ from .ctm import (
 from .metrics import (
     MetricsReport,
     VirtualTrajectory,
-    att,
     avg_emission,
     avg_stops,
-    cell_speed,
     compute_metrics,
     default_emission_rate,
     emission_rate_from_table,
     reconstruct_trajectories,
-    rrmse_density,
-    rrmse_density_per_section,
     rrmse_density_pooled,
     speed_field,
     stop_count,

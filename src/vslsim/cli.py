@@ -2,8 +2,7 @@
 zone-bound table, calibrate a fundamental diagram, list presets.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime or
-simulation error. The output directory defaults to the working directory and
-can be overridden per call or through VSLSIM_OUTPUT_DIR.
+simulation error. The output directory defaults to the working directory.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -22,16 +20,15 @@ from .calibrate import CalibrationError, FdObservation, fit_fundamental_diagram
 from .scenario import (
     PRESETS,
     ZONE_SWEEPS,
-    Scenario,
     ScenarioValidationError,
     evaluate_trace,
     load_scenario,
+    scenario_fragment,
     simulate_scenario,
+    write_trace,
 )
 from .simulate import CflViolationError, ControllerError
-from .sweep import apply_sweep_value, load_sweep_spec, run_sweep, sweep_rows_to_csv
-
-OUTPUT_DIR_ENV = "VSLSIM_OUTPUT_DIR"
+from .sweep import load_sweep_spec, run_sweep, sweep_rows_to_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,6 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vslsim", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -64,7 +67,10 @@ def _build_parser() -> _Parser:
         "--traces", action="store_true", help="also write the per-run trace CSVs"
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=None, help="parallel runs (default 1)"
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="parallel runs, at most one per value and per CPU (default 1)",
     )
 
     p_bound = sub.add_parser("bound", help="print the zone-length bound table")
@@ -97,7 +103,7 @@ def _build_parser() -> _Parser:
 
 
 def _out_dir(arg: str | None) -> Path:
-    path = Path(arg or os.environ.get(OUTPUT_DIR_ENV, "."))
+    path = Path(arg or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -113,11 +119,7 @@ def _cmd_run(args) -> int:
     trace = simulate_scenario(scenario)
     report = evaluate_trace(scenario, trace)
     out = _out_dir(args.out)
-    stem = scenario.name
-    trace_path = out / f"{stem}_trace.csv"
-    trace.to_csv(
-        trace_path, comment=f"scenario={scenario.name} hash={scenario.content_hash()}"
-    )
+    trace_path = write_trace(scenario, trace, out)
     balance = trace.vehicle_balance()
     record = {
         "scenario": scenario.name,
@@ -126,7 +128,7 @@ def _cmd_run(args) -> int:
         "vehicle_balance": balance,
         "events": [[t, label] for t, label in trace.events],
     }
-    record_path = out / f"{stem}_metrics.json"
+    record_path = out / f"{scenario.name}_metrics.json"
     record_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"trace:   {trace_path}")
     print(f"metrics: {record_path}")
@@ -142,20 +144,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.spec)
-    rows = run_sweep(spec, max_workers=args.workers)
     out = _out_dir(args.out)
+    rows = run_sweep(spec, args.workers, trace_dir=out if args.traces else None)
     summary = out / f"{spec.base.name}_{spec.variable}_sweep.csv"
     sweep_rows_to_csv(rows, summary)
-    if args.traces:
-        for value in spec.values:
-            scenario = apply_sweep_value(spec.base, spec.variable, value)
-            if scenario.validate():
-                continue
-            trace = simulate_scenario(scenario)
-            trace.to_csv(
-                out / f"{scenario.name}_trace.csv",
-                comment=f"scenario={scenario.name} hash={scenario.content_hash()}",
-            )
     failed = sum(1 for r in rows if r.status != "ok")
     print(f"summary: {summary} ({len(rows)} rows, {failed} failed)")
     return EXIT_OK
@@ -238,19 +230,7 @@ def _cmd_calibrate(args) -> int:
     fd, diag = fit_fundamental_diagram(
         obs, pinned_free_flow_speed=args.pin_free_flow_speed
     )
-    params = {
-        "fundamental_diagram": {
-            "capacity": fd.capacity,
-            "downstream_capacity": fd.downstream_capacity,
-            "free_flow_speed": fd.free_flow_speed,
-            "backprop_speed": fd.backprop_speed,
-            "outflow_backprop_speed": fd.outflow_backprop_speed,
-            "jam_density": fd.jam_density,
-            "outflow_jam_density": fd.outflow_jam_density,
-            "capacity_drop_factor": fd.capacity_drop_factor,
-        }
-    }
-    text = json.dumps(params, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(scenario_fragment(fd=fd), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"parameters: {args.out}")

@@ -163,32 +163,6 @@ def switch_time(
     return t_s
 
 
-def scheduled_limits(
-    t: float,
-    incident: "IncidentSchedule",
-    cfg: VslRuleConfig,
-    fd: FundamentalDiagram,
-    geometry: NetworkGeometry,
-    demand: float,
-) -> SpeedLimits:
-    """Speed limits of the time-triggered rule at instant ``t``.
-
-    The zone posts the derated congested command from the incident start until
-    the switch time, the derated cleared command until the incident end, and
-    free flow speed otherwise. Mainline sections always stay at free flow
-    speed.
-    """
-    congested, cleared = rule_commands(fd)
-    t_s = switch_time(incident, cfg, fd, geometry, demand)
-    if incident.start <= t < t_s:
-        zone = derated_command(congested, cfg, fd)
-    elif t_s <= t < incident.end:
-        zone = derated_command(cleared, cfg, fd)
-    else:
-        zone = fd.free_flow_speed
-    return SpeedLimits(zone, [fd.free_flow_speed] * geometry.num_sections)
-
-
 Controller = Callable[[TrafficState, float], SpeedLimits]
 
 

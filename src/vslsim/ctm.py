@@ -15,7 +15,7 @@ critical density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,17 +66,10 @@ class FundamentalDiagram:
     capacity_drop_factor: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "capacity",
-            "downstream_capacity",
-            "free_flow_speed",
-            "backprop_speed",
-            "outflow_backprop_speed",
-            "jam_density",
-            "outflow_jam_density",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        # Every parameter but the trailing drop factor is a positive magnitude.
+        for f in fields(self)[:-1]:
+            if getattr(self, f.name) <= 0.0:
+                raise ValueError(f"{f.name} must be strictly positive")
         if not 0.0 < self.capacity_drop_factor < 1.0:
             raise ValueError("capacity_drop_factor must lie in (0, 1)")
         if self.downstream_capacity > self.capacity:
@@ -84,18 +77,18 @@ class FundamentalDiagram:
         rho_c = self.capacity / self.free_flow_speed
         tol = TRIANGLE_RTOL * self.capacity
         checks = (
-            ("free_flow_speed", self.free_flow_speed * rho_c),
-            ("backprop_speed", self.backprop_speed * (self.jam_density - rho_c)),
+            ("free-flow", self.free_flow_speed * rho_c),
+            ("congested", self.backprop_speed * (self.jam_density - rho_c)),
             (
-                "outflow_backprop_speed",
+                "outflow",
                 self.outflow_backprop_speed * (self.outflow_jam_density - rho_c),
             ),
         )
-        for name, flow in checks:
+        for branch, flow in checks:
             if abs(flow - self.capacity) > tol:
                 raise ValueError(
                     f"fundamental diagram is not triangle-consistent: the "
-                    f"{name} branch peaks at {flow:.6g} veh/h, expected "
+                    f"{branch} branch peaks at {flow:.6g} veh/h, expected "
                     f"{self.capacity:.6g} veh/h"
                 )
 
@@ -140,8 +133,6 @@ class NetworkGeometry:
     num_sections: int
     section_length: float  # km
     upstream_zone_length: float = 0.0  # km, 0 removes the zone cell
-    lanes_total: int = 3
-    lanes_closed: int = 1
 
     def __post_init__(self) -> None:
         if self.num_sections < 1:
@@ -150,8 +141,6 @@ class NetworkGeometry:
             raise ValueError("section_length must be strictly positive")
         if self.upstream_zone_length < 0.0:
             raise ValueError("upstream_zone_length must be non-negative")
-        if not 0 <= self.lanes_closed < self.lanes_total:
-            raise ValueError("lanes_closed must satisfy 0 <= closed < total")
 
     @property
     def has_zone(self) -> bool:
@@ -274,11 +263,6 @@ class FlowVector:
     def bottleneck(self) -> float:
         """Discharge through the most downstream interface (veh/h)."""
         return float(self.interfaces[-1])
-
-
-def critical_density(fd: FundamentalDiagram) -> float:
-    """Density at which flow reaches capacity: capacity / free_flow_speed."""
-    return fd.capacity / fd.free_flow_speed
 
 
 def vsl_max_flow(speed: float, fd: FundamentalDiagram) -> float:

@@ -53,18 +53,6 @@ def emission_rate_from_table(points: Sequence[tuple[float, float]]) -> Callable[
     return rate
 
 
-def cell_speed(rho: float, q_out: float, v_limit: float, rho_min: float = DENSITY_FLOOR) -> float:
-    """Probe speed in a cell: outflow over density, capped by the posted limit.
-
-    Near-empty cells move at the limit.
-    """
-    if rho < 0.0:
-        raise ValueError("density must be non-negative")
-    if rho <= rho_min:
-        return v_limit
-    return min(q_out / rho, v_limit)
-
-
 def speed_field(trace: SimulationTrace, rho_min: float = DENSITY_FLOOR) -> np.ndarray:
     """(T, num_cells) probe speeds for every sample and cell."""
     has_zone = trace.geometry.has_zone
@@ -185,14 +173,6 @@ def reconstruct_trajectories(
     return out
 
 
-def att(trajectories: Sequence[VirtualTrajectory]) -> float:
-    """Mean transit time of the probes that exited, in minutes."""
-    done = [t for t in trajectories if t.complete]
-    if not done:
-        raise ValueError("no completed trajectories")
-    return 60.0 * float(np.mean([t.transit_time for t in done]))
-
-
 def stop_count(speeds: Sequence[float], v_stop: float, v_resume: float) -> int:
     """Hysteresis stop counter over one speed profile.
 
@@ -259,26 +239,6 @@ def _window_mask(trace: SimulationTrace, t_start: float, t_end: float) -> np.nda
     return (trace.times >= t_start - 1e-12) & (trace.times <= t_end + 1e-12)
 
 
-def rrmse_density(
-    trace: SimulationTrace,
-    rho_star: float,
-    t_start: float,
-    t_end: float,
-) -> float:
-    """Relative RMS deviation of the cross-section mean density from the
-    target over [t_start, t_end].
-
-    Averaging across sections first lets a congested bottleneck section cancel
-    against under-target upstream sections; prefer
-    :func:`rrmse_density_pooled` when localized congestion must register.
-    """
-    if rho_star <= 0.0:
-        raise ValueError("rho_star must be strictly positive")
-    mask = _window_mask(trace, t_start, t_end)
-    rho_bar = np.mean(trace.section_densities[mask], axis=1)
-    return float(np.sqrt(np.mean((rho_bar - rho_star) ** 2))) / rho_star
-
-
 def rrmse_density_pooled(
     trace: SimulationTrace,
     rho_star: float,
@@ -297,20 +257,6 @@ def rrmse_density_pooled(
     mask = _window_mask(trace, t_start, t_end)
     rho = trace.section_densities[mask]
     return float(np.sqrt(np.mean((rho - rho_star) ** 2))) / rho_star
-
-
-def rrmse_density_per_section(
-    trace: SimulationTrace,
-    rho_star: float,
-    t_start: float,
-    t_end: float,
-) -> np.ndarray:
-    """Per-section variant of :func:`rrmse_density` for sensitivity checks."""
-    if rho_star <= 0.0:
-        raise ValueError("rho_star must be strictly positive")
-    mask = _window_mask(trace, t_start, t_end)
-    rho = trace.section_densities[mask]
-    return np.sqrt(np.mean((rho - rho_star) ** 2, axis=0)) / rho_star
 
 
 @dataclass(frozen=True)

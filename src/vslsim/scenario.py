@@ -4,13 +4,21 @@ Scenario files are plain JSON with fixed units: lengths in km (the lane
 change advisory distance in m), speeds in km/h, flows in veh/h, densities in
 veh/km, schedule times and the horizon in minutes, the integration step and
 the control period in seconds. Internally every time is in hours.
+
+One field table per JSON object (``SCENARIO_SCHEMA`` and the sections it
+nests) names every key, the dataclass attribute it fills and its unit.
+Reading, checking and writing all go through that table; a missing key takes
+the dataclass default. Unknown keys, non-finite numbers and non-integral
+integers are rejected with the dotted path of the offending element.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import math
+import unicodedata
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -33,6 +41,9 @@ from .simulate import (
 )
 
 CONTROLLER_KINDS = ("no_control", "rule_based", "rule_based_reactive")
+
+# Relative tolerance for "a whole number of integration steps".
+STEP_RTOL = 1e-9
 
 
 class ScenarioValidationError(ValueError):
@@ -62,6 +73,8 @@ class MetricConfig:
             raise ValueError("seed_interval must be strictly positive")
         if self.density_floor < 0.0:
             raise ValueError("density_floor must be non-negative")
+        if self.emission_table is not None:
+            self.rate_fn()
 
     def rate_fn(self) -> Callable[[float], float]:
         if self.emission_table is None:
@@ -69,15 +82,21 @@ class MetricConfig:
         return emission_rate_from_table(self.emission_table)
 
 
-@dataclass(frozen=True)
+def _whole_multiple(value: float, step: float) -> bool:
+    """``value`` is a non-negative integer multiple of ``step`` within STEP_RTOL."""
+    n = value / step
+    return math.isfinite(n) and abs(n - round(n)) <= STEP_RTOL * max(n, 1.0)
+
+
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Everything one simulation run needs, with validated invariants."""
 
-    name: str
+    name: str = "scenario"
     fd: FundamentalDiagram
     geometry: NetworkGeometry
     demand: DemandProfile
-    incident: IncidentSchedule | None
+    incident: IncidentSchedule | None = None
     controller: str = "rule_based"
     vsl: VslRuleConfig = VslRuleConfig()
     lc: LcConfig | None = None
@@ -85,8 +104,6 @@ class Scenario:
     dt: float = 1.0  # s
     control_period: float = 30.0  # s
     metrics: MetricConfig = MetricConfig()
-    repetitions: int = 1
-    seed: int = 0
 
     @property
     def dt_hours(self) -> float:
@@ -99,6 +116,13 @@ class Scenario:
     def validate(self) -> list[str]:
         """Collect every violated invariant (empty list means valid)."""
         problems: list[str] = []
+        if not self.name or any(
+            ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in self.name
+        ):
+            problems.append(
+                f"name: {self.name!r} must be a non-empty file stem without "
+                "'/', '\\' or control characters"
+            )
         if self.controller not in CONTROLLER_KINDS:
             problems.append(
                 f"controller: unknown kind {self.controller!r}, expected one of "
@@ -106,10 +130,11 @@ class Scenario:
             )
         if self.controller != "no_control" and self.incident is None:
             problems.append("controller: rule-based control needs an incident schedule")
-        if self.horizon < 0.0:
-            problems.append("horizon: must be non-negative")
-        if self.dt <= 0.0:
-            problems.append("dt: must be strictly positive")
+        horizon_ok = 0.0 <= self.horizon < math.inf
+        if not horizon_ok:
+            problems.append("horizon: must be finite and non-negative")
+        if not 0.0 < self.dt < math.inf:
+            problems.append("dt: must be finite and strictly positive")
         else:
             limit = cfl_limit(self.geometry, self.fd) * 3600.0
             if self.dt > limit:
@@ -117,8 +142,19 @@ class Scenario:
                     f"dt: {self.dt:.6g} s violates the CFL bound {limit:.6g} s "
                     "for this geometry and fundamental diagram"
                 )
-        if self.control_period <= 0.0:
-            problems.append("control_period: must be strictly positive")
+            if horizon_ok and not _whole_multiple(self.horizon * 3600.0, self.dt):
+                problems.append(
+                    f"dt: {self.dt:.6g} s does not divide the horizon "
+                    f"{self.horizon * 60.0:.6g} min into whole steps"
+                )
+            if not (
+                self.control_period >= self.dt
+                and _whole_multiple(self.control_period, self.dt)
+            ):
+                problems.append(
+                    f"control_period: {self.control_period:.6g} s must be a whole "
+                    f"multiple of dt = {self.dt:.6g} s"
+                )
         if self.incident is not None and self.horizon <= self.incident.end:
             problems.append(
                 f"horizon: {self.horizon:.6g} h must exceed the incident end "
@@ -127,10 +163,6 @@ class Scenario:
         if self.lc is not None and self.lc.residual_drop > self.fd.capacity_drop_factor:
             problems.append(
                 "lane_change.residual_drop: must not exceed the capacity drop factor"
-            )
-        if self.repetitions != 1:
-            problems.append(
-                "repetitions: runs are deterministic, repetitions must be 1"
             )
         return problems
 
@@ -200,66 +232,7 @@ class Scenario:
     # Serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        fd = self.fd
-        g = self.geometry
-        out: dict = {
-            "name": self.name,
-            "fundamental_diagram": {
-                "capacity": fd.capacity,
-                "downstream_capacity": fd.downstream_capacity,
-                "free_flow_speed": fd.free_flow_speed,
-                "backprop_speed": fd.backprop_speed,
-                "outflow_backprop_speed": fd.outflow_backprop_speed,
-                "jam_density": fd.jam_density,
-                "outflow_jam_density": fd.outflow_jam_density,
-                "capacity_drop_factor": fd.capacity_drop_factor,
-            },
-            "geometry": {
-                "num_sections": g.num_sections,
-                "section_length_km": g.section_length,
-                "upstream_zone_length_km": g.upstream_zone_length,
-                "lanes_total": g.lanes_total,
-                "lanes_closed": g.lanes_closed,
-            },
-            "demand": {
-                "times_min": [t * 60.0 for t in self.demand.times],
-                "flows": list(self.demand.flows),
-            },
-            "incident": None
-            if self.incident is None
-            else {
-                "start_min": self.incident.start * 60.0,
-                "end_min": self.incident.end * 60.0,
-                "lanes_closed": self.incident.lanes_closed,
-            },
-            "controller": self.controller,
-            "vsl": {
-                "derating": self.vsl.derating,
-                "switch_margin_min": self.vsl.switch_margin * 60.0,
-                "quantize_step": self.vsl.quantize_step,
-            },
-            "lane_change": None
-            if self.lc is None
-            else {
-                "advisory_distance_per_lane_m": self.lc.advisory_distance_per_lane,
-                "residual_drop": self.lc.residual_drop,
-            },
-            "horizon_min": self.horizon * 60.0,
-            "dt_s": self.dt,
-            "control_period_s": self.control_period,
-            "metrics": {
-                "stop_speed": self.metrics.stop_speed,
-                "resume_speed": self.metrics.resume_speed,
-                "seed_interval_s": self.metrics.seed_interval,
-                "density_floor": self.metrics.density_floor,
-                "emission_table": None
-                if self.metrics.emission_table is None
-                else [list(p) for p in self.metrics.emission_table],
-            },
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-        }
-        return out
+        return encode(SCENARIO_SCHEMA, self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -268,156 +241,287 @@ class Scenario:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
-def _build_component(problems: list[str], path: str, builder: Callable):
-    try:
-        return builder()
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        problems.append(f"{path}: {exc}")
+# Schema -------------------------------------------------------------------
+
+NUMBERS = "numbers"  # JSON list of numbers, held as a tuple of floats
+PAIRS = "pairs"  # JSON list of [number, number], held as a tuple of pairs
+
+
+@dataclass(frozen=True)
+class Field:
+    """One JSON key: the dataclass attribute it fills (the key itself when
+    ``attr`` is empty), its kind, and its unit, ``json value = attribute *
+    unit``. A kind is ``float``, ``int``, ``str``, ``NUMBERS``, ``PAIRS``, a
+    nested ``Section``, or a ``{name: factory}`` table of named values."""
+
+    key: str
+    attr: str = ""
+    kind: object = float
+    unit: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.attr:
+            object.__setattr__(self, "attr", self.key)
+
+
+@dataclass(frozen=True)
+class Section:
+    """A JSON object that builds one dataclass from its fields."""
+
+    cls: type
+    fields: tuple[Field, ...]
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _number(value, path: str, problems: list[str], integral: bool = False):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        problems.append(f"{path}: expected a number")
         return None
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        problems.append(f"{path}: must be a finite number")
+    elif integral and not float(value).is_integer():
+        problems.append(f"{path}: must be an integer")
+    else:
+        return int(value) if integral else float(value)
+    return None
+
+
+def _decode_value(f: Field, value, path: str, problems: list[str]):
+    kind = f.kind
+    if isinstance(kind, Section):
+        return decode(kind, value, path, problems)
+    if isinstance(kind, dict):
+        if isinstance(value, str) and value in kind:
+            return kind[value]()
+        problems.append(
+            f"{path}: unknown name {value!r}, expected one of {', '.join(kind)}"
+        )
+        return None
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        problems.append(f"{path}: expected a string")
+        return None
+    if kind is float or kind is int:
+        number = _number(value, path, problems, integral=kind is int)
+        return number if number is None or kind is int else number / f.unit
+    if not isinstance(value, list):
+        problems.append(f"{path}: expected a list")
+        return None
+    item = _number if kind == NUMBERS else _pair
+    items = [item(x, f"{path}[{i}]", problems) for i, x in enumerate(value)]
+    if None in items:
+        return None
+    return tuple(x / f.unit for x in items) if kind == NUMBERS else tuple(items)
+
+
+def _pair(value, path: str, problems: list[str]):
+    if not (isinstance(value, list) and len(value) == 2):
+        problems.append(f"{path}: expected a pair of numbers")
+        return None
+    pair = tuple(_number(x, f"{path}[{j}]", problems) for j, x in enumerate(value))
+    return None if None in pair else pair
+
+
+def decode(section: Section, data, path: str, problems: list[str]):
+    """Build ``section.cls`` from a JSON object, appending every violation
+    to ``problems`` under its dotted path; None when anything failed.
+
+    JSON null is accepted only where the attribute's default is None. A
+    decoded object with a ``validate`` method has its violations appended too.
+    """
+    where = path or "document"
+    if not isinstance(data, dict):
+        problems.append(f"{where}: expected an object")
+        return None
+    before = len(problems)
+    known = {f.key for f in section.fields}
+    problems += [f"{_join(path, key)}: unknown key" for key in data if key not in known]
+    defaults = {f.name: f.default for f in fields(section.cls)}
+    kwargs: dict = {}
+    given: dict[str, str] = {}
+    for f in section.fields:
+        if f.key not in data:
+            continue
+        key_path = _join(path, f.key)
+        if f.attr in given:
+            problems.append(f"{key_path}: conflicts with {given[f.attr]}")
+            continue
+        given[f.attr] = key_path
+        value = data[f.key]
+        if value is None and defaults[f.attr] is None:
+            kwargs[f.attr] = None
+        else:
+            kwargs[f.attr] = _decode_value(f, value, key_path, problems)
+    for attr, default in defaults.items():
+        if attr not in given and default is MISSING:
+            keys = [_join(path, f.key) for f in section.fields if f.attr == attr]
+            problems.append(f"{' or '.join(keys)}: missing")
+    if len(problems) > before:
+        return None
+    try:
+        obj = section.cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        problems.append(f"{where}: {exc}")
+        return None
+    violations = obj.validate() if hasattr(obj, "validate") else []
+    problems += [_join(path, v) for v in violations]
+    return None if violations else obj
+
+
+def _encode_value(f: Field, value):
+    if value is None:
+        return None
+    if isinstance(f.kind, Section):
+        return encode(f.kind, value)
+    if f.kind is float:
+        return float(value) * f.unit
+    if f.kind == NUMBERS:
+        return [float(x) * f.unit for x in value]
+    if f.kind == PAIRS:
+        return [[float(a), float(b)] for a, b in value]
+    return value
+
+
+def encode(section: Section, obj) -> dict:
+    """JSON object for a dataclass built by ``section``; inverse of decode."""
+    return {f.key: _encode_value(f, getattr(obj, f.attr)) for f in section.fields}
+
+
+SCENARIO_SCHEMA = Section(
+    Scenario,
+    (
+        Field("name", kind=str),
+        Field(
+            "fundamental_diagram",
+            "fd",
+            Section(
+                FundamentalDiagram,
+                (
+                    Field("capacity"),
+                    Field("downstream_capacity"),
+                    Field("free_flow_speed"),
+                    Field("backprop_speed"),
+                    Field("outflow_backprop_speed"),
+                    Field("jam_density"),
+                    Field("outflow_jam_density"),
+                    Field("capacity_drop_factor"),
+                ),
+            ),
+        ),
+        Field(
+            "geometry",
+            kind=Section(
+                NetworkGeometry,
+                (
+                    Field("num_sections", kind=int),
+                    Field("section_length_km", "section_length"),
+                    Field("upstream_zone_length_km", "upstream_zone_length"),
+                ),
+            ),
+        ),
+        Field(
+            "demand",
+            kind=Section(
+                DemandProfile,
+                (Field("times_min", "times", NUMBERS, 60.0), Field("flows", kind=NUMBERS)),
+            ),
+        ),
+        Field(
+            "incident",
+            kind=Section(
+                IncidentSchedule,
+                (
+                    Field("start_min", "start", unit=60.0),
+                    Field("end_min", "end", unit=60.0),
+                    Field("lanes_closed", kind=int),
+                ),
+            ),
+        ),
+        Field("controller", kind=str),
+        Field(
+            "vsl",
+            kind=Section(
+                VslRuleConfig,
+                (
+                    Field("derating"),
+                    Field("switch_margin_min", "switch_margin", unit=60.0),
+                    Field("quantize_step"),
+                ),
+            ),
+        ),
+        Field(
+            "lane_change",
+            "lc",
+            Section(
+                LcConfig,
+                (
+                    Field("advisory_distance_per_lane_m", "advisory_distance_per_lane"),
+                    Field("residual_drop"),
+                ),
+            ),
+        ),
+        Field("horizon_min", "horizon", unit=60.0),
+        Field("dt_s", "dt"),
+        Field("control_period_s", "control_period"),
+        Field(
+            "metrics",
+            kind=Section(
+                MetricConfig,
+                (
+                    Field("stop_speed"),
+                    Field("resume_speed"),
+                    Field("seed_interval_s", "seed_interval"),
+                    Field("density_floor"),
+                    Field("emission_table", kind=PAIRS),
+                ),
+            ),
+        ),
+    ),
+)
+
+
+def decode_or_raise(section: Section, data):
+    """Decode a whole document or raise one error carrying every violation."""
+    problems: list[str] = []
+    obj = decode(section, data, "", problems)
+    if problems:
+        raise ScenarioValidationError(problems)
+    return obj
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and fully validate a scenario, reporting every violation."""
-    if not isinstance(data, dict):
-        raise ScenarioValidationError(["document: expected a JSON object"])
-    problems: list[str] = []
+    return decode_or_raise(SCENARIO_SCHEMA, data)
 
-    def section(key: str, required: bool = True) -> dict | None:
-        value = data.get(key)
-        if value is None:
-            if required:
-                problems.append(f"{key}: missing")
-            return None
-        if not isinstance(value, dict):
-            problems.append(f"{key}: expected an object")
-            return None
-        return value
 
-    fd_data = section("fundamental_diagram")
-    fd = (
-        _build_component(
-            problems,
-            "fundamental_diagram",
-            lambda: FundamentalDiagram(
-                capacity=float(fd_data["capacity"]),
-                downstream_capacity=float(fd_data["downstream_capacity"]),
-                free_flow_speed=float(fd_data["free_flow_speed"]),
-                backprop_speed=float(fd_data["backprop_speed"]),
-                outflow_backprop_speed=float(fd_data["outflow_backprop_speed"]),
-                jam_density=float(fd_data["jam_density"]),
-                outflow_jam_density=float(fd_data["outflow_jam_density"]),
-                capacity_drop_factor=float(fd_data["capacity_drop_factor"]),
-            ),
-        )
-        if fd_data is not None
-        else None
-    )
+def scenario_fragment(**attrs) -> dict:
+    """Scenario-file blocks for the given Scenario attributes only, e.g.
+    ``scenario_fragment(fd=fd)`` for a calibrated fundamental diagram."""
+    return {
+        f.key: _encode_value(f, attrs[f.attr])
+        for f in SCENARIO_SCHEMA.fields
+        if f.attr in attrs
+    }
 
-    g_data = section("geometry")
-    geometry = (
-        _build_component(
-            problems,
-            "geometry",
-            lambda: NetworkGeometry(
-                num_sections=int(g_data["num_sections"]),
-                section_length=float(g_data["section_length_km"]),
-                upstream_zone_length=float(g_data.get("upstream_zone_length_km", 0.0)),
-                lanes_total=int(g_data.get("lanes_total", 3)),
-                lanes_closed=int(g_data.get("lanes_closed", 1)),
-            ),
-        )
-        if g_data is not None
-        else None
-    )
 
-    d_data = section("demand")
-    demand = (
-        _build_component(
-            problems,
-            "demand",
-            lambda: DemandProfile(
-                times=tuple(float(t) / 60.0 for t in d_data["times_min"]),
-                flows=tuple(float(f) for f in d_data["flows"]),
-            ),
-        )
-        if d_data is not None
-        else None
-    )
-
-    incident = None
-    i_data = section("incident", required=False)
-    if i_data is not None:
-        incident = _build_component(
-            problems,
-            "incident",
-            lambda: IncidentSchedule(
-                start=float(i_data["start_min"]) / 60.0,
-                end=float(i_data["end_min"]) / 60.0,
-                lanes_closed=int(i_data.get("lanes_closed", 1)),
-            ),
-        )
-
-    v_data = data.get("vsl") or {}
-    vsl = _build_component(
-        problems,
-        "vsl",
-        lambda: VslRuleConfig(
-            derating=float(v_data.get("derating", 0.785)),
-            switch_margin=float(v_data.get("switch_margin_min", 6.0)) / 60.0,
-            quantize_step=float(v_data.get("quantize_step", 0.0)),
-        ),
-    )
-
-    lc = None
-    lc_data = section("lane_change", required=False)
-    if lc_data is not None:
-        lc = _build_component(
-            problems,
-            "lane_change",
-            lambda: LcConfig(
-                advisory_distance_per_lane=float(
-                    lc_data.get("advisory_distance_per_lane_m", 800.0)
-                ),
-                residual_drop=float(lc_data.get("residual_drop", 0.0)),
-            ),
-        )
-
-    m_data = data.get("metrics") or {}
-    table = m_data.get("emission_table")
-    metrics = _build_component(
-        problems,
-        "metrics",
-        lambda: MetricConfig(
-            stop_speed=float(m_data.get("stop_speed", 5.0)),
-            resume_speed=float(m_data.get("resume_speed", 10.0)),
-            seed_interval=float(m_data.get("seed_interval_s", 10.0)),
-            density_floor=float(m_data.get("density_floor", 1.0)),
-            emission_table=None
-            if table is None
-            else tuple((float(v), float(r)) for v, r in table),
-        ),
-    )
-
-    if problems or fd is None or geometry is None or demand is None:
-        raise ScenarioValidationError(problems or ["document: incomplete scenario"])
-
-    scenario = Scenario(
-        name=str(data.get("name", "scenario")),
-        fd=fd,
-        geometry=geometry,
-        demand=demand,
-        incident=incident,
-        controller=str(data.get("controller", "rule_based")),
-        vsl=vsl,
-        lc=lc,
-        horizon=float(data.get("horizon_min", 90.0)) / 60.0,
-        dt=float(data.get("dt_s", 1.0)),
-        control_period=float(data.get("control_period_s", 30.0)),
-        metrics=metrics,
-        repetitions=int(data.get("repetitions", 1)),
-        seed=int(data.get("seed", 0)),
-    )
-    return scenario.require_valid()
+def read_json(path: str | Path):
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioValidationError([f"file: cannot read {path}: {exc}"]) from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioValidationError([f"file: {path} is not valid JSON: {exc}"]) from exc
 
 
 def load_scenario(source: str | Path) -> Scenario:
@@ -425,16 +529,7 @@ def load_scenario(source: str | Path) -> Scenario:
     name = str(source)
     if name in PRESETS:
         return PRESETS[name]()
-    path = Path(source)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioValidationError([f"file: cannot read {path}: {exc}"]) from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioValidationError([f"file: {path} is not valid JSON: {exc}"]) from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(source))
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -442,6 +537,13 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
         json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
+
+
+def write_trace(scenario: Scenario, trace: SimulationTrace, directory: Path) -> Path:
+    """Write ``<name>_trace.csv`` with the scenario's provenance comment."""
+    path = directory / f"{scenario.name}_trace.csv"
+    trace.to_csv(path, comment=f"scenario={scenario.name} hash={scenario.content_hash()}")
+    return path
 
 
 def make_controller(scenario: Scenario) -> control.Controller:
@@ -501,7 +603,7 @@ def evaluate_trace(scenario: Scenario, trace: SimulationTrace) -> MetricsReport:
 HIGH_DEMAND_ZONE_SWEEP = (0.0, 0.8, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 3.2, 4.0, 4.8)
 MODERATE_DEMAND_ZONE_SWEEP = (0.0, 0.4, 0.6, 0.8, 1.0, 1.2, 1.6, 3.2, 4.8)
 
-_REFERENCE_FD = dict(
+_REFERENCE_FD = FundamentalDiagram(
     capacity=7200.0,
     downstream_capacity=4800.0,
     free_flow_speed=100.0,
@@ -522,13 +624,11 @@ def _preset(
 ) -> Scenario:
     return Scenario(
         name=name,
-        fd=FundamentalDiagram(**_REFERENCE_FD),
+        fd=_REFERENCE_FD,
         geometry=NetworkGeometry(
             num_sections=6,
             section_length=1.6,
             upstream_zone_length=zone_length,
-            lanes_total=3,
-            lanes_closed=1,
         ),
         demand=DemandProfile.constant(demand),
         incident=IncidentSchedule(start=10.0 / 60.0, end=80.0 / 60.0, lanes_closed=1),

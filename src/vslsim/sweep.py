@@ -9,7 +9,7 @@ ordered either way.
 
 from __future__ import annotations
 
-import json
+import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -19,27 +19,50 @@ from .bounds import ZoneBoundReport, zone_bound_report
 from .metrics import MetricsReport
 from .simulate import DemandProfile
 from .scenario import (
+    NUMBERS,
     PRESETS,
+    SCENARIO_SCHEMA,
+    Field,
     Scenario,
     ScenarioValidationError,
+    Section,
+    decode_or_raise,
     evaluate_trace,
-    scenario_from_dict,
+    read_json,
     simulate_scenario,
+    write_trace,
 )
 
-SWEEP_VARIABLES = ("upstream_zone_length", "demand", "derating", "lc_residual_drop")
 
-PARALLEL_ENV = "VSLSIM_PARALLEL"
+def _set_lc_residual_drop(base: Scenario, value: float) -> Scenario:
+    if base.lc is None:
+        raise ScenarioValidationError(
+            ["lane_change: sweep over residual_drop needs lane change config"]
+        )
+    return replace(base, lc=replace(base.lc, residual_drop=value))
 
 
-@dataclass(frozen=True)
+# Swept variable -> (tag in the run name, setter on the base scenario).
+_SWEEPS = {
+    "upstream_zone_length": (
+        "L0",
+        lambda s, v: replace(s, geometry=replace(s.geometry, upstream_zone_length=v)),
+    ),
+    "demand": ("d", lambda s, v: replace(s, demand=DemandProfile.constant(v))),
+    "derating": ("alpha", lambda s, v: replace(s, vsl=replace(s.vsl, derating=v))),
+    "lc_residual_drop": ("epslc", _set_lc_residual_drop),
+}
+
+SWEEP_VARIABLES = tuple(_SWEEPS)
+
+
+@dataclass(frozen=True, kw_only=True)
 class SweepSpec:
     """A base scenario, the swept variable, and the values to evaluate."""
 
     base: Scenario
-    variable: str
+    variable: str = SWEEP_VARIABLES[0]
     values: tuple[float, ...]
-    repetitions: int = 1
 
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
@@ -49,38 +72,30 @@ class SweepSpec:
             )
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        if self.repetitions != 1:
-            raise ValueError("runs are deterministic; repetitions must be 1")
+
+
+SWEEP_SPEC_SCHEMA = Section(
+    SweepSpec,
+    (
+        Field("preset", "base", PRESETS),
+        Field("scenario", "base", SCENARIO_SCHEMA),
+        Field("variable", kind=str),
+        Field("values", kind=NUMBERS),
+    ),
+)
+
+
+def _run_name(base_name: str, variable: str, value: float) -> str:
+    """Name of the run for one swept value, e.g. ``high_demand_L0_2.4``."""
+    if variable not in _SWEEPS:
+        raise ValueError(f"unknown sweep variable {variable!r}")
+    return f"{base_name}_{_SWEEPS[variable][0]}_{value:g}"
 
 
 def apply_sweep_value(base: Scenario, variable: str, value: float) -> Scenario:
     """Base scenario with one design variable replaced."""
-    if variable == "upstream_zone_length":
-        geometry = replace(base.geometry, upstream_zone_length=float(value))
-        return replace(base, geometry=geometry, name=f"{base.name}_L0_{value:g}")
-    if variable == "demand":
-        return replace(
-            base,
-            demand=DemandProfile.constant(float(value)),
-            name=f"{base.name}_d_{value:g}",
-        )
-    if variable == "derating":
-        return replace(
-            base,
-            vsl=replace(base.vsl, derating=float(value)),
-            name=f"{base.name}_alpha_{value:g}",
-        )
-    if variable == "lc_residual_drop":
-        if base.lc is None:
-            raise ScenarioValidationError(
-                ["lane_change: sweep over residual_drop needs lane change config"]
-            )
-        return replace(
-            base,
-            lc=replace(base.lc, residual_drop=float(value)),
-            name=f"{base.name}_epslc_{value:g}",
-        )
-    raise ValueError(f"unknown sweep variable {variable!r}")
+    name = _run_name(base.name, variable, value)
+    return replace(_SWEEPS[variable][1](base, float(value)), name=name)
 
 
 @dataclass
@@ -92,19 +107,22 @@ class SweepRow:
     name: str
     status: str  # "ok" or "failed"
     error: str | None = None
+    error_type: str | None = None
     metrics: MetricsReport | None = None
     bound: ZoneBoundReport | None = None
 
 
-def _run_one(args: tuple[Scenario, str, float]) -> SweepRow:
-    base, variable, value = args
-    name = f"{base.name}_{variable}_{value:g}"
+def _run_one(args: tuple[Scenario, str, float, Path | None]) -> SweepRow:
+    """One swept value; writes its trace CSV into ``trace_dir`` when given."""
+    base, variable, value, trace_dir = args
     try:
         scenario = apply_sweep_value(base, variable, value).require_valid()
         bound = zone_bound_report(
             scenario.bound_inputs(), scenario.geometry.upstream_zone_length
         )
         trace = simulate_scenario(scenario)
+        if trace_dir is not None:
+            write_trace(scenario, trace, trace_dir)
         report = evaluate_trace(scenario, trace)
         return SweepRow(
             variable=variable,
@@ -116,17 +134,29 @@ def _run_one(args: tuple[Scenario, str, float]) -> SweepRow:
         )
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the sweep
         return SweepRow(
-            variable=variable, value=value, name=name, status="failed", error=str(exc)
+            variable=variable,
+            value=value,
+            name=_run_name(base.name, variable, value),
+            status="failed",
+            error=str(exc),
+            error_type=type(exc).__name__,
         )
 
 
-def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]:
-    """Evaluate every swept value; row order always matches the value order."""
-    if max_workers is None:
-        max_workers = int(os.environ.get(PARALLEL_ENV, "1"))
-    jobs = [(spec.base, spec.variable, v) for v in spec.values]
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+def run_sweep(
+    spec: SweepSpec, max_workers: int = 1, trace_dir: Path | None = None
+) -> list[SweepRow]:
+    """Evaluate every swept value; row order always matches the value order.
+
+    The pool never exceeds the number of values or of CPUs. With
+    ``trace_dir`` each run writes its trace CSV there.
+    """
+    if max_workers < 1:
+        raise ValueError("max_workers must be at least 1")
+    jobs = [(spec.base, spec.variable, v, trace_dir) for v in spec.values]
+    workers = min(max_workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, jobs))
     return [_run_one(job) for job in jobs]
 
@@ -148,70 +178,43 @@ SWEEP_CSV_COLUMNS = (
     "arrival_time_min",
     "verdict",
     "feasible",
+    "error_type",
 )
 
 
 def sweep_rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:
-    """Deterministic CSV: same rows in, same bytes out."""
+    """Deterministic CSV: same rows in, same bytes out. Names and error
+    texts are kept verbatim, quoted where they hold a comma, quote or newline."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SWEEP_CSV_COLUMNS)
         for row in rows:
             m = row.metrics
             b = row.bound
-            cells = [
-                row.variable,
-                f"{row.value:.10g}",
-                row.name,
-                row.status,
-                "" if row.error is None else row.error.replace(",", ";").replace("\n", " "),
-                "" if m is None else f"{m.att_min:.10g}",
-                "" if m is None else f"{m.avg_stops:.10g}",
-                "" if m is None else f"{m.avg_emission_g_per_km:.10g}",
-                "" if m is None else f"{m.rrmse:.10g}",
-                "" if m is None else str(m.vehicles_counted),
-                "" if b is None else f"{b.zone_length:.10g}",
-                "" if b is None else f"{b.lower_bound:.10g}",
-                "" if b is None else f"{b.time_to_clear * 60.0:.10g}",
-                "" if b is None else f"{b.arrival_time * 60.0:.10g}",
-                "" if b is None else b.verdict,
-                "" if b is None else str(b.feasible).lower(),
-            ]
-            fh.write(",".join(cells) + "\n")
+            writer.writerow(
+                [
+                    row.variable,
+                    f"{row.value:.10g}",
+                    row.name,
+                    row.status,
+                    row.error or "",
+                    "" if m is None else f"{m.att_min:.10g}",
+                    "" if m is None else f"{m.avg_stops:.10g}",
+                    "" if m is None else f"{m.avg_emission_g_per_km:.10g}",
+                    "" if m is None else f"{m.rrmse:.10g}",
+                    "" if m is None else str(m.vehicles_counted),
+                    "" if b is None else f"{b.zone_length:.10g}",
+                    "" if b is None else f"{b.lower_bound:.10g}",
+                    "" if b is None else f"{b.time_to_clear * 60.0:.10g}",
+                    "" if b is None else f"{b.arrival_time * 60.0:.10g}",
+                    "" if b is None else b.verdict,
+                    "" if b is None else str(b.feasible).lower(),
+                    row.error_type or "",
+                ]
+            )
 
 
 def load_sweep_spec(source: str | Path) -> SweepSpec:
-    """Read a sweep spec JSON: a base scenario (inline or preset) plus the
-    swept variable and its values."""
-    path = Path(source)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ScenarioValidationError([f"file: cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioValidationError(
-            [f"file: {path} is not valid JSON: {exc}"]
-        ) from exc
-    if not isinstance(data, dict):
-        raise ScenarioValidationError(["document: expected a JSON object"])
-    if "preset" in data:
-        preset = data["preset"]
-        if preset not in PRESETS:
-            raise ScenarioValidationError(
-                [f"preset: unknown preset {preset!r}; see the presets command"]
-            )
-        base = PRESETS[preset]()
-    elif "scenario" in data:
-        base = scenario_from_dict(data["scenario"])
-    else:
-        raise ScenarioValidationError(
-            ["document: sweep spec needs a 'preset' name or inline 'scenario'"]
-        )
-    try:
-        return SweepSpec(
-            base=base,
-            variable=str(data.get("variable", "upstream_zone_length")),
-            values=tuple(float(v) for v in data.get("values", ())),
-            repetitions=int(data.get("repetitions", 1)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ScenarioValidationError([f"sweep: {exc}"]) from exc
+    """Read a sweep spec JSON: a base scenario (a ``preset`` name or an
+    inline ``scenario``) plus the swept variable and its values."""
+    return decode_or_raise(SWEEP_SPEC_SCHEMA, read_json(source))

@@ -25,6 +25,4 @@ def geometry() -> NetworkGeometry:
         num_sections=6,
         section_length=1.6,
         upstream_zone_length=4.8,
-        lanes_total=3,
-        lanes_closed=1,
     )

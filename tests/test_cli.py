@@ -165,3 +165,146 @@ class TestCalibrate:
         path = tmp_path / "obs.csv"
         path.write_text("a,b\n1,2\n")
         assert cli_dispatch(["calibrate", str(path)]) == 2
+
+
+def _nan(section, key):
+    def mutate(doc):
+        doc[section][key] = float("nan")
+
+    return mutate
+
+
+def _set(**values):
+    def mutate(doc):
+        doc.update(values)
+
+    return mutate
+
+
+def _geometry(key, value):
+    def mutate(doc):
+        doc["geometry"][key] = value
+
+    return mutate
+
+
+REJECTED = [
+    # (id, command, mutation of the scenario document or sweep spec, message)
+    ("unknown_top", "run", _set(variabel=1), "variabel: unknown key"),
+    ("unknown_vsl", "run", lambda d: d["vsl"].update(deratng=0.8), "vsl.deratng: unknown key"),
+    ("unknown_spec", "sweep", lambda s: s.update(variabel="demand"), "variabel: unknown key"),
+    (
+        "nan_demand",
+        "run",
+        lambda d: d["demand"].update(flows=[float("nan")]),
+        "demand.flows[0]: must be a finite number",
+    ),
+    ("inf_horizon", "run", _set(horizon_min=float("inf")), "horizon_min: must be a finite"),
+    (
+        "nan_zone",
+        "run",
+        _nan("geometry", "upstream_zone_length_km"),
+        "geometry.upstream_zone_length_km: must be a finite",
+    ),
+    (
+        "nan_seed_interval",
+        "run",
+        _nan("metrics", "seed_interval_s"),
+        "metrics.seed_interval_s: must be a finite",
+    ),
+    ("nan_density_floor", "run", _nan("metrics", "density_floor"), "metrics.density_floor"),
+    ("nan_switch_margin", "run", _nan("vsl", "switch_margin_min"), "vsl.switch_margin_min"),
+    (
+        "inf_control_period",
+        "run",
+        _set(control_period_s=float("inf")),
+        "control_period_s: must be a finite",
+    ),
+    (
+        "fractional_sections",
+        "run",
+        _geometry("num_sections", 2.7),
+        "geometry.num_sections: must be an integer",
+    ),
+    ("dt_horizon", "run", _set(dt_s=0.7, horizon_min=90.0), "does not divide the horizon"),
+    (
+        "control_period_multiple",
+        "run",
+        _set(dt_s=0.7, horizon_min=14.0, control_period_s=1.1),
+        "control_period: 1.1 s must be a whole multiple",
+    ),
+    ("name_parent_dir", "run", _set(name="../x"), "name: '../x'"),
+    ("name_newline", "run", _set(name="a\nb"), "name: 'a\\nb'"),
+    (
+        "nan_sweep_value",
+        "sweep",
+        lambda s: s.update(values=[1.2, float("nan")]),
+        "values[1]: must be a finite number",
+    ),
+]
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize(
+        "command,mutate,message", [case[1:] for case in REJECTED], ids=[c[0] for c in REJECTED]
+    )
+    def test_rejected_at_load_naming_the_field(
+        self, tmp_path, capsys, command, mutate, message
+    ):
+        doc = json.loads(write_mini_scenario(tmp_path).read_text())
+        if command == "sweep":
+            doc = {"scenario": doc, "variable": "upstream_zone_length", "values": [1.2]}
+        mutate(doc)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_dispatch([command, str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestSweepOutputs:
+    def test_traces_match_run_bytes_with_one_simulation_per_value(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import vslsim.scenario
+        from vslsim import apply_sweep_value, load_scenario
+
+        scenario_path = write_mini_scenario(tmp_path)
+        spec_path = tmp_path / "spec.json"
+        values = [0.8, 1.6]
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "scenario": json.loads(scenario_path.read_text()),
+                    "variable": "upstream_zone_length",
+                    "values": values,
+                }
+            )
+        )
+        real_run = vslsim.scenario.run
+        calls = []
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[0].name)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(vslsim.scenario, "run", counting_run)
+        sweep_out = tmp_path / "sweep"
+        argv = ["sweep", str(spec_path), "--traces", "--out", str(sweep_out)]
+        assert cli_dispatch(argv) == 0
+        assert calls == ["mini_cli_L0_0.8", "mini_cli_L0_1.6"]
+
+        base = load_scenario(scenario_path)
+        run_out = tmp_path / "run"
+        for value in values:
+            scenario = apply_sweep_value(base, "upstream_zone_length", value)
+            path = tmp_path / f"{scenario.name}.json"
+            save_scenario(scenario, path)
+            assert cli_dispatch(["run", str(path), "--out", str(run_out)]) == 0
+            name = f"{scenario.name}_trace.csv"
+            assert (sweep_out / name).read_bytes() == (run_out / name).read_bytes()
+
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys):
+        assert cli_dispatch(["sweep", str(tmp_path / "spec.json"), "--workers", "0"]) == 1
+        assert "--workers" in capsys.readouterr().err

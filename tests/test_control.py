@@ -19,7 +19,6 @@ from vslsim import (
     derated_command,
     lc_distance,
     rule_commands,
-    scheduled_limits,
     switch_time,
     v0_command,
     vsl_max_flow,
@@ -131,10 +130,10 @@ class TestSchedule:
 
     def test_posted_timeline(self, fd, geometry):
         # Incident at 10 min, switch at 30 min, cleared at 80 min.
+        controller = RuleBasedSchedule(fd, geometry, INCIDENT, self.CFG, 7000.0)
+        state = TrafficState.uniform(70.0, 6)
         for minute, zone in ((15.0, 20.0), (45.0, 25.0), (85.0, 100.0), (5.0, 100.0)):
-            limits = scheduled_limits(
-                minute / 60.0, INCIDENT, self.CFG, fd, geometry, 7000.0
-            )
+            limits = controller(state, minute / 60.0)
             assert limits.zone == pytest.approx(zone)
             assert np.all(limits.sections == fd.free_flow_speed)
 
@@ -145,7 +144,8 @@ class TestSchedule:
 
     def test_schedule_without_derating_matches_command_law(self, fd, geometry):
         cfg = VslRuleConfig(derating=1.0, switch_margin=0.1, quantize_step=0.0)
-        limits = scheduled_limits(15.0 / 60.0, INCIDENT, cfg, fd, geometry, 7000.0)
+        controller = RuleBasedSchedule(fd, geometry, INCIDENT, cfg, 7000.0)
+        limits = controller(TrafficState.uniform(70.0, 6), 15.0 / 60.0)
         assert limits.zone == pytest.approx(v0_command(7000.0, 100.0, fd))
 
     def test_oversized_margin_clamps_to_incident_end(self, fd, geometry):
@@ -155,10 +155,10 @@ class TestSchedule:
         assert t_s == INCIDENT.end
 
     def test_downstream_limits_always_free_flow(self, fd, geometry):
+        controller = RuleBasedSchedule(fd, geometry, INCIDENT, self.CFG, 7000.0)
+        state = TrafficState.uniform(70.0, 6)
         for minute in np.linspace(0.0, 90.0, 19):
-            limits = scheduled_limits(
-                minute / 60.0, INCIDENT, self.CFG, fd, geometry, 7000.0
-            )
+            limits = controller(state, minute / 60.0)
             assert np.all(limits.sections == fd.free_flow_speed)
 
 

@@ -12,7 +12,6 @@ from vslsim import (
     TrafficState,
     bottleneck_outflow,
     capacity_drop,
-    critical_density,
     equilibrium_density,
     interface_flows,
     vsl_max_flow,
@@ -56,15 +55,15 @@ class TestFundamentalDiagram:
 
 class TestCriticalDensity:
     def test_reference_value(self, fd):
-        assert critical_density(fd) == pytest.approx(72.0)
+        assert fd.critical_density == pytest.approx(72.0)
 
     def test_unit_ratio(self):
         unit = FundamentalDiagram.from_triangle(100.0, 100.0, 100.0, 30.0, 15.0, 0.1)
-        assert critical_density(unit) == pytest.approx(1.0)
+        assert unit.critical_density == pytest.approx(1.0)
 
     def test_downstream_value(self):
         low = FundamentalDiagram.from_triangle(4800.0, 4800.0, 100.0, 30.0, 15.0, 0.1)
-        assert critical_density(low) == pytest.approx(48.0)
+        assert low.critical_density == pytest.approx(48.0)
 
 
 class TestVslMaxFlow:
@@ -250,4 +249,4 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             NetworkGeometry(0, 1.6)
         with pytest.raises(ValueError):
-            NetworkGeometry(6, 1.6, lanes_total=3, lanes_closed=3)
+            NetworkGeometry(6, 1.6, -1.0)

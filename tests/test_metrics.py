@@ -12,15 +12,12 @@ from vslsim import (
     Scenario,
     SimulationTrace,
     VirtualTrajectory,
-    att,
     avg_emission,
     avg_stops,
-    cell_speed,
+    compute_metrics,
     default_emission_rate,
     emission_rate_from_table,
     reconstruct_trajectories,
-    rrmse_density,
-    rrmse_density_per_section,
     rrmse_density_pooled,
     simulate_scenario,
     speed_field,
@@ -74,20 +71,45 @@ def make_trajectory(speeds, dt_h=1.0 / 360.0, entry=0.0, complete=True):
     )
 
 
+def two_speed_trace(fd, slow_from_k=600, n=1861, seeds=(0, 600)):
+    """One 10 km cell, 1 s steps: 60 km/h before step ``slow_from_k`` and
+    30 km/h after, with inflow (hence a probe) only at the ``seeds`` steps."""
+    geometry = NetworkGeometry(1, 10.0, 0.0)
+    times = np.arange(n) / 3600.0
+    flows = np.zeros((n, 2))
+    flows[list(seeds), 0] = 1200.0
+    flows[:, 1] = np.where(np.arange(n) < slow_from_k, 1200.0, 600.0)
+    return SimulationTrace(
+        geometry=geometry,
+        fd=fd,
+        times=times,
+        densities=np.full((n, 1), 20.0),
+        flows=flows,
+        limits=np.full((n, 2), fd.free_flow_speed),
+        demand=flows[:, 0].copy(),
+        incident_active=np.zeros(n, dtype=bool),
+        lc_active=np.zeros(n, dtype=bool),
+    )
+
+
 class TestCellSpeed:
-    def test_flow_over_density_capped_by_limit(self):
-        assert cell_speed(48.0, 4800.0, 100.0) == pytest.approx(100.0)
+    def test_flow_over_density_capped_by_limit(self, fd, geometry):
+        field = speed_field(constant_trace(fd, geometry, density=48.0, flow=4800.0))
+        assert np.allclose(field, 100.0)
+        capped = speed_field(constant_trace(fd, geometry, density=20.0, flow=4000.0))
+        assert np.allclose(capped, 100.0)
 
-    def test_empty_cell_moves_at_limit(self):
-        assert cell_speed(0.0, 0.0, 100.0) == 100.0
-        assert cell_speed(0.5, 10.0, 80.0) == 80.0  # below the density floor
+    def test_empty_cell_moves_at_limit(self, fd, geometry):
+        for density, flow in ((0.0, 0.0), (0.5, 10.0)):  # 0.5 is below the floor
+            field = speed_field(
+                constant_trace(fd, geometry, density=density, flow=flow, zone_limit=80.0)
+            )
+            assert np.all(field[:, 0] == 80.0)
+            assert np.all(field[:, 1:] == fd.free_flow_speed)
 
-    def test_congested_speed(self):
-        assert cell_speed(200.0, 4320.0, 100.0) == pytest.approx(21.6)
-
-    def test_negative_density_rejected(self):
-        with pytest.raises(ValueError):
-            cell_speed(-1.0, 100.0, 100.0)
+    def test_congested_speed(self, fd, geometry):
+        field = speed_field(constant_trace(fd, geometry, density=200.0, flow=4320.0))
+        assert np.allclose(field, 21.6)
 
 
 class TestSpeedField:
@@ -146,21 +168,24 @@ class TestTrajectories:
 
 
 class TestAtt:
-    def test_mean_of_two(self):
-        trajs = [
-            make_trajectory([60.0] * 60, dt_h=10.0 / 3600.0),  # 10 min
-            make_trajectory([60.0] * 120, dt_h=10.0 / 3600.0),  # 20 min
-        ]
-        assert att(trajs) == pytest.approx(15.0)
+    def test_mean_of_two(self, fd):
+        # 10 km at 60 km/h (10 min), then 10 km at 30 km/h (20 min).
+        trace = two_speed_trace(fd)
+        report = compute_metrics(trace, 600.0 / 3600.0, 20.0, (0.0, 0.5))
+        assert report.vehicles_counted == 2
+        assert report.att_min == pytest.approx(15.0, rel=1e-6)
 
-    def test_single_trajectory(self):
-        traj = make_trajectory([50.0] * 30, dt_h=1.0 / 60.0)
-        assert att([traj]) == pytest.approx(30.0)
+    def test_single_trajectory(self, fd, geometry):
+        trace = constant_trace(fd, geometry, density=20.0, flow=2000.0)
+        report = compute_metrics(trace, 1.0, 20.0, (0.0, 0.4))
+        assert report.vehicles_counted == 1
+        assert report.att_min == pytest.approx(60.0 * geometry.total_length / 100.0)
 
-    def test_requires_a_completed_trip(self):
-        unfinished = make_trajectory([50.0] * 10, complete=False)
-        with pytest.raises(ValueError):
-            att([unfinished])
+    def test_requires_a_completed_trip(self, fd, geometry):
+        trace = constant_trace(fd, geometry, duration_h=0.05, density=20.0, flow=2000.0)
+        report = compute_metrics(trace, 1.0, 20.0, (0.0, 0.05))
+        assert report.vehicles_counted == 0
+        assert np.isnan(report.att_min)
 
 
 class TestStops:
@@ -216,25 +241,23 @@ class TestEmission:
 class TestRrmse:
     def test_zero_when_on_target(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=48.0)
-        assert rrmse_density(trace, 48.0, 0.0, 0.4) == pytest.approx(0.0)
         assert rrmse_density_pooled(trace, 48.0, 0.0, 0.4) == pytest.approx(0.0)
 
     def test_constant_offset(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=60.0)
-        assert rrmse_density(trace, 48.0, 0.0, 0.4) == pytest.approx(0.25)
         assert rrmse_density_pooled(trace, 48.0, 0.0, 0.4) == pytest.approx(0.25)
 
     def test_shift_invariance(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=60.0)
-        early = rrmse_density(trace, 48.0, 0.0, 0.2)
-        late = rrmse_density(trace, 48.0, 0.25, 0.45)
+        early = rrmse_density_pooled(trace, 48.0, 0.0, 0.2)
+        late = rrmse_density_pooled(trace, 48.0, 0.25, 0.45)
         assert early == pytest.approx(late)
 
     def test_linear_scaling_of_deviation(self, fd, geometry):
         base = constant_trace(fd, geometry, density=54.0)  # rho* + 6
         double = constant_trace(fd, geometry, density=60.0)  # rho* + 12
-        assert rrmse_density(double, 48.0, 0.0, 0.4) == pytest.approx(
-            2.0 * rrmse_density(base, 48.0, 0.0, 0.4)
+        assert rrmse_density_pooled(double, 48.0, 0.0, 0.4) == pytest.approx(
+            2.0 * rrmse_density_pooled(base, 48.0, 0.0, 0.4)
         )
 
     def test_pooled_sees_localized_congestion(self, fd, geometry):
@@ -242,19 +265,15 @@ class TestRrmse:
         densities = trace.densities.copy()
         densities[:, -1] = 150.0  # one congested section, rest below target
         trace.densities = densities
-        cross = rrmse_density(trace, 48.0, 0.0, 0.4)
+        # The cross-section mean (350 / 6 veh/km) sits only 10.3 veh/km off.
+        cross = abs(np.mean(densities[0, 1:]) - 48.0) / 48.0
         pooled = rrmse_density_pooled(trace, 48.0, 0.0, 0.4)
+        assert pooled == pytest.approx(np.sqrt((5 * 8.0**2 + 102.0**2) / 6) / 48.0)
         assert pooled > 4 * cross
-
-    def test_per_section_vector(self, fd, geometry):
-        trace = constant_trace(fd, geometry, density=60.0)
-        per = rrmse_density_per_section(trace, 48.0, 0.0, 0.4)
-        assert per.shape == (6,)
-        assert np.allclose(per, 0.25)
 
     def test_window_outside_trace_rejected(self, fd, geometry):
         trace = constant_trace(fd, geometry, duration_h=0.1)
         with pytest.raises(ValueError):
-            rrmse_density(trace, 48.0, 0.0, 0.2)
+            rrmse_density_pooled(trace, 48.0, 0.0, 0.2)
         with pytest.raises(ValueError):
-            rrmse_density(trace, 48.0, 0.05, 0.01)
+            rrmse_density_pooled(trace, 48.0, 0.05, 0.01)

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from vslsim import (
     DemandProfile,
+    FundamentalDiagram,
     VslRuleConfig,
     IncidentSchedule,
     MetricConfig,
@@ -27,7 +29,7 @@ from vslsim import (
     simulate_scenario,
     sweep_rows_to_csv,
 )
-from vslsim.scenario import PRESETS, ZONE_SWEEPS
+from vslsim.scenario import CONTROLLER_KINDS, PRESETS, ZONE_SWEEPS
 from vslsim.sweep import load_sweep_spec
 
 
@@ -77,14 +79,14 @@ class TestValidation:
         scenario = replace(
             high_demand_preset(),
             dt=120.0,
-            repetitions=3,
+            name="",
             controller="magic",
             horizon=0.5,
         )
         problems = scenario.validate()
         assert len(problems) >= 4
         joined = "\n".join(problems)
-        for needle in ("dt", "repetitions", "controller", "horizon"):
+        for needle in ("dt", "name", "controller", "horizon"):
             assert needle in joined
 
     def test_residual_drop_bounded_by_drop_factor(self, fd):
@@ -232,13 +234,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(base=_mini(fd), variable="upstream_zone_length", values=())
         with pytest.raises(ValueError):
-            SweepSpec(
-                base=_mini(fd),
-                variable="upstream_zone_length",
-                values=(1.0,),
-                repetitions=2,
-            )
-        with pytest.raises(ValueError):
             SweepSpec(base=_mini(fd), variable="nope", values=(1.0,))
 
     def test_load_sweep_spec_from_preset(self, tmp_path):
@@ -261,3 +256,306 @@ class TestSweep:
         path.write_text(json.dumps({"preset": "nope", "variable": "demand", "values": [1]}))
         with pytest.raises(ScenarioValidationError, match="preset"):
             load_sweep_spec(path)
+
+
+class TestStrictSchema:
+    def _doc(self):
+        return high_demand_preset().to_dict()
+
+    def _violations(self, doc):
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(doc)
+        return err.value.violations
+
+    def test_defaults_come_from_the_dataclasses(self, fd):
+        doc = self._doc()
+        minimal = {
+            key: doc[key] for key in ("fundamental_diagram", "geometry", "demand")
+        }
+        minimal["controller"] = "no_control"
+        expected = Scenario(
+            fd=fd,
+            geometry=NetworkGeometry(6, 1.6, 4.8),
+            demand=DemandProfile.constant(7000.0),
+            controller="no_control",
+        )
+        assert scenario_from_dict(minimal) == expected
+        assert expected.name == "scenario" and expected.incident is None
+
+    def test_every_violation_collected_with_paths(self):
+        doc = self._doc()
+        doc["vsl"]["deratng"] = 0.8
+        doc["geometry"]["num_sections"] = "6"
+        doc["demand"]["flows"] = [7000.0, float("nan")]
+        doc["metrics"]["emission_table"] = [[20.0, 300.0], [50.0]]
+        del doc["fundamental_diagram"]["capacity"]
+        problems = self._violations(doc)
+        assert "vsl.deratng: unknown key" in problems
+        assert "geometry.num_sections: expected a number" in problems
+        assert "demand.flows[1]: must be a finite number" in problems
+        assert "metrics.emission_table[1]: expected a pair of numbers" in problems
+        assert "fundamental_diagram.capacity: missing" in problems
+
+    def test_null_only_where_the_default_is_none(self):
+        doc = self._doc()
+        doc["incident"] = None
+        doc["lane_change"] = None
+        doc["controller"] = "no_control"
+        scenario = scenario_from_dict(doc)
+        assert scenario.incident is None and scenario.lc is None
+        doc["vsl"] = None
+        doc["dt_s"] = None
+        problems = self._violations(doc)
+        assert "vsl: expected an object" in problems
+        assert "dt_s: expected a number" in problems
+
+    def test_booleans_and_strings_are_not_numbers(self):
+        doc = self._doc()
+        doc["dt_s"] = True
+        doc["horizon_min"] = "90"
+        problems = self._violations(doc)
+        assert "dt_s: expected a number" in problems
+        assert "horizon_min: expected a number" in problems
+
+    def test_integral_float_accepted_for_integers(self):
+        doc = self._doc()
+        doc["geometry"]["num_sections"] = 6.0
+        assert scenario_from_dict(doc).geometry.num_sections == 6
+
+    def test_single_point_emission_table_rejected(self):
+        doc = self._doc()
+        doc["metrics"]["emission_table"] = [[50.0, 300.0]]
+        assert any("two points" in p for p in self._violations(doc))
+
+    @pytest.mark.parametrize("name", ["", "a/b", "..\\x", "a\x00b", "tab\there"])
+    def test_unsafe_names_rejected(self, name):
+        problems = replace(high_demand_preset(), name=name).validate()
+        assert any(p.startswith("name:") for p in problems)
+
+    def test_plain_names_with_commas_and_quotes_accepted(self):
+        assert not replace(high_demand_preset(), name='a,"b" c').validate()
+
+    def test_steps_must_divide_horizon_and_control_period(self):
+        base = high_demand_preset()
+        assert not replace(base, dt=0.5, control_period=10.0).validate()
+        assert any("horizon" in p for p in replace(base, dt=0.7).validate())
+        short = replace(base, dt=0.7, horizon=84.0 / 60.0)
+        assert not replace(short, control_period=1.4).validate()
+        assert any("control_period" in p for p in replace(short, control_period=1.1).validate())
+        assert any("control_period" in p for p in replace(base, control_period=0.5).validate())
+
+
+@st.composite
+def scenario_documents(draw):
+    """Random valid scenario files in JSON units."""
+    unit = st.floats(0.0, 1.0)
+    capacity = draw(st.floats(3000.0, 9000.0))
+    v_f = draw(st.floats(60.0, 130.0))
+    w = draw(st.floats(10.0, 45.0))
+    fd = FundamentalDiagram.from_triangle(
+        capacity=capacity,
+        downstream_capacity=capacity * (0.5 + 0.5 * draw(unit)),
+        free_flow_speed=v_f,
+        backprop_speed=w,
+        outflow_backprop_speed=w * (0.3 + 0.7 * draw(unit)),
+        capacity_drop_factor=draw(st.floats(0.02, 0.4)),
+    )
+    dt = draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]))
+    horizon_min = draw(st.integers(20, 120))
+    incident = draw(
+        st.none()
+        | st.builds(
+            lambda a, b, lanes: {
+                "start_min": a,
+                "end_min": a + 1.0 + b * (horizon_min - a - 2.0),
+                "lanes_closed": lanes,
+            },
+            st.floats(0.0, 10.0),
+            unit,
+            st.integers(1, 3),
+        )
+    )
+    controller = "no_control" if incident is None else draw(st.sampled_from(CONTROLLER_KINDS))
+    drop = fd.capacity_drop_factor
+    times = sorted(draw(st.sets(st.integers(1, horizon_min), max_size=3)))
+    flows = draw(st.lists(st.floats(0.0, 9000.0), min_size=len(times) + 1, max_size=len(times) + 1))
+    stop = draw(st.floats(0.0, 20.0))
+    table = draw(
+        st.none()
+        | st.lists(
+            st.tuples(st.floats(1.0, 130.0), st.floats(50.0, 900.0)).map(list),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    zone = draw(st.sampled_from([0.0]) | st.floats(0.3, 5.0))
+    return {
+        "name": draw(st.text("abcXYZ019_-. ,", min_size=1, max_size=12)),
+        "fundamental_diagram": {
+            f: getattr(fd, f) for f in FundamentalDiagram.__dataclass_fields__
+        },
+        "geometry": {
+            "num_sections": draw(st.integers(1, 8)),
+            "section_length_km": draw(st.floats(0.3, 3.0)),
+            "upstream_zone_length_km": zone,
+        },
+        "demand": {"times_min": [0.0] + [float(t) for t in times], "flows": flows},
+        "incident": incident,
+        "controller": controller,
+        "vsl": {
+            "derating": draw(st.floats(0.05, 1.0)),
+            "switch_margin_min": draw(st.floats(0.0, 30.0)),
+            "quantize_step": draw(st.floats(0.0, 10.0)),
+        },
+        "lane_change": draw(
+            st.none()
+            | st.builds(
+                lambda d, r: {"advisory_distance_per_lane_m": d, "residual_drop": r},
+                st.floats(1.0, 2000.0),
+                st.floats(0.0, drop),
+            )
+        ),
+        "horizon_min": float(horizon_min),
+        "dt_s": dt,
+        "control_period_s": dt * draw(st.integers(1, 60)),
+        "metrics": {
+            "stop_speed": stop,
+            "resume_speed": stop + draw(st.floats(0.1, 20.0)),
+            "seed_interval_s": draw(st.floats(1.0, 600.0)),
+            "density_floor": draw(st.floats(0.0, 5.0)),
+            "emission_table": table,
+        },
+    }
+
+
+UNKNOWN_KEYS = ["seed", "repetitions", "lanes_total", "deratng", "variabel"]
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(doc=scenario_documents())
+    def test_parse_emit_parse_is_identity(self, doc, tmp_path_factory):
+        scenario = scenario_from_dict(doc)
+        again = scenario_from_dict(scenario.to_dict())
+        assert again == scenario
+        folder = tmp_path_factory.mktemp("round_trip")
+        save_scenario(scenario, folder / "a.json")
+        save_scenario(load_scenario(folder / "a.json"), folder / "b.json")
+        assert (folder / "a.json").read_bytes() == (folder / "b.json").read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(doc=scenario_documents(), data=st.data())
+    def test_injected_key_rejected_with_its_path(self, doc, data):
+        objects = [("", doc)] + [(k, v) for k, v in doc.items() if isinstance(v, dict)]
+        path, target = data.draw(st.sampled_from(objects))
+        key = data.draw(st.sampled_from(UNKNOWN_KEYS))
+        target[key] = 1
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(doc)
+        dotted = f"{path}.{key}" if path else key
+        assert err.value.violations == [f"{dotted}: unknown key"]
+
+
+class TestSweepSpecFile:
+    def _write(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return path
+
+    def test_unknown_key_and_nan_value_rejected(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            {"preset": "high_demand", "variabel": "demand", "values": [1.0, float("nan")]},
+        )
+        with pytest.raises(ScenarioValidationError) as err:
+            load_sweep_spec(path)
+        assert err.value.violations == [
+            "variabel: unknown key",
+            "values[1]: must be a finite number",
+        ]
+
+    def test_nested_scenario_paths_are_dotted(self, tmp_path):
+        doc = high_demand_preset().to_dict()
+        doc["vsl"]["deratng"] = 0.8
+        path = self._write(tmp_path, {"scenario": doc, "values": [1.0]})
+        with pytest.raises(ScenarioValidationError, match="scenario.vsl.deratng"):
+            load_sweep_spec(path)
+
+    def test_preset_and_scenario_conflict(self, tmp_path):
+        doc = high_demand_preset().to_dict()
+        path = self._write(tmp_path, {"preset": "high_demand", "scenario": doc, "values": [1.0]})
+        with pytest.raises(ScenarioValidationError, match="conflicts with preset"):
+            load_sweep_spec(path)
+
+    def test_base_is_required(self, tmp_path):
+        path = self._write(tmp_path, {"values": [1.0]})
+        with pytest.raises(ScenarioValidationError, match="preset or scenario: missing"):
+            load_sweep_spec(path)
+
+    def test_variable_defaults_to_zone_length(self, tmp_path):
+        path = self._write(tmp_path, {"preset": "high_demand", "values": [2.4]})
+        assert load_sweep_spec(path).variable == "upstream_zone_length"
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, runs serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+class TestSweepWorkersAndCsv:
+    @pytest.mark.parametrize(
+        "workers,cpus,expected", [(8, 2, [2]), (8, 16, [3]), (2, 16, [2]), (1, 16, [])]
+    )
+    def test_pool_clamped_to_values_and_cpus(self, fd, monkeypatch, workers, cpus, expected):
+        import vslsim.sweep as sweep
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        # Out-of-range deratings fail at validation, so no row simulates.
+        spec = SweepSpec(base=_mini(fd), variable="derating", values=(1.5, 2.0, 3.0))
+        rows = run_sweep(spec, workers)
+        assert _RecordingPool.sizes == expected
+        assert [r.status for r in rows] == ["failed"] * 3
+
+    def test_workers_below_one_rejected(self, fd):
+        spec = SweepSpec(base=_mini(fd), variable="derating", values=(1.5,))
+        with pytest.raises(ValueError, match="max_workers"):
+            run_sweep(spec, 0)
+
+    def test_failed_rows_named_like_ok_rows(self, fd):
+        spec = SweepSpec(base=_mini(fd), variable="derating", values=(0.8, 1.5))
+        rows = run_sweep(spec)
+        assert [r.name for r in rows] == ["mini_alpha_0.8", "mini_alpha_1.5"]
+        assert rows[1].error_type == "ValueError"
+
+    def test_csv_well_formed_for_any_name_and_error(self, fd, tmp_path):
+        import csv
+
+        base = replace(_mini(fd), name='a,"b"')
+        rows = run_sweep(SweepSpec(base=base, variable="derating", values=(0.8, 1.5)))
+        path = tmp_path / "sweep.csv"
+        sweep_rows_to_csv(rows, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            read = list(csv.DictReader(fh))
+        assert len(read) == 2
+        for record in read:
+            assert len(record) == 17 and None not in record
+        assert read[0]["name"] == 'a,"b"_alpha_0.8'
+        assert read[1]["name"] == 'a,"b"_alpha_1.5'
+        assert read[1]["error"] == rows[1].error
+        assert read[1]["error_type"] == "ValueError"
+        assert read[0]["verdict"] == rows[0].bound.verdict

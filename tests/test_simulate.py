@@ -69,12 +69,6 @@ class TestStep:
         assert after.upstream_density == 0.0
         assert np.all(after.densities == 0.0)
 
-    def test_cfl_violation_raises(self, fd, geometry):
-        state = TrafficState(0.0, 48.0, np.full(6, 48.0))
-        flows = interface_flows(state, SpeedLimits.uniform(100.0, 6), fd, 4800.0)
-        with pytest.raises(CflViolationError):
-            step(state, flows, geometry, 120.0 / 3600.0, fd)
-
     def test_flux_mismatch_detected(self, fd):
         # An outflow far above what the cell holds drives density negative.
         geometry = NetworkGeometry(1, 0.1, 0.0)
