@@ -47,6 +47,7 @@ from .ctm import (
 )
 from .metrics import (
     MetricsReport,
+    ProbeSet,
     VirtualTrajectory,
     avg_emission,
     avg_stops,

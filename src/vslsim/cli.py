@@ -8,6 +8,7 @@ simulation error. The output directory defaults to the working directory.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -198,28 +199,46 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _observed_number(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise CalibrationError(f"{where}: {text!r} is not a finite non-negative number")
+    return value
+
+
 def _read_observations(path: str) -> list[FdObservation]:
+    """Rows of a CSV whose header names density, flow and incident columns
+    (any order, extra columns ignored, fields may be quoted); blank rows are
+    skipped. A bad row is a CalibrationError naming its line and column."""
     obs: list[FdObservation] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().lower().split(",")
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [name.strip().lower() for name in next(reader, [])]
         try:
-            i_rho = header.index("density")
-            i_q = header.index("flow")
-            i_inc = header.index("incident")
+            columns = {n: header.index(n) for n in ("density", "flow", "incident")}
         except ValueError as exc:
             raise CalibrationError(
                 "observation CSV needs density,flow,incident columns"
             ) from exc
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for row in reader:
+            if not any(cell.strip() for cell in row):
                 continue
-            cells = line.split(",")
+            cells = {}
+            for name, i in columns.items():
+                where = f"{path}: line {reader.line_num}, column {name}"
+                if i >= len(row):
+                    raise CalibrationError(f"{where}: missing value")
+                cells[name] = row[i].strip()
+                if name != "incident":
+                    cells[name] = _observed_number(cells[name], where)
             obs.append(
                 FdObservation(
-                    density=float(cells[i_rho]),
-                    flow=float(cells[i_q]),
-                    incident=cells[i_inc].strip() in ("1", "true", "True"),
+                    density=cells["density"],
+                    flow=cells["flow"],
+                    incident=cells["incident"] in ("1", "true", "True"),
                 )
             )
     return obs

@@ -3,23 +3,38 @@ performance measures: average travel time, stop counts, emission rates, and
 the density tracking error.
 
 The macroscopic fields carry no vehicle identities, so probe vehicles are
-seeded at the entrance on a fixed interval and advected through the
-piecewise-constant speed field ``min(outflow / density, posted limit)`` cell
-by cell. Probes never overtake one another: within a step a probe crossing a
-cell boundary continues at the next cell's speed for the remaining fraction of
-the step.
+seeded at the entrance on a fixed interval and advected through the speed
+field ``min(outflow / density, posted limit)``, which is constant in each cell
+over each step. The distance a vehicle can cover in cell ``c`` by time ``t`` is
+therefore the piecewise-linear ``S_c(t)``, the running sum of ``v_c dt``, and a
+probe entering the cell at ``t`` leaves it at the first instant where
+``S_c = S_c(t) + L_c``. One cumulative sum and one ``searchsorted`` per cell
+give the crossing times of every probe at once (Daganzo 1994, Transp. Res. B
+28(4) for the cell transmission model). ``S_c`` is non-decreasing, so probes
+never overtake one another.
+
+Travel time is exit minus entry. Emission integrates the same way: a probe's
+grams in cell ``c`` are the running integral of ``rate(v_c) v_c`` differenced
+at its entry and exit, and the reported rate is the grams of completed probes
+over the distance they covered. Stop counts run a hysteresis counter over each
+probe's step-averaged speed (distance covered in a step over the time spent in
+it); when no cell speed anywhere falls below the stop threshold, no average
+can, and the count is zero without building the profiles.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .simulate import SimulationTrace
+
+# Maps an array of speeds (km/h) to an array of emission rates (g/km); a
+# callable returning one constant broadcasts.
+RateFn = Callable[[np.ndarray], np.ndarray]
 
 # Convex speed-to-CO2 curve rate(v) = a + b/v + c v^2 in g/km, anchored at
 # roughly 320 g/km at 100 km/h and 395 g/km at 20 km/h with its minimum near
@@ -31,24 +46,26 @@ EMISSION_COEFFS = (262.7407, 2620.3416, 0.0031056)
 DENSITY_FLOOR = 1.0
 
 
-def default_emission_rate(speed: float) -> float:
-    """Emission rate in g/km at a sustained speed in km/h."""
-    if speed <= 0.0:
+def default_emission_rate(speed: float | np.ndarray) -> float | np.ndarray:
+    """Emission rate in g/km at a sustained speed in km/h; takes a float or an
+    array of speeds and returns the same."""
+    if np.any(np.asarray(speed) <= 0.0):
         raise ValueError("speed must be strictly positive")
     a, b, c = EMISSION_COEFFS
     return a + b / speed + c * speed * speed
 
 
-def emission_rate_from_table(points: Sequence[tuple[float, float]]) -> Callable[[float], float]:
-    """Interpolating rate function from (speed km/h, rate g/km) pairs."""
+def emission_rate_from_table(points: Sequence[tuple[float, float]]) -> RateFn:
+    """Interpolating rate function from (speed km/h, rate g/km) pairs; maps a
+    float or an array of speeds to the same."""
     pts = sorted((float(v), float(r)) for v, r in points)
     if len(pts) < 2:
         raise ValueError("emission table needs at least two points")
     speeds = np.array([p[0] for p in pts])
     rates = np.array([p[1] for p in pts])
 
-    def rate(speed: float) -> float:
-        return float(np.interp(speed, speeds, rates))
+    def rate(speed: float | np.ndarray) -> float | np.ndarray:
+        return np.interp(speed, speeds, rates)
 
     return rate
 
@@ -64,22 +81,65 @@ def speed_field(trace: SimulationTrace, rho_min: float = DENSITY_FLOOR) -> np.nd
     return np.where(rho > rho_min, np.minimum(ratio, limits), limits)
 
 
-@dataclass
+class _Integral:
+    """Integral of a rate held constant over each step, tabulated per sample."""
+
+    def __init__(self, rate: np.ndarray, times: np.ndarray, dt: float) -> None:
+        self.rate, self.times, self.dt = rate, times, dt
+        self.table = np.concatenate(([0.0], np.cumsum(rate * dt)))
+
+    def at(self, t: np.ndarray) -> np.ndarray:
+        k = np.clip(np.searchsorted(self.times, t, "right") - 1, 0, len(self.rate) - 1)
+        # Capping the offset at dt keeps the values non-decreasing across steps.
+        return self.table[k] + self.rate[k] * np.minimum(t - self.times[k], self.dt)
+
+    def first_reach(self, target: np.ndarray) -> np.ndarray:
+        """Earliest instants the integral reaches ``target``; inf past the grid."""
+        i = np.searchsorted(self.table, target)
+        ok = i < self.table.shape[0]
+        k = i[ok] - 1  # table[k] < target <= table[k + 1], so rate[k] > 0
+        t = self.times[k] + (target[ok] - self.table[k]) / self.rate[k]
+        out = np.full(target.shape, np.inf)
+        out[ok] = np.minimum(t, self.times[k + 1])
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class ProbeSet:
+    """Probes as the instants (h) ``crossings[p, c]`` probe ``p`` enters cell
+    ``c``; the last column is the exit, ``inf`` a boundary not yet reached."""
+
+    crossings: np.ndarray  # (P, num_cells + 1)
+    field: np.ndarray  # (T, num_cells) speeds the probes moved at, km/h
+    times: np.ndarray
+    lengths: np.ndarray  # km per cell
+
+    def __len__(self) -> int:
+        return self.crossings.shape[0]
+
+    def __iter__(self) -> Iterator[VirtualTrajectory]:
+        return (VirtualTrajectory(self, i) for i in range(len(self)))
+
+    @property
+    def complete(self) -> np.ndarray:
+        return np.isfinite(self.crossings[:, -1])
+
+
+@dataclass(frozen=True)
 class VirtualTrajectory:
-    """One probe vehicle: entry instant, sampled positions, travel speeds.
+    """One probe, a row of a ``ProbeSet``; no ``exit_time`` if still inside."""
 
-    ``positions`` has one entry per visited sample; ``speeds`` and
-    ``durations`` describe each traversed interval (the final interval is
-    shorter than the grid step when the probe exits mid-step). ``exit_time``
-    stays None for probes still inside the corridor at the horizon.
-    """
+    probes: ProbeSet
+    index: int
 
-    entry_time: float  # h
-    times: np.ndarray  # h, sample instants, len(positions)
-    positions: np.ndarray  # km from the entrance
-    speeds: np.ndarray  # km/h per traversed interval
-    durations: np.ndarray  # h per traversed interval
-    exit_time: float | None = None
+    @property
+    def entry_time(self) -> float:
+        return float(self.probes.crossings[self.index, 0])
+
+    @property
+    def exit_time(self) -> float | None:
+        t = float(self.probes.crossings[self.index, -1])
+        return t if math.isfinite(t) else None
 
     @property
     def complete(self) -> bool:
@@ -91,86 +151,43 @@ class VirtualTrajectory:
             raise ValueError("trajectory did not exit the corridor")
         return self.exit_time - self.entry_time
 
-    @property
-    def distance(self) -> float:
-        return float(self.positions[-1] - self.positions[0])
-
-
-def _advect(
-    k0: int,
-    times: np.ndarray,
-    speeds: np.ndarray,
-    boundaries: np.ndarray,
-    dt: float,
-) -> VirtualTrajectory:
-    total = boundaries[-1]
-    n_cells = boundaries.shape[0] - 1
-    x = 0.0
-    xs = [0.0]
-    vs: list[float] = []
-    durs: list[float] = []
-    exit_time = None
-    last = times.shape[0] - 1
-    for k in range(k0, last):
-        remaining = dt
-        start = x
-        while remaining > 0.0:
-            cell = min(bisect.bisect_right(boundaries, x) - 1, n_cells - 1)
-            v = float(speeds[k, cell])
-            if v <= 0.0:
-                break
-            reach = (boundaries[cell + 1] - x) / v
-            if reach > remaining:
-                x += v * remaining
-                remaining = 0.0
-            else:
-                x = float(boundaries[cell + 1])
-                remaining -= reach
-                if x >= total:
-                    exit_time = float(times[k]) + (dt - remaining)
-                    break
-        used = dt - remaining
-        if used > 0.0:
-            vs.append((x - start) / used)
-            durs.append(used)
-        else:
-            vs.append(0.0)
-            durs.append(dt)
-        xs.append(x)
-        if exit_time is not None:
-            break
-    m = len(xs)
-    return VirtualTrajectory(
-        entry_time=float(times[k0]),
-        times=times[k0 : k0 + m].copy(),
-        positions=np.asarray(xs),
-        speeds=np.asarray(vs),
-        durations=np.asarray(durs),
-        exit_time=exit_time,
-    )
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distance (km) and time (h) in each grid step from entry to exit or
+        horizon: positions are the running sum, speeds the ratio."""
+        times, x = self.probes.times, self.probes.crossings[self.index]
+        end = min(x[-1], times[-1])
+        k0, k1 = np.searchsorted(times, (x[0], end))
+        # Between consecutive step instants and crossings the speed is constant.
+        edges = np.unique(np.concatenate((times[k0:k1], x[x <= end], [end])))
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        k = np.clip(np.searchsorted(times, mid, side="right") - 1, k0, k1 - 1)
+        c = np.clip(np.searchsorted(x, mid, side="right") - 1, 0, len(x) - 2)
+        km = np.bincount(k - k0, self.probes.field[k, c] * np.diff(edges), k1 - k0)
+        return km, np.diff(np.append(times[k0:k1], end))
 
 
 def reconstruct_trajectories(
     trace: SimulationTrace,
     seed_interval: float,
     rho_min: float = DENSITY_FLOOR,
-) -> list[VirtualTrajectory]:
+) -> ProbeSet:
     """Seed one probe at the entrance every ``seed_interval`` hours while
-    demand is being admitted, and advect each through the speed field."""
+    demand is being admitted, and solve every probe's cell crossing times."""
     if seed_interval <= 0.0:
         raise ValueError("seed_interval must be strictly positive")
-    dt = trace.dt
-    if dt <= 0.0:
-        return []
-    stride = max(1, int(round(seed_interval / dt)))
+    dt, times = trace.dt, trace.times
+    stride = max(1, int(round(seed_interval / dt))) if dt > 0.0 else 1
+    seeds = np.arange(0, trace.num_samples - 1, stride)
+    seeds = seeds[trace.inflow[seeds] > 0.0]
     field = speed_field(trace, rho_min)
-    boundaries = trace.geometry.cell_boundaries()
-    inflow = trace.inflow
-    out: list[VirtualTrajectory] = []
-    for k0 in range(0, trace.num_samples - 1, stride):
-        if inflow[k0] > 0.0:
-            out.append(_advect(k0, trace.times, field, boundaries, dt))
-    return out
+    lengths = trace.geometry.cell_lengths()
+    crossings = np.full((seeds.shape[0], lengths.shape[0] + 1), np.inf)
+    crossings[:, 0] = times[seeds]
+    for c, length in enumerate(lengths):
+        dist = _Integral(field[:-1, c], times, dt)
+        live = np.flatnonzero(np.isfinite(crossings[:, c]))
+        crossings[live, c + 1] = dist.first_reach(dist.at(crossings[live, c]) + length)
+    return ProbeSet(crossings, field, times, lengths)
 
 
 def stop_count(speeds: Sequence[float], v_stop: float, v_resume: float) -> int:
@@ -193,42 +210,44 @@ def stop_count(speeds: Sequence[float], v_stop: float, v_resume: float) -> int:
     return stops
 
 
-def avg_stops(
-    trajectories: Sequence[VirtualTrajectory],
-    v_stop: float = 5.0,
-    v_resume: float = 10.0,
-) -> float:
+def avg_stops(probes: ProbeSet, v_stop: float = 5.0, v_resume: float = 10.0) -> float:
     """Mean number of stops per completed probe."""
-    done = [t for t in trajectories if t.complete]
-    if not done:
+    if v_stop >= v_resume:
+        raise ValueError("v_stop must be below v_resume")
+    done = np.flatnonzero(probes.complete)
+    if not done.size:
         return float("nan")
-    return float(np.mean([stop_count(t.speeds, v_stop, v_resume) for t in done]))
+    if probes.field.min() >= v_stop:
+        # A step-averaged speed is a mean of cell speeds, so none is below v_stop.
+        return 0.0
+    counts = []
+    for i in done:
+        km, hours = VirtualTrajectory(probes, i).steps()
+        counts.append(stop_count(km / hours, v_stop, v_resume))
+    return float(np.mean(counts))
 
 
-def avg_emission(
-    trajectories: Sequence[VirtualTrajectory],
-    rate_fn: Callable[[float], float] | None = None,
-) -> float:
+def avg_emission(probes: ProbeSet, rate_fn: RateFn | None = None) -> float:
     """Distance-weighted mean emission rate over completed probes (g/veh/km).
 
-    Integrates rate(v) * v over each probe's travel intervals and divides by
-    the total distance; intervals at zero speed cover zero distance and are
-    skipped.
+    Integrates rate(v) * v over each probe's time in each cell and divides by
+    the distance covered; cells at zero speed cover no distance and add no
+    grams. ``rate_fn`` is evaluated once per cell on the array of its speeds.
     """
     rate = default_emission_rate if rate_fn is None else rate_fn
-    done = [t for t in trajectories if t.complete]
-    if not done:
+    done = probes.crossings[probes.complete]
+    if not done.shape[0]:
         return float("nan")
+    dt = probes.times[1] - probes.times[0]
     grams = 0.0
-    km = 0.0
-    for traj in done:
-        for v, dur in zip(traj.speeds, traj.durations):
-            if v > 0.0:
-                grams += rate(v) * v * dur
-                km += v * dur
-    if km == 0.0:
-        return float("nan")
-    return grams / km
+    for c in range(probes.lengths.shape[0]):
+        v = probes.field[:-1, c]
+        moving = v > 0.0
+        power = np.zeros_like(v)  # g/h
+        power[moving] = rate(v[moving]) * v[moving]
+        emitted = _Integral(power, probes.times, dt)
+        grams += float(np.sum(emitted.at(done[:, c + 1]) - emitted.at(done[:, c])))
+    return grams / (done.shape[0] * float(np.sum(probes.lengths)))
 
 
 def _window_mask(trace: SimulationTrace, t_start: float, t_end: float) -> np.ndarray:
@@ -286,26 +305,29 @@ def compute_metrics(
     window: tuple[float, float],
     v_stop: float = 5.0,
     v_resume: float = 10.0,
-    rate_fn: Callable[[float], float] | None = None,
+    rate_fn: RateFn | None = None,
     rho_min: float = DENSITY_FLOOR,
 ) -> MetricsReport:
     """Reconstruct probes and evaluate every performance measure at once.
 
+    ``rate_fn`` maps an array of speeds (km/h) to an array of emission rates
+    (g/km), or returns one constant; the default is ``default_emission_rate``.
     The density tracking error is the pooled per-section variant; it is NaN
     when the target density is zero (empty-road scenarios) or the window is
     degenerate.
     """
-    trajectories = reconstruct_trajectories(trace, seed_interval, rho_min)
-    done = [t for t in trajectories if t.complete]
-    att_min = 60.0 * float(np.mean([t.transit_time for t in done])) if done else math.nan
+    probes = reconstruct_trajectories(trace, seed_interval, rho_min)
+    done = probes.crossings[probes.complete]
+    transit = done[:, -1] - done[:, 0]
+    att_min = 60.0 * float(np.mean(transit)) if transit.size else math.nan
     if rho_star > 0.0 and window[1] > window[0]:
         rrmse = rrmse_density_pooled(trace, rho_star, window[0], window[1])
     else:
         rrmse = math.nan
     return MetricsReport(
         att_min=att_min,
-        avg_stops=avg_stops(trajectories, v_stop, v_resume),
-        avg_emission_g_per_km=avg_emission(trajectories, rate_fn),
+        avg_stops=avg_stops(probes, v_stop, v_resume),
+        avg_emission_g_per_km=avg_emission(probes, rate_fn),
         rrmse=rrmse,
-        vehicles_counted=len(done),
+        vehicles_counted=int(transit.size),
     )

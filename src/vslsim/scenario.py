@@ -28,6 +28,7 @@ from .control import LcConfig, VslRuleConfig
 from .ctm import FundamentalDiagram, NetworkGeometry, equilibrium_density
 from .metrics import (
     MetricsReport,
+    RateFn,
     compute_metrics,
     default_emission_rate,
     emission_rate_from_table,
@@ -76,7 +77,7 @@ class MetricConfig:
         if self.emission_table is not None:
             self.rate_fn()
 
-    def rate_fn(self) -> Callable[[float], float]:
+    def rate_fn(self) -> RateFn:
         if self.emission_table is None:
             return default_emission_rate
         return emission_rate_from_table(self.emission_table)

@@ -1,5 +1,6 @@
 """Command line dispatch, exit codes, and emitted files."""
 
+import csv
 import json
 
 import pytest
@@ -165,6 +166,37 @@ class TestCalibrate:
         path = tmp_path / "obs.csv"
         path.write_text("a,b\n1,2\n")
         assert cli_dispatch(["calibrate", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("10.0,1000\n", "line 2, column incident: missing value"),
+            # Quotes are CSV syntax: the value reads as 10.0 and only the
+            # single observation is then too few to fit.
+            ('"10.0",1000,0\n', "need at least 30 no-incident observations, got 1"),
+            ('10.0,"ten",0\n', "line 2, column flow: 'ten' is not a finite"),
+            ("-1,1000,0\n", "line 2, column density: '-1' is not a finite"),
+        ],
+        ids=["short_row", "quoted_number", "not_a_number", "negative"],
+    )
+    def test_bad_rows_are_validation_errors(self, tmp_path, capsys, row, message):
+        path = tmp_path / "obs.csv"
+        path.write_text("density,flow,incident\n" + row)
+        assert cli_dispatch(["calibrate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_quoted_fields_read_like_plain_ones(self, tmp_path, capsys, fd):
+        obs = sample_fd_observations(fd, np.random.default_rng(3), noise=0.0)
+        outputs = []
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            path = tmp_path / f"obs_{quoting}.csv"
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh, quoting=quoting)
+                writer.writerow(["density", "flow", "incident"])
+                writer.writerows((o.density, o.flow, int(o.incident)) for o in obs)
+            assert cli_dispatch(["calibrate", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 def _nan(section, key):

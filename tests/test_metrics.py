@@ -1,8 +1,16 @@
 """Probe-vehicle reconstruction and the four performance measures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from helpers import (
+    oracle_emission,
+    oracle_probes,
+    oracle_stops,
+    random_triangle,
+)
+from hypothesis import given, settings, strategies as st
 
 from vslsim import (
     DemandProfile,
@@ -11,18 +19,20 @@ from vslsim import (
     NetworkGeometry,
     Scenario,
     SimulationTrace,
-    VirtualTrajectory,
     avg_emission,
     avg_stops,
     compute_metrics,
     default_emission_rate,
     emission_rate_from_table,
+    evaluate_trace,
+    high_demand_preset,
     reconstruct_trajectories,
     rrmse_density_pooled,
     simulate_scenario,
     speed_field,
     stop_count,
 )
+from vslsim.scenario import HIGH_DEMAND_ZONE_SWEEP
 
 
 def constant_trace(
@@ -56,19 +66,28 @@ def constant_trace(
     )
 
 
-def make_trajectory(speeds, dt_h=1.0 / 360.0, entry=0.0, complete=True):
-    speeds = np.asarray(speeds, dtype=float)
-    durations = np.full(speeds.shape, dt_h)
-    positions = np.concatenate(([0.0], np.cumsum(speeds * dt_h)))
-    times = entry + np.arange(speeds.shape[0] + 1) * dt_h
-    return VirtualTrajectory(
-        entry_time=entry,
-        times=times,
-        positions=positions,
-        speeds=speeds,
-        durations=durations,
-        exit_time=(entry + speeds.shape[0] * dt_h) if complete else None,
+def speed_trace(fd, speeds, section_length):
+    """1 s steps on ``speeds.shape[1]`` equal cells without a zone whose probe
+    speeds are ``speeds`` (one row per sample): density 20 veh/km everywhere
+    and outflow 20 * speed, so a zero speed is a stalled, occupied cell."""
+    n, cells = speeds.shape
+    flows = np.hstack((np.full((n, 1), 1000.0), 20.0 * speeds))
+    return SimulationTrace(
+        geometry=NetworkGeometry(cells, section_length, 0.0),
+        fd=fd,
+        times=np.arange(n) / 3600.0,
+        densities=np.full((n, cells), 20.0),
+        flows=flows,
+        limits=np.full((n, cells + 1), fd.free_flow_speed),
+        demand=flows[:, 0].copy(),
+        incident_active=np.zeros(n, dtype=bool),
+        lc_active=np.zeros(n, dtype=bool),
     )
+
+
+def positions(probe):
+    """km from the entrance at entry, each later sample instant, and exit."""
+    return np.concatenate(([0.0], np.cumsum(probe.steps()[0])))
 
 
 def two_speed_trace(fd, slow_from_k=600, n=1861, seeds=(0, 600)):
@@ -133,12 +152,16 @@ class TestTrajectories:
 
     def test_no_seeding_without_inflow(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=0.0, flow=0.0)
-        assert reconstruct_trajectories(trace, seed_interval=60.0 / 3600.0) == []
+        assert len(reconstruct_trajectories(trace, seed_interval=1.0 / 60.0)) == 0
 
     def test_positions_non_decreasing(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=150.0, flow=3000.0)
-        for traj in reconstruct_trajectories(trace, seed_interval=300.0 / 3600.0):
-            assert np.all(np.diff(traj.positions) >= -1e-12)
+        probes = reconstruct_trajectories(trace, seed_interval=300.0 / 3600.0)
+        assert np.all(probes.crossings[:, 1:] >= probes.crossings[:, :-1])
+        for traj in probes:
+            assert np.all(np.diff(positions(traj)) >= -1e-12)
+            if traj.complete:
+                assert positions(traj)[-1] == pytest.approx(geometry.total_length)
 
     def test_first_in_first_out_on_controlled_run(self, fd):
         from vslsim import VslRuleConfig
@@ -157,14 +180,15 @@ class TestTrajectories:
         )
         trace = simulate_scenario(scenario)
         trajs = reconstruct_trajectories(trace, seed_interval=30.0 / 3600.0)
+        assert np.all(trajs.crossings[1:] >= trajs.crossings[:-1])
         dt = trace.dt
-        for lead, trail in zip(trajs, trajs[1:]):
+        for lead, trail in zip(trajs, list(trajs)[1:]):
             offset = int(round((trail.entry_time - lead.entry_time) / dt))
-            n = min(len(trail.positions), len(lead.positions) - offset)
+            trail_pos, lead_pos = positions(trail), positions(lead)
+            n = min(len(trail_pos), len(lead_pos) - offset)
             if n <= 0:
                 continue
-            lead_pos = lead.positions[offset : offset + n]
-            assert np.all(trail.positions[:n] <= lead_pos + 1e-9)
+            assert np.all(trail_pos[:n] <= lead_pos[offset : offset + n] + 1e-9)
 
 
 class TestAtt:
@@ -202,10 +226,15 @@ class TestStops:
         with pytest.raises(ValueError):
             stop_count([10.0], 10.0, 5.0)
 
-    def test_average_over_identical_trajectories(self):
-        profile = [100.0, 3.0, 50.0, 2.0, 80.0]
-        trajs = [make_trajectory(profile) for _ in range(5)]
-        assert avg_stops(trajs) == pytest.approx(2.0)
+    def test_average_over_identical_trajectories(self, fd):
+        # Speeds fixed in time vary along the road, so every probe meets the
+        # same profile; steps straddling two cells average between them.
+        speeds = np.tile([100.0, 3.0, 50.0, 2.0, 80.0], (900, 1))
+        trace = speed_trace(fd, speeds, 0.05)
+        probes = reconstruct_trajectories(trace, 60.0 / 3600.0)
+        assert np.count_nonzero(probes.complete) >= 5
+        assert avg_stops(probes) == pytest.approx(2.0)
+        assert avg_stops(probes) == oracle_stops(oracle_probes(trace, 60.0 / 3600.0))
 
     def test_invariant_to_changes_above_resume(self):
         base = [100.0, 3.0, 50.0, 2.0, 80.0]
@@ -214,20 +243,39 @@ class TestStops:
 
 
 class TestEmission:
-    def test_constant_speed_returns_rate_at_that_speed(self):
-        traj = make_trajectory([80.0] * 50)
-        assert avg_emission([traj]) == pytest.approx(default_emission_rate(80.0))
+    def test_constant_speed_returns_rate_at_that_speed(self, fd, geometry):
+        trace = constant_trace(fd, geometry, density=20.0, flow=1600.0)  # 80 km/h
+        probes = reconstruct_trajectories(trace, 60.0 / 3600.0)
+        assert avg_emission(probes) == pytest.approx(default_emission_rate(80.0))
 
-    def test_constant_rate_function(self):
-        trajs = [make_trajectory([30.0] * 10), make_trajectory([90.0] * 40)]
-        assert avg_emission(trajs, rate_fn=lambda v: 123.0) == pytest.approx(123.0)
+    def test_constant_rate_function(self, fd):
+        probes = reconstruct_trajectories(two_speed_trace(fd), 600.0 / 3600.0)
+        assert avg_emission(probes, rate_fn=lambda v: 123.0) == pytest.approx(123.0)
 
-    def test_equal_distance_trajectories_average_rates(self):
-        rate = emission_rate_from_table([(50.0, 300.0), (100.0, 400.0)])
-        # 50 km/h for 0.2 h and 100 km/h for 0.1 h both cover 10 km.
-        slow = make_trajectory([50.0] * 72, dt_h=0.2 / 72)
-        fast = make_trajectory([100.0] * 72, dt_h=0.1 / 72)
-        assert avg_emission([slow, fast], rate_fn=rate) == pytest.approx(350.0)
+    def test_equal_distance_trajectories_average_rates(self, fd):
+        rate = emission_rate_from_table([(30.0, 300.0), (60.0, 400.0)])
+        # 10 km at 60 km/h, then 10 km at 30 km/h: equal distances.
+        probes = reconstruct_trajectories(two_speed_trace(fd), 600.0 / 3600.0)
+        assert avg_emission(probes, rate_fn=rate) == pytest.approx(350.0)
+
+    def test_rate_functions_map_arrays(self):
+        speeds = np.array([20.0, 50.0, 100.0])
+        table = emission_rate_from_table([(30.0, 300.0), (60.0, 400.0)])
+        for rate in (default_emission_rate, table):
+            assert isinstance(rate(50.0), float)
+            assert np.array_equal(rate(speeds), [rate(v) for v in speeds])
+        with pytest.raises(ValueError):
+            default_emission_rate(np.array([10.0, 0.0]))
+        with pytest.raises(ValueError):
+            default_emission_rate(-1.0)
+
+    def test_stalled_cell_adds_no_grams(self, fd):
+        # The middle cell stands still for 60 s: zero distance, zero grams,
+        # and no rate evaluated at zero speed.
+        speeds = np.full((1200, 3), 60.0)
+        speeds[300:360, 1] = 0.0
+        probes = reconstruct_trajectories(speed_trace(fd, speeds, 1.0), 30.0 / 3600.0)
+        assert avg_emission(probes) == pytest.approx(default_emission_rate(60.0))
 
     def test_default_curve_anchors(self):
         assert default_emission_rate(100.0) == pytest.approx(320.0, abs=0.1)
@@ -277,3 +325,123 @@ class TestRrmse:
             rrmse_density_pooled(trace, 48.0, 0.0, 0.2)
         with pytest.raises(ValueError):
             rrmse_density_pooled(trace, 48.0, 0.05, 0.01)
+
+
+class TestSlowStopPath:
+    """Speed fields with a cell below the stop threshold, where stops are
+    counted from each probe's step-averaged speed profile."""
+
+    @staticmethod
+    def dip_trace(fd, dip):
+        # Four 0.5 km cells at 60 km/h; cell 2 drops to ``dip`` for 90 s and
+        # recovers, so probes inside it then stop once and drive on.
+        speeds = np.full((1500, 4), 60.0)
+        speeds[400:490, 2] = dip
+        return speed_trace(fd, speeds, 0.5)
+
+    def test_matches_step_walk_without_stall(self, fd):
+        trace = self.dip_trace(fd, 2.0)
+        probes = reconstruct_trajectories(trace, 20.0 / 3600.0)
+        stops = avg_stops(probes)
+        assert 0.0 < stops < 1.0  # only probes inside the dipped cell stop
+        assert stops == oracle_stops(oracle_probes(trace, 20.0 / 3600.0))
+
+    def test_true_stall_counts_each_held_probe_once(self, fd):
+        # Outflow 0 at density 20 > floor: the cell is stalled, v = 0.
+        trace = self.dip_trace(fd, 0.0)
+        assert speed_field(trace).min() == 0.0
+        probes = reconstruct_trajectories(trace, 20.0 / 3600.0)
+        held = [
+            p
+            for p in probes
+            if p.complete and np.any(p.steps()[0] / p.steps()[1] < 5.0)
+        ]
+        assert held
+        completed = np.count_nonzero(probes.complete)
+        assert avg_stops(probes) == pytest.approx(len(held) / completed)
+        # The step walk stopped a probe's clock when it met the stalled cell
+        # mid-step, so its step speed there was the approach speed; this
+        # trace keeps both counts equal.
+        oracle = oracle_probes(trace, 20.0 / 3600.0)
+        assert avg_stops(probes) == oracle_stops(oracle)
+        for probe, ref in zip(probes, oracle):
+            assert probe.exit_time == pytest.approx(ref.exit_time, abs=1e-9)
+
+
+def _random_scenario(seed, sections, section_length, zone, steps, controller):
+    rng = np.random.default_rng(seed)
+    fd = random_triangle(rng)
+    flows = tuple(float(f) * fd.capacity for f in rng.uniform(0.3, 1.1, len(steps)))
+    return Scenario(
+        name="oracle",
+        fd=fd,
+        geometry=NetworkGeometry(sections, section_length, zone),
+        demand=DemandProfile((0.0,) + tuple(t / 60.0 for t in steps[1:]), flows),
+        incident=IncidentSchedule(start=2.0 / 60.0, end=8.0 / 60.0),
+        controller=controller,
+        horizon=12.0 / 60.0,
+        metrics=MetricConfig(seed_interval=20.0),
+    )
+
+
+class TestAgainstStepWalk:
+    """The crossing-time solver against the step-by-step walk it replaced."""
+
+    @pytest.mark.filterwarnings("ignore:switch time")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sections=st.integers(1, 4),
+        section_length=st.floats(0.3, 1.5),
+        zone=st.one_of(st.just(0.0), st.floats(0.3, 3.0)),
+        steps=st.lists(st.integers(1, 11), max_size=2, unique=True).map(
+            lambda ts: [0] + sorted(ts)
+        ),
+        controller=st.sampled_from(["rule_based", "rule_based_reactive"]),
+    )
+    def test_random_scenarios(
+        self, seed, sections, section_length, zone, steps, controller
+    ):
+        scenario = _random_scenario(
+            seed, sections, section_length, zone, steps, controller
+        )
+        trace = simulate_scenario(scenario)
+        seed_interval = scenario.metrics.seed_interval / 3600.0
+        probes = reconstruct_trajectories(trace, seed_interval)
+        oracle = oracle_probes(trace, seed_interval)
+        assert [p.entry_time for p in probes] == [p.entry_time for p in oracle]
+        assert [p.complete for p in probes] == [p.complete for p in oracle]
+        for probe, ref in zip(probes, oracle):
+            if ref.complete:
+                assert abs(probe.transit_time - ref.transit_time) <= 1e-9
+        crossings = probes.crossings
+        assert np.all(crossings[1:] >= crossings[:-1])  # first in, first out
+
+    @pytest.mark.parametrize(
+        "zone", [*HIGH_DEMAND_ZONE_SWEEP, "fine_grid_reactive"], ids=str
+    )
+    def test_bundled_scenarios(self, zone):
+        base = high_demand_preset()
+        if zone == "fine_grid_reactive":
+            scenario = replace(
+                base,
+                geometry=NetworkGeometry(24, 0.4, 4.8),
+                demand=DemandProfile((0.0, 0.5, 1.0), (7000.0, 6200.0, 7400.0)),
+                controller="rule_based_reactive",
+                dt=0.5,
+                control_period=10.0,
+                metrics=MetricConfig(seed_interval=120.0),
+            )
+        else:
+            geometry = replace(base.geometry, upstream_zone_length=zone)
+            scenario = replace(base, geometry=geometry)
+        trace = simulate_scenario(scenario)
+        report = evaluate_trace(scenario, trace)
+        oracle = oracle_probes(trace, scenario.metrics.seed_interval / 3600.0)
+        done = [p for p in oracle if p.complete]
+        assert report.vehicles_counted == len(done)
+        att = 60.0 * np.mean([p.transit_time for p in done])
+        assert report.att_min == pytest.approx(att, rel=1e-9)
+        emission = oracle_emission(oracle)
+        assert report.avg_emission_g_per_km == pytest.approx(emission, rel=1e-4)
+        assert report.avg_stops == oracle_stops(oracle)
