@@ -11,6 +11,12 @@ receive at most ``backprop_speed * (jam_density - rho)``. The most downstream
 interface is additionally capped by the bottleneck discharge capacity, which
 shrinks by the capacity-drop factor while the bottleneck operates above its
 critical density.
+
+The law is written once, as array functions over the last (cell) axis:
+:func:`fluxes` gives every cell-boundary flow and :func:`euler_update` the
+next densities, for one state ``(C,)`` or a whole history ``(T, C)`` alike.
+``interface_flows``, ``bottleneck_outflow``, ``capacity_drop`` and
+``vsl_max_flow`` keep the one-state API on top of the same functions.
 """
 
 from __future__ import annotations
@@ -210,6 +216,13 @@ class TrafficState:
     def uniform(cls, density: float, num_sections: int, time: float = 0.0) -> "TrafficState":
         return cls(time, density, np.full(num_sections, float(density)))
 
+    @classmethod
+    def from_cells(cls, time: float, cells: np.ndarray, has_zone: bool) -> "TrafficState":
+        """State of the cell densities ``cells`` in simulation order."""
+        if has_zone:
+            return cls(time, float(cells[0]), cells[1:])
+        return cls(time, float(cells[0]), cells)
+
 
 @dataclass(frozen=True)
 class SpeedLimits:
@@ -265,17 +278,109 @@ class FlowVector:
         return float(self.interfaces[-1])
 
 
-def vsl_max_flow(speed: float, fd: FundamentalDiagram) -> float:
+def vsl_max_flow(speed, fd: FundamentalDiagram):
     """Largest flow a section posted with ``speed`` can pass (veh/h).
 
     Geometrically this is the apex of the fundamental diagram truncated by the
     speed limit: ``speed * w * jam_density / (speed + w)``. At the free flow
-    speed it recovers the capacity exactly (triangle consistency).
+    speed it recovers the capacity exactly (triangle consistency). A float
+    gives a float, an array of speeds the array of their flows.
     """
-    if speed <= 0.0:
+    speed = np.asarray(speed, dtype=float)
+    if np.any(speed <= 0.0):
         raise ValueError("speed must be strictly positive")
     w = fd.backprop_speed
-    return speed * w * fd.jam_density / (speed + w)
+    flow = speed * w * fd.jam_density / (speed + w)
+    return float(flow) if flow.ndim == 0 else flow
+
+
+def engaged_drop(downstream_capacity, fd: FundamentalDiagram, lc_active, lc_residual_drop):
+    """Capacity-drop factor the bottleneck applies once congested (elementwise).
+
+    The drop exists only at a true bottleneck, a discharge cap below the
+    mainline capacity; lane change advisories replace the diagram's factor
+    with the configured residual.
+    """
+    return np.where(
+        downstream_capacity < fd.capacity,
+        np.where(lc_active, lc_residual_drop, fd.capacity_drop_factor),
+        0.0,
+    )
+
+
+def _drop(rho_n, cap_d, drop, fd: FundamentalDiagram):
+    # The drop acts only above the bottleneck's critical density (strictly);
+    # drop * True is drop and drop * False is 0, exactly.
+    return drop * (rho_n > cap_d / fd.free_flow_speed)
+
+
+def _discharge(rho_n, send_n, cap_d, drop, fd: FundamentalDiagram):
+    # min(v_N * rho_N, (1 - eps) * C_d, w_out * (jam_out - rho_N))
+    eps = _drop(rho_n, cap_d, drop, fd)
+    return np.minimum(
+        np.minimum(send_n, (1.0 - eps) * cap_d),
+        fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
+    )
+
+
+def _check_bottleneck_density(rho_n: float, fd: FundamentalDiagram) -> None:
+    if not 0.0 <= rho_n <= fd.outflow_jam_density:
+        raise ValueError(
+            f"bottleneck density {rho_n:.6g} outside [0, {fd.outflow_jam_density:.6g}]"
+        )
+
+
+def speed_caps(v, n_cells: int, fd: FundamentalDiagram) -> np.ndarray:
+    """Speed-limited capacity of interfaces 0 .. C-1 (veh/h), over the last axis.
+
+    ``v`` holds posted limits ``[zone, section 1 .. N]``. Each interface
+    passes at most the smaller :func:`vsl_max_flow` of the limit posted
+    upstream of it (the zone command at the entrance) and of the cell it
+    feeds. Without a zone cell (C = N) the zone command caps the entrance
+    only.
+    """
+    cap = vsl_max_flow(v, fd)
+    cell = cap[..., -n_cells:]
+    upstream = np.concatenate((cap[..., :1], cell[..., :-1]), axis=-1)
+    return np.minimum(upstream, cell)
+
+
+def fluxes(
+    rho, v, cap, demand, cap_d, drop, fd: FundamentalDiagram, out=None
+) -> np.ndarray:
+    """Every cell-boundary flow ``q_0 .. q_C`` (veh/h), over the last axis.
+
+    ``rho`` holds ``(..., C)`` cell densities in simulation order, ``v`` the
+    ``(..., N + 1)`` posted limits ``[zone, section 1 .. N]`` (C is N + 1
+    with a metering zone cell, N without) and ``cap`` their
+    :func:`speed_caps`. ``demand``, the bottleneck cap ``cap_d`` and its
+    :func:`engaged_drop` factor ``drop`` are scalars or ``(...)`` arrays.
+
+    The entrance admits the demand and each interior interface the sender's
+    ``v * rho``, both capped by the interface's speed cap and by the
+    receiving cell's supply ``w * (jam_density - rho)`` (at least 0). The
+    last interface discharges ``min(v_N * rho_N, (1 - eps) * cap_d,
+    w_out * (jam_out - rho_N))``, with ``eps = drop`` while ``rho_N``
+    exceeds ``cap_d / free_flow_speed`` and 0 otherwise. ``out``, when
+    given, receives the flows.
+    """
+    n = rho.shape[-1]
+    q = np.empty(rho.shape[:-1] + (n + 1,)) if out is None else out
+    q[..., 0] = demand
+    np.multiply(v[..., -n:], rho, out=q[..., 1:])  # v * rho sent by each cell
+    head = q[..., :n]
+    np.minimum(head, cap, out=head)
+    supply = fd.backprop_speed * (fd.jam_density - rho)
+    np.maximum(supply, 0.0, out=supply)
+    np.minimum(head, supply, out=head)
+    q[..., n] = _discharge(rho[..., -1], q[..., n], cap_d, drop, fd)
+    return q
+
+
+def euler_update(rho, q, dt_over_length, out=None) -> np.ndarray:
+    """Densities one step on, ``rho_c + dt / L_c * (q_c - q_{c+1})``, over
+    the last axis; ``out``, when given, receives them."""
+    return np.add(rho, dt_over_length * (q[..., :-1] - q[..., 1:]), out=out)
 
 
 def capacity_drop(
@@ -293,9 +398,8 @@ def capacity_drop(
     configured residual.
     """
     cap_d = fd.downstream_capacity if downstream_capacity is None else downstream_capacity
-    if cap_d < fd.capacity and rho_n > cap_d / fd.free_flow_speed:
-        return lc_residual_drop if lc_active else fd.capacity_drop_factor
-    return 0.0
+    drop = engaged_drop(cap_d, fd, lc_active, lc_residual_drop)
+    return float(_drop(rho_n, cap_d, drop, fd))
 
 
 def bottleneck_outflow(
@@ -313,18 +417,11 @@ def bottleneck_outflow(
     overrides ``fd.downstream_capacity`` so a cleared incident can revert the
     cap to the mainline capacity.
     """
-    if not 0.0 <= rho_n <= fd.outflow_jam_density:
-        raise ValueError(
-            f"bottleneck density {rho_n:.6g} outside [0, {fd.outflow_jam_density:.6g}]"
-        )
+    _check_bottleneck_density(rho_n, fd)
     cap_d = fd.downstream_capacity if downstream_capacity is None else downstream_capacity
     v_n = fd.free_flow_speed if speed_limit is None else speed_limit
-    eps = capacity_drop(rho_n, fd, lc_active, lc_residual_drop, cap_d)
-    return min(
-        v_n * rho_n,
-        (1.0 - eps) * cap_d,
-        fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
-    )
+    drop = engaged_drop(cap_d, fd, lc_active, lc_residual_drop)
+    return float(_discharge(rho_n, v_n * rho_n, cap_d, drop, fd))
 
 
 def equilibrium_density(demand: float, fd: FundamentalDiagram) -> float:
@@ -344,48 +441,22 @@ def interface_flows(
 ) -> FlowVector:
     """Evaluate every interface flow for one state under posted speed limits.
 
-    Each interior interface takes the minimum of the sender's demand
-    (``v * rho`` capped by the sender's and receiver's speed-limited maximum
-    flows) and the receiver's supply ``w * (jam_density - rho)``. The entrance
-    admits ``min(demand, vsl_max_flow(v0), supply of the first cell)`` and the
-    bottleneck interface follows :func:`bottleneck_outflow`.
+    :func:`fluxes` on one state: the entrance admits ``min(demand,
+    vsl_max_flow(v0), supply of the first cell)``, each interior interface
+    takes the minimum of the sender's demand and the receiver's supply, and
+    the bottleneck interface follows :func:`bottleneck_outflow`.
     """
     if demand < 0.0:
         raise ValueError("demand must be non-negative")
-    rho = state.densities
-    v = limits.sections
-    n = rho.shape[0]
-    if v.shape[0] != n:
+    n = state.num_sections
+    if limits.num_sections != n:
         raise ValueError(
-            f"state has {n} sections but speed limits cover {v.shape[0]}"
+            f"state has {n} sections but speed limits cover {limits.num_sections}"
         )
-    w = fd.backprop_speed
-    rho_j = fd.jam_density
-    zone_cap = vsl_max_flow(limits.zone, fd)
-    section_cap = [vsl_max_flow(float(vi), fd) for vi in v]
-
-    interfaces = np.empty(n + 1)
-    supply_1 = max(0.0, w * (rho_j - rho[0]))
-    if has_zone:
-        rho0 = state.upstream_density
-        inflow = min(demand, zone_cap, max(0.0, w * (rho_j - rho0)))
-        interfaces[0] = min(limits.zone * rho0, zone_cap, section_cap[0], supply_1)
-    else:
-        inflow = min(demand, zone_cap, section_cap[0], supply_1)
-        interfaces[0] = inflow
-    for i in range(1, n):
-        interfaces[i] = min(
-            v[i - 1] * rho[i - 1],
-            section_cap[i - 1],
-            section_cap[i],
-            max(0.0, w * (rho_j - rho[i])),
-        )
-    interfaces[n] = bottleneck_outflow(
-        float(rho[n - 1]),
-        fd,
-        lc_active=lc_active,
-        lc_residual_drop=lc_residual_drop,
-        downstream_capacity=downstream_capacity,
-        speed_limit=float(v[n - 1]),
-    )
-    return FlowVector(inflow=inflow, interfaces=interfaces)
+    _check_bottleneck_density(float(state.densities[-1]), fd)
+    rho = state.all_densities(has_zone)
+    v = limits.as_array()
+    cap_d = fd.downstream_capacity if downstream_capacity is None else downstream_capacity
+    drop = engaged_drop(cap_d, fd, lc_active, lc_residual_drop)
+    q = fluxes(rho, v, speed_caps(v, rho.shape[0], fd), demand, cap_d, drop, fd)
+    return FlowVector(inflow=float(q[0]), interfaces=q[1:] if has_zone else q)

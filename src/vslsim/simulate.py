@@ -7,11 +7,17 @@ in between. While the incident is active the bottleneck interface is capped by
 the downstream capacity (with the capacity drop engaged above critical
 occupancy); outside the incident window the cap reverts to the mainline
 capacity and the drop is inert.
+
+``run`` works on arrays: the demand, incident and lane-change flags and the
+bottleneck regime are computed once per run as ``(T,)`` arrays, each step writes
+:func:`~vslsim.ctm.fluxes` and :func:`~vslsim.ctm.euler_update` into
+preallocated rows of the trace, and a ``TrafficState`` is built only for the
+controller, at control instants. Density and flow bounds are checked over the
+finished arrays. ``step`` is the one-state view of the same update.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -24,11 +30,19 @@ from .ctm import (
     NetworkGeometry,
     SpeedLimits,
     TrafficState,
-    interface_flows,
+    engaged_drop,
+    euler_update,
+    fluxes,
+    speed_caps,
 )
 
 if TYPE_CHECKING:
     from .scenario import Scenario
+
+# Rows of the trace CSV formatted per write. The block's temporary table
+# (column_stack, then one Python float per value) stays at tens of kB; a
+# whole-trace table would add megabytes to the peak memory of a run.
+CSV_BLOCK_ROWS = 10
 
 
 class CflViolationError(ValueError):
@@ -53,8 +67,9 @@ class IncidentSchedule:
         if self.lanes_closed < 1:
             raise ValueError("lanes_closed must be at least 1")
 
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.end
+    def active(self, t):
+        """Whether the closure is in force at time(s) ``t`` (h), elementwise."""
+        return (self.start <= t) & (t < self.end)
 
 
 @dataclass(frozen=True)
@@ -78,8 +93,12 @@ class DemandProfile:
     def constant(cls, flow: float) -> "DemandProfile":
         return cls((0.0,), (float(flow),))
 
-    def at(self, t: float) -> float:
-        return self.flows[bisect.bisect_right(self.times, t) - 1]
+    def at(self, t):
+        """Demand in force at time(s) ``t`` (h): the flow of the last step
+        starting at or before ``t``. A float gives a float, an array an array."""
+        step = np.searchsorted(self.times, t, side="right") - 1  # bisect_right - 1
+        flows = np.asarray(self.flows)[step]
+        return flows if np.ndim(t) else float(flows)
 
 
 def cfl_limit(geometry: NetworkGeometry, fd: FundamentalDiagram) -> float:
@@ -109,16 +128,13 @@ def step(
         q = flows.interfaces
     if q.shape[0] != rho.shape[0] + 1:
         raise ValueError("flow vector does not match the cell count")
-    new_rho = rho + (dt / geometry.cell_lengths()) * (q[:-1] - q[1:])
+    new_rho = euler_update(rho, q, dt / geometry.cell_lengths())
     if np.any(new_rho < -1e-9):
         raise ValueError(
             f"negative density {float(np.min(new_rho)):.6g} after step; "
             "flux computation is inconsistent"
         )
-    t = state.time + dt
-    if geometry.has_zone:
-        return TrafficState(t, float(new_rho[0]), new_rho[1:])
-    return TrafficState(t, float(new_rho[0]), new_rho)
+    return TrafficState.from_cells(state.time + dt, new_rho, geometry.has_zone)
 
 
 @dataclass
@@ -171,10 +187,9 @@ class SimulationTrace:
         return self.flows[:, -1]
 
     def state_at(self, index: int) -> TrafficState:
-        row = self.densities[index]
-        if self.geometry.has_zone:
-            return TrafficState(float(self.times[index]), float(row[0]), row[1:])
-        return TrafficState(float(self.times[index]), float(row[0]), row)
+        return TrafficState.from_cells(
+            float(self.times[index]), self.densities[index], self.geometry.has_zone
+        )
 
     def limits_at(self, index: int) -> SpeedLimits:
         row = self.limits[index]
@@ -209,23 +224,20 @@ class SimulationTrace:
         columns += ["q_in"] + [f"q_{i}" for i in range(1, n + 2)]
         columns += [f"v_{i}" for i in range(n + 1)]
         columns += ["incident", "lc"]
-        sections = self.section_densities
-        if self.geometry.has_zone:
-            boundary = self.flows
-        else:
+        table = [self.times, self.upstream_densities, self.section_densities]
+        if not self.geometry.has_zone:
             # No zone cell: the admitted inflow and q_1 coincide.
-            boundary = np.hstack((self.flows[:, :1], self.flows))
+            table.append(self.flows[:, 0])
+        table += [self.flows, self.limits, self.incident_active, self.lc_active]
+        fmt = ",".join(["%.10g"] * (len(columns) - 2) + ["%d", "%d"]) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
             fh.write(",".join(columns) + "\n")
-            for k in range(self.num_samples):
-                row = [f"{self.times[k]:.10g}", f"{self.upstream_densities[k]:.10g}"]
-                row += [f"{x:.10g}" for x in sections[k]]
-                row += [f"{x:.10g}" for x in boundary[k]]
-                row += [f"{x:.10g}" for x in self.limits[k]]
-                row += [str(int(self.incident_active[k])), str(int(self.lc_active[k]))]
-                fh.write(",".join(row) + "\n")
+            for start in range(0, self.num_samples, CSV_BLOCK_ROWS):
+                block = slice(start, start + CSV_BLOCK_ROWS)
+                rows = np.column_stack([col[block] for col in table]).tolist()
+                fh.write("".join([fmt % tuple(row) for row in rows]))
 
 
 def _check_limits(limits: SpeedLimits, fd: FundamentalDiagram, n: int) -> SpeedLimits:
@@ -247,6 +259,68 @@ def warm_state(scenario: "Scenario") -> TrafficState:
     return TrafficState.uniform(rho, scenario.geometry.num_sections)
 
 
+def _incident_events(
+    scenario: "Scenario", active: np.ndarray, lc_on: np.ndarray, dt: float
+) -> list[tuple[float, str]]:
+    """Closure and advisory switches, at the first step each holds."""
+    events: list[tuple[float, str]] = []
+    incident, lc = scenario.incident, scenario.lc
+    before = np.concatenate(([False], active[:-1]))
+    for k in np.flatnonzero(active != before).tolist():
+        t = k * dt
+        if not active[k]:
+            events.append((t, "incident_end"))
+            continue
+        events.append((t, "incident_start"))
+        if lc_on[k]:
+            meters = lc_distance(incident.lanes_closed, lc)
+            events.append((t, f"lane_change_advisories distance_m={meters:.6g}"))
+    return events
+
+
+def _check_run(
+    times: np.ndarray, densities: np.ndarray, flows: np.ndarray, fd: FundamentalDiagram
+) -> None:
+    """Raise at the first step whose densities or flows leave the model's
+    range: a density that is negative or not finite, a bottleneck density
+    above ``outflow_jam_density``, a negative flow; NaN fails every test.
+    The message names the step, its time and the cell (for a flow, the cell
+    whose upstream edge it crosses; the last edge is the bottleneck)."""
+    jam_out = fd.outflow_jam_density
+    n = densities.shape[1] - 1
+    # Reductions first: they allocate nothing, and NaN propagates through them.
+    if (
+        densities.min() >= 0.0
+        and densities.max() < np.inf
+        and densities[:, n].max() <= jam_out
+        and (flows.size == 0 or flows.min() >= 0.0)
+    ):
+        return
+    found = []
+    for values, ok, problem in (
+        (
+            densities,
+            (densities >= 0.0) & (densities < np.inf),
+            "cell {c} density {x:.6g} is negative or not finite",
+        ),
+        (
+            densities[:, n:],
+            densities[:, n:] <= jam_out,
+            f"bottleneck cell {n} density {{x:.6g}} outside [0, {jam_out:.6g}]",
+        ),
+        (flows, flows >= 0.0, "flow {x:.6g} into cell {c} is negative or not a number"),
+    ):
+        bad = ~ok
+        if bad.any():
+            k, c = np.unravel_index(np.argmax(bad), bad.shape)
+            found.append((k, problem.format(c=c, x=values[k, c])))
+    k, problem = min(found, key=lambda item: item[0])
+    raise ValueError(
+        f"step {k} (t = {times[k] * 60.0:.6g} min): {problem}; "
+        "flux computation is inconsistent"
+    )
+
+
 def run(
     scenario: "Scenario",
     controller: Controller,
@@ -259,6 +333,8 @@ def run(
     switches the bottleneck cap to the downstream capacity and, when lane
     change advisories are configured, replaces the capacity-drop factor with
     the configured residual. Identical inputs produce bit-identical traces.
+    A density or flow out of range raises ``ValueError`` naming the first
+    step and cell it occurs at.
     """
     fd = scenario.fd
     geometry = scenario.geometry
@@ -271,84 +347,70 @@ def run(
     n_steps = int(round(scenario.horizon / dt))
     ctrl_every = max(1, int(round(scenario.control_period_hours / dt)))
     n_sections = geometry.num_sections
-    n_cells = geometry.num_cells
+    has_zone = geometry.has_zone
 
     state = initial_state if initial_state is not None else warm_state(scenario)
     if state.num_sections != n_sections:
         raise ValueError("initial state does not match the geometry")
 
-    times = np.empty(n_steps + 1)
-    densities = np.empty((n_steps + 1, n_cells))
-    flow_rows = np.empty((n_steps + 1, n_cells + 1))
-    limit_rows = np.empty((n_steps + 1, n_sections + 1))
-    demand_row = np.empty(n_steps + 1)
-    incident_row = np.zeros(n_steps + 1, dtype=bool)
-    lc_row = np.zeros(n_steps + 1, dtype=bool)
-    events: list[tuple[float, str]] = []
-
-    incident = scenario.incident
+    # Everything that does not depend on the densities, once per run.
+    times = np.arange(n_steps + 1) * dt
+    demand = scenario.demand.at(times)
+    if scenario.incident is None:
+        active = np.zeros(n_steps + 1, dtype=bool)
+    else:
+        active = scenario.incident.active(times)
     lc = scenario.lc
-    limits: SpeedLimits | None = None
-    was_active = False
+    lc_on = active & (lc is not None)
+    # The bottleneck cap and drop factor take three values (open, closed,
+    # closed with advisories), picked per step by a (T,) regime index: two
+    # (T,) float arrays alive through the loop would add to peak memory.
+    regime = active.astype(np.int8) + lc_on
+    regime_cap = (fd.capacity, fd.downstream_capacity, fd.downstream_capacity)
+    residual = lc.residual_drop if lc is not None else 0.0
+    regime_drop = engaged_drop(np.array(regime_cap), fd, (False, False, True), residual)
+    regime_drop = regime_drop.tolist()
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        if k % ctrl_every == 0 or limits is None:
-            new_limits = _check_limits(controller(state, t), fd, n_sections)
-            if limits is None or not np.array_equal(
-                new_limits.as_array(), limits.as_array()
-            ):
-                if limits is not None:
-                    events.append((t, f"speed_limits zone={new_limits.zone:.6g}"))
-                limits = new_limits
+    densities = np.empty((n_steps + 1, geometry.num_cells))
+    densities[0] = state.all_densities(has_zone)
+    flows = np.empty((n_steps + 1, geometry.num_cells + 1))
+    limits = np.empty((n_steps + 1, n_sections + 1))
+    dt_over_length = dt / geometry.cell_lengths()
+    events: list[tuple[float, str]] = []
+    posted = cap = None
+    jam_out = fd.outflow_jam_density
 
-        active = incident.active(t) if incident is not None else False
-        lc_on = active and lc is not None
-        if active and not was_active:
-            events.append((t, "incident_start"))
-            if lc_on:
-                meters = lc_distance(incident.lanes_closed, lc)
-                events.append((t, f"lane_change_advisories distance_m={meters:.6g}"))
-        if was_active and not active:
-            events.append((t, "incident_end"))
-        was_active = active
-
-        demand = scenario.demand.at(t)
-        flows = interface_flows(
-            state,
-            limits,
-            fd,
-            demand,
-            has_zone=geometry.has_zone,
-            lc_active=lc_on,
-            lc_residual_drop=lc.residual_drop if lc is not None else 0.0,
-            downstream_capacity=fd.downstream_capacity if active else fd.capacity,
-        )
-
-        times[k] = t
-        densities[k] = state.all_densities(geometry.has_zone)
-        if geometry.has_zone:
-            flow_rows[k, 0] = flows.inflow
-            flow_rows[k, 1:] = flows.interfaces
-        else:
-            flow_rows[k] = flows.interfaces
-        limit_rows[k] = limits.as_array()
-        demand_row[k] = demand
-        incident_row[k] = active
-        lc_row[k] = lc_on
-
+    for k, (rho, d_k, r_k) in enumerate(zip(densities, demand, regime)):
+        if k % ctrl_every == 0:
+            t = k * dt
+            if not (np.all(rho >= 0.0) and rho[-1] <= jam_out):
+                _check_run(times[: k + 1], densities[: k + 1], flows[:k], fd)
+            state = TrafficState.from_cells(t, rho, has_zone)
+            new = _check_limits(controller(state, t), fd, n_sections)
+            row = new.as_array()
+            if posted is None or not np.array_equal(row, posted):
+                if posted is not None:
+                    events.append((t, f"speed_limits zone={new.zone:.6g}"))
+                posted, cap = row, speed_caps(row, geometry.num_cells, fd)
+            limits[k : k + ctrl_every] = posted
+        cap_d, drop = regime_cap[r_k], regime_drop[r_k]
+        q = fluxes(rho, posted, cap, d_k, cap_d, drop, fd, out=flows[k])
         if k < n_steps:
-            state = step(state, flows, geometry, dt)
+            euler_update(rho, q, dt_over_length, out=densities[k + 1])
 
+    _check_run(times, densities, flows, fd)
+    # Stable sort: at one instant the controller's event precedes the incident's.
+    events += _incident_events(scenario, active, lc_on, dt)
+    events.sort(key=lambda event: event[0])
     return SimulationTrace(
         geometry=geometry,
         fd=fd,
         times=times,
         densities=densities,
-        flows=flow_rows,
-        limits=limit_rows,
-        demand=demand_row,
-        incident_active=incident_row,
-        lc_active=lc_row,
+        flows=flows,
+        limits=limits,
+        demand=demand,
+        incident_active=active,
+        lc_active=lc_on,
         events=events,
     )

@@ -1,23 +1,50 @@
 """Shared generators for randomized and round-trip tests, and the reference
-probe walk the metrics are checked against."""
+implementations the program is checked against: the probe walk, the
+per-step CTM loop and the per-value trace CSV writer."""
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from vslsim import (
     BoundInputs,
+    DemandProfile,
     FdObservation,
+    FlowVector,
     FundamentalDiagram,
+    MetricConfig,
+    NetworkGeometry,
+    Scenario,
     SimulationTrace,
+    SpeedLimits,
+    TrafficState,
     default_emission_rate,
+    high_demand_preset,
+    lc_distance,
+    make_controller,
     speed_field,
     stop_count,
+    warm_state,
 )
 from vslsim.metrics import DENSITY_FLOOR
+
+
+def fine_grid_scenario() -> Scenario:
+    """The high-demand corridor cut into 24 x 0.4 km cells behind its 4.8 km
+    zone, stepped demand, reactive rule every 10 s on a 0.5 s step."""
+    return replace(
+        high_demand_preset(),
+        name="fine_grid",
+        geometry=NetworkGeometry(24, 0.4, 4.8),
+        demand=DemandProfile((0.0, 0.5, 1.0), (7000.0, 6200.0, 7400.0)),
+        controller="rule_based_reactive",
+        dt=0.5,
+        control_period=10.0,
+        metrics=MetricConfig(seed_interval=120.0),
+    )
 
 
 def random_triangle(rng: np.random.Generator) -> FundamentalDiagram:
@@ -226,3 +253,210 @@ def oracle_emission(probes: list[OracleProbe], rate=default_emission_rate) -> fl
     km = v * np.concatenate([p.durations for p in done])
     moving = v > 0.0
     return float(np.sum(rate(v[moving]) * km[moving]) / np.sum(km[moving]))
+
+
+# Reference CTM step loop ----------------------------------------------------
+#
+# The per-step, per-cell loop the array kernel in vslsim.ctm and
+# vslsim.simulate replaced, kept as the oracle it is tested against: scalar
+# flux law with a Python loop over cells, an Euler step that rebuilds a
+# TrafficState, and a run loop that builds FlowVector and SpeedLimits values
+# at every step.
+
+
+def _oracle_vsl_max_flow(speed: float, fd: FundamentalDiagram) -> float:
+    w = fd.backprop_speed
+    return speed * w * fd.jam_density / (speed + w)
+
+
+def _oracle_bottleneck_outflow(rho_n, fd, lc_active, lc_residual_drop, cap_d, v_n):
+    if not 0.0 <= rho_n <= fd.outflow_jam_density:
+        raise ValueError(
+            f"bottleneck density {rho_n:.6g} outside [0, {fd.outflow_jam_density:.6g}]"
+        )
+    eps = 0.0
+    if cap_d < fd.capacity and rho_n > cap_d / fd.free_flow_speed:
+        eps = lc_residual_drop if lc_active else fd.capacity_drop_factor
+    return min(
+        v_n * rho_n,
+        (1.0 - eps) * cap_d,
+        fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
+    )
+
+
+def oracle_interface_flows(
+    state: TrafficState,
+    limits: SpeedLimits,
+    fd: FundamentalDiagram,
+    demand: float,
+    has_zone: bool,
+    lc_active: bool,
+    lc_residual_drop: float,
+    downstream_capacity: float,
+) -> FlowVector:
+    rho = state.densities
+    v = limits.sections
+    n = rho.shape[0]
+    w = fd.backprop_speed
+    rho_j = fd.jam_density
+    zone_cap = _oracle_vsl_max_flow(limits.zone, fd)
+    section_cap = [_oracle_vsl_max_flow(float(vi), fd) for vi in v]
+
+    interfaces = np.empty(n + 1)
+    supply_1 = max(0.0, w * (rho_j - rho[0]))
+    if has_zone:
+        rho0 = state.upstream_density
+        inflow = min(demand, zone_cap, max(0.0, w * (rho_j - rho0)))
+        interfaces[0] = min(limits.zone * rho0, zone_cap, section_cap[0], supply_1)
+    else:
+        inflow = min(demand, zone_cap, section_cap[0], supply_1)
+        interfaces[0] = inflow
+    for i in range(1, n):
+        interfaces[i] = min(
+            v[i - 1] * rho[i - 1],
+            section_cap[i - 1],
+            section_cap[i],
+            max(0.0, w * (rho_j - rho[i])),
+        )
+    interfaces[n] = _oracle_bottleneck_outflow(
+        float(rho[n - 1]),
+        fd,
+        lc_active,
+        lc_residual_drop,
+        downstream_capacity,
+        float(v[n - 1]),
+    )
+    return FlowVector(inflow=inflow, interfaces=interfaces)
+
+
+def _oracle_step(state, flows, geometry, dt) -> TrafficState:
+    rho = state.all_densities(geometry.has_zone)
+    if geometry.has_zone:
+        q = np.concatenate(([flows.inflow], flows.interfaces))
+    else:
+        q = flows.interfaces
+    new_rho = rho + (dt / geometry.cell_lengths()) * (q[:-1] - q[1:])
+    if np.any(new_rho < -1e-9):
+        raise ValueError(f"negative density {float(np.min(new_rho)):.6g} after step")
+    t = state.time + dt
+    if geometry.has_zone:
+        return TrafficState(t, float(new_rho[0]), new_rho[1:])
+    return TrafficState(t, float(new_rho[0]), new_rho)
+
+
+def oracle_run(scenario, controller=None, initial_state=None) -> SimulationTrace:
+    """The scenario simulated step by step, as ``vslsim.run`` did before the
+    array kernel; ``controller`` defaults to the scenario's own."""
+    if controller is None:
+        controller = make_controller(scenario)
+    fd = scenario.fd
+    geometry = scenario.geometry
+    dt = scenario.dt_hours
+    n_steps = int(round(scenario.horizon / dt))
+    ctrl_every = max(1, int(round(scenario.control_period_hours / dt)))
+    n_sections = geometry.num_sections
+    n_cells = geometry.num_cells
+
+    state = initial_state if initial_state is not None else warm_state(scenario)
+    times = np.empty(n_steps + 1)
+    densities = np.empty((n_steps + 1, n_cells))
+    flow_rows = np.empty((n_steps + 1, n_cells + 1))
+    limit_rows = np.empty((n_steps + 1, n_sections + 1))
+    demand_row = np.empty(n_steps + 1)
+    incident_row = np.zeros(n_steps + 1, dtype=bool)
+    lc_row = np.zeros(n_steps + 1, dtype=bool)
+    events: list[tuple[float, str]] = []
+
+    incident = scenario.incident
+    lc = scenario.lc
+    limits = None
+    was_active = False
+
+    for k in range(n_steps + 1):
+        t = k * dt
+        if k % ctrl_every == 0 or limits is None:
+            new_limits = controller(state, t)
+            if limits is None or not np.array_equal(
+                new_limits.as_array(), limits.as_array()
+            ):
+                if limits is not None:
+                    events.append((t, f"speed_limits zone={new_limits.zone:.6g}"))
+                limits = new_limits
+
+        active = incident is not None and incident.start <= t < incident.end
+        lc_on = active and lc is not None
+        if active and not was_active:
+            events.append((t, "incident_start"))
+            if lc_on:
+                meters = lc_distance(incident.lanes_closed, lc)
+                events.append((t, f"lane_change_advisories distance_m={meters:.6g}"))
+        if was_active and not active:
+            events.append((t, "incident_end"))
+        was_active = active
+
+        demand = scenario.demand.flows[bisect.bisect_right(scenario.demand.times, t) - 1]
+        flows = oracle_interface_flows(
+            state,
+            limits,
+            fd,
+            demand,
+            has_zone=geometry.has_zone,
+            lc_active=lc_on,
+            lc_residual_drop=lc.residual_drop if lc is not None else 0.0,
+            downstream_capacity=fd.downstream_capacity if active else fd.capacity,
+        )
+
+        times[k] = t
+        densities[k] = state.all_densities(geometry.has_zone)
+        if geometry.has_zone:
+            flow_rows[k, 0] = flows.inflow
+            flow_rows[k, 1:] = flows.interfaces
+        else:
+            flow_rows[k] = flows.interfaces
+        limit_rows[k] = limits.as_array()
+        demand_row[k] = demand
+        incident_row[k] = active
+        lc_row[k] = lc_on
+
+        if k < n_steps:
+            state = _oracle_step(state, flows, geometry, dt)
+
+    return SimulationTrace(
+        geometry=geometry,
+        fd=fd,
+        times=times,
+        densities=densities,
+        flows=flow_rows,
+        limits=limit_rows,
+        demand=demand_row,
+        incident_active=incident_row,
+        lc_active=lc_row,
+        events=events,
+    )
+
+
+def oracle_to_csv(trace: SimulationTrace, path, comment: str | None = None) -> None:
+    """The trace CSV written one f-string per value, as ``to_csv`` did
+    before the blocked writer."""
+    n = trace.geometry.num_sections
+    columns = ["t_h", "rho_0"]
+    columns += [f"rho_{i}" for i in range(1, n + 1)]
+    columns += ["q_in"] + [f"q_{i}" for i in range(1, n + 2)]
+    columns += [f"v_{i}" for i in range(n + 1)]
+    columns += ["incident", "lc"]
+    sections = trace.section_densities
+    if trace.geometry.has_zone:
+        boundary = trace.flows
+    else:
+        boundary = np.hstack((trace.flows[:, :1], trace.flows))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for k in range(trace.num_samples):
+            row = [f"{trace.times[k]:.10g}", f"{trace.upstream_densities[k]:.10g}"]
+            row += [f"{x:.10g}" for x in sections[k]]
+            row += [f"{x:.10g}" for x in boundary[k]]
+            row += [f"{x:.10g}" for x in trace.limits[k]]
+            row += [str(int(trace.incident_active[k])), str(int(trace.lc_active[k]))]
+            fh.write(",".join(row) + "\n")

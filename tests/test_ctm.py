@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import random_triangle
+from helpers import oracle_interface_flows, random_triangle
 
 from vslsim import (
     FlowVector,
@@ -212,6 +212,39 @@ class TestInterfaceFlows:
             flows = interface_flows(state, limits, fd, float(rng.uniform(0, 9000)))
             assert flows.inflow >= 0.0
             assert np.all(flows.interfaces >= 0.0)
+
+
+    def test_matches_per_cell_law(self):
+        # The array law against the per-cell loop it replaced, on arbitrary
+        # states: jammed and empty cells, slow limits, both bottleneck caps,
+        # and a bottleneck density exactly at the drop threshold.
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            fd = random_triangle(rng)
+            n = int(rng.integers(1, 6))
+            cap_d = float(rng.choice([fd.downstream_capacity, fd.capacity]))
+            rho = rng.uniform(0.0, fd.outflow_jam_density, size=n)
+            rho[rng.uniform(size=n) < 0.2] = 0.0
+            if rng.uniform() < 0.2:
+                rho[-1] = cap_d / fd.free_flow_speed
+            state = TrafficState(0.0, float(rng.uniform(0.0, 1.2 * fd.jam_density)), rho)
+            v_f = fd.free_flow_speed
+            zone_limit = float(rng.uniform(1.0, v_f))
+            limits = SpeedLimits(zone_limit, rng.uniform(1.0, v_f, size=n))
+            args = (
+                state,
+                limits,
+                fd,
+                float(rng.uniform(0.0, 1.2 * fd.capacity)),
+                bool(rng.integers(2)),
+                bool(rng.integers(2)),
+                float(rng.uniform(0.0, fd.capacity_drop_factor)),
+                cap_d,
+            )
+            got = interface_flows(*args)
+            ref = oracle_interface_flows(*args)
+            assert got.inflow == ref.inflow
+            assert np.array_equal(got.interfaces, ref.interfaces)
 
 
 class TestValueTypes:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    fine_grid_scenario,
     oracle_emission,
     oracle_probes,
     oracle_stops,
@@ -423,15 +424,7 @@ class TestAgainstStepWalk:
     def test_bundled_scenarios(self, zone):
         base = high_demand_preset()
         if zone == "fine_grid_reactive":
-            scenario = replace(
-                base,
-                geometry=NetworkGeometry(24, 0.4, 4.8),
-                demand=DemandProfile((0.0, 0.5, 1.0), (7000.0, 6200.0, 7400.0)),
-                controller="rule_based_reactive",
-                dt=0.5,
-                control_period=10.0,
-                metrics=MetricConfig(seed_interval=120.0),
-            )
+            scenario = fine_grid_scenario()
         else:
             geometry = replace(base.geometry, upstream_zone_length=zone)
             scenario = replace(base, geometry=geometry)

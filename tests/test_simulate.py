@@ -3,25 +3,33 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from helpers import fine_grid_scenario, oracle_run, oracle_to_csv, random_triangle
+from hypothesis import given, settings, strategies as st
 
+import vslsim.simulate
 from vslsim import (
     CflViolationError,
     ControllerError,
     DemandProfile,
     FlowVector,
     IncidentSchedule,
+    LcConfig,
     MetricConfig,
     NetworkGeometry,
     Scenario,
     SpeedLimits,
     TrafficState,
     cfl_limit,
+    high_demand_preset,
     interface_flows,
+    moderate_demand_preset,
     run,
     simulate_scenario,
     step,
     warm_state,
 )
+from vslsim.ctm import engaged_drop, fluxes, speed_caps
+from vslsim.scenario import HIGH_DEMAND_ZONE_SWEEP
 
 
 def mini_scenario(fd, **overrides) -> Scenario:
@@ -149,6 +157,12 @@ class TestRun:
         with pytest.raises(ControllerError):
             run(scenario, not_limits)
 
+        def too_fast_later(state, t):
+            return SpeedLimits.uniform(150.0 if t > 5.0 / 60.0 else 90.0, 3)
+
+        with pytest.raises(ControllerError, match="above free flow"):
+            run(scenario, too_fast_later)
+
     def test_cfl_checked_before_running(self, fd):
         scenario = mini_scenario(fd, dt=120.0)
         with pytest.raises(CflViolationError):
@@ -222,3 +236,157 @@ class TestProfilesAndTypes:
         assert state.upstream_density == state.densities[0]
         limits = trace.limits_at(0)
         assert limits.num_sections == 3
+
+
+def replay_flows(scenario: Scenario, trace) -> np.ndarray:
+    """``fluxes`` applied to the whole (T, C) density history at once."""
+    fd = trace.fd
+    cap_d = np.where(trace.incident_active, fd.downstream_capacity, fd.capacity)
+    residual = scenario.lc.residual_drop if scenario.lc is not None else 0.0
+    drop = engaged_drop(cap_d, fd, trace.lc_active, residual)
+    caps = speed_caps(trace.limits, trace.geometry.num_cells, fd)
+    return fluxes(trace.densities, trace.limits, caps, trace.demand, cap_d, drop, fd)
+
+
+def assert_matches_oracle(scenario: Scenario, trace) -> None:
+    ref = oracle_run(scenario)
+    for name in (
+        "times",
+        "densities",
+        "flows",
+        "limits",
+        "demand",
+        "incident_active",
+        "lc_active",
+    ):
+        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+    assert trace.events == ref.events
+
+
+class TestKernelAgainstStepLoop:
+    """The array kernel against the per-step, per-cell loop it replaced."""
+
+    @pytest.mark.filterwarnings("ignore:switch time")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sections=st.integers(1, 4),
+        section_length=st.floats(0.3, 1.5),
+        zone=st.one_of(st.just(0.0), st.floats(0.3, 3.0)),
+        steps=st.lists(st.integers(1, 11), max_size=2, unique=True).map(
+            lambda ts: [0] + sorted(ts)
+        ),
+        controller=st.sampled_from(["no_control", "rule_based", "rule_based_reactive"]),
+        lane_change=st.booleans(),
+    )
+    def test_random_scenarios(
+        self, seed, sections, section_length, zone, steps, controller, lane_change
+    ):
+        rng = np.random.default_rng(seed)
+        fd = random_triangle(rng)
+        flows = tuple(float(f) * fd.capacity for f in rng.uniform(0.3, 1.1, len(steps)))
+        lc = None
+        if lane_change:
+            lc = LcConfig(
+                advisory_distance_per_lane=800.0,
+                residual_drop=float(rng.uniform(0.0, fd.capacity_drop_factor)),
+            )
+        scenario = Scenario(
+            name="kernel",
+            fd=fd,
+            geometry=NetworkGeometry(sections, section_length, zone),
+            demand=DemandProfile((0.0,) + tuple(t / 60.0 for t in steps[1:]), flows),
+            incident=IncidentSchedule(start=2.0 / 60.0, end=8.0 / 60.0),
+            controller=controller,
+            lc=lc,
+            horizon=12.0 / 60.0,
+            control_period=10.0,
+        )
+        trace = simulate_scenario(scenario)
+        assert_matches_oracle(scenario, trace)
+        balance = trace.vehicle_balance()
+        assert abs(balance["residual"]) <= 1e-9 * balance["entered"]
+        assert np.all(trace.densities >= 0.0)
+        assert np.all(trace.densities[:, -1] <= fd.outflow_jam_density)
+        assert np.all(trace.flows >= 0.0)
+        assert np.array_equal(replay_flows(scenario, trace), trace.flows)
+
+    @pytest.mark.parametrize(
+        "case", [*HIGH_DEMAND_ZONE_SWEEP, "moderate_demand", "fine_grid"], ids=str
+    )
+    def test_bundled_scenarios(self, case):
+        if case == "moderate_demand":
+            scenario = moderate_demand_preset()
+        elif case == "fine_grid":
+            scenario = fine_grid_scenario()
+        else:
+            base = high_demand_preset()
+            geometry = replace(base.geometry, upstream_zone_length=case)
+            scenario = replace(base, geometry=geometry)
+        trace = simulate_scenario(scenario)
+        assert_matches_oracle(scenario, trace)
+        assert np.array_equal(replay_flows(scenario, trace), trace.flows)
+
+
+class TestTraceCsv:
+    @pytest.mark.parametrize("zone", [0.0, 1.2])
+    @pytest.mark.parametrize("comment", [None, "scenario=mini hash=abc123"])
+    def test_bytes_match_value_by_value_writer(self, fd, tmp_path, zone, comment):
+        # 601 rows: several full blocks and a partial one.
+        scenario = mini_scenario(fd, geometry=NetworkGeometry(3, 1.6, zone))
+        trace = simulate_scenario(scenario)
+        trace.to_csv(tmp_path / "blocked.csv", comment=comment)
+        oracle_to_csv(trace, tmp_path / "oracle.csv", comment=comment)
+        blocked = (tmp_path / "blocked.csv").read_bytes()
+        assert blocked == (tmp_path / "oracle.csv").read_bytes()
+        assert blocked.startswith(b"# scenario=mini") == (comment is not None)
+
+
+class TestOutOfRangeStates:
+    """Density and flow bounds are checked over the finished run; a breach
+    names the first step and cell it happens at."""
+
+    def test_oversized_flux_names_step_and_cell(self, fd, monkeypatch):
+        real = vslsim.simulate.fluxes
+        calls = []
+
+        def leaky(*args, **kwargs):
+            q = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 51:  # step 50: drain the last cell far too fast
+                q[-1] = 1e6
+            return q
+
+        monkeypatch.setattr(vslsim.simulate, "fluxes", leaky)
+        message = r"step 51 \(t = 0\.85 min\): cell 2 density -"
+        with pytest.raises(ValueError, match=message):
+            simulate_scenario(mini_scenario(fd))
+
+    def test_nan_state_names_step_and_cell(self, fd):
+        scenario = mini_scenario(fd)
+        state = TrafficState(0.0, 70.0, np.array([70.0, np.nan, 70.0]))
+        with pytest.raises(ValueError, match=r"step 0 \(t = 0 min\): cell 1 density nan"):
+            run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3), initial_state=state)
+
+    def test_overfull_bottleneck_names_step_and_cell(self, fd):
+        scenario = mini_scenario(fd)
+        state = TrafficState(0.0, 70.0, np.array([70.0, 70.0, 600.0]))
+        message = r"step 0 \(t = 0 min\): bottleneck cell 2 density 600 outside \[0, 552\]"
+        with pytest.raises(ValueError, match=message):
+            run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3), initial_state=state)
+
+    def test_nan_flow_mid_run_names_step_and_cell(self, fd, monkeypatch):
+        real = vslsim.simulate.fluxes
+        calls = []
+
+        def broken(*args, **kwargs):
+            q = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 121:  # step 120, between control instants
+                q[1] = np.nan
+            return q
+
+        monkeypatch.setattr(vslsim.simulate, "fluxes", broken)
+        message = r"step 120 \(t = 2 min\): flow nan into cell 1"
+        with pytest.raises(ValueError, match=message):
+            simulate_scenario(mini_scenario(fd))
