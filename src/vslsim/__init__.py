@@ -34,15 +34,11 @@ from .control import (
     v0_command,
 )
 from .ctm import (
-    FlowVector,
     FundamentalDiagram,
     NetworkGeometry,
     SpeedLimits,
     TrafficState,
-    bottleneck_outflow,
-    capacity_drop,
     equilibrium_density,
-    interface_flows,
     vsl_max_flow,
 )
 from .metrics import (
@@ -81,7 +77,6 @@ from .simulate import (
     SimulationTrace,
     cfl_limit,
     run,
-    step,
     warm_state,
 )
 from .sweep import SweepRow, SweepSpec, apply_sweep_value, run_sweep, sweep_rows_to_csv

@@ -26,6 +26,14 @@ class InfeasibleSpeedError(ValueError):
     """
 
 
+class BoundInputError(ValueError):
+    """A bound input outside its domain; ``field`` names the input."""
+
+    def __init__(self, field: str, problem: str) -> None:
+        super().__init__(f"{field} {problem}")
+        self.field = field
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Snapshot needed by the zone-length bound: parameters, command, densities."""
@@ -42,18 +50,20 @@ class BoundInputs:
             raise ValueError("num_sections must be at least 1")
         if self.section_length <= 0.0:
             raise ValueError("section_length must be strictly positive")
+        # Each range test is written so that NaN fails it too.
         if not 0.0 < self.zone_limit <= self.fd.free_flow_speed:
-            raise ValueError("zone_limit must lie in (0, free_flow_speed]")
+            raise BoundInputError("zone_limit", "must lie in (0, free_flow_speed]")
         arr = np.array(self.densities, dtype=float, copy=True).reshape(-1)
         if arr.shape[0] != self.num_sections:
-            raise ValueError(
-                f"expected {self.num_sections} section densities, got {arr.shape[0]}"
+            raise BoundInputError(
+                "densities",
+                f"must hold {self.num_sections} section densities, got {arr.shape[0]}",
             )
         hi = self.fd.outflow_jam_density
-        if np.any(arr < 0.0) or np.any(arr > hi):
-            raise ValueError(f"section densities must lie in [0, {hi:.6g}]")
+        if not np.all((arr >= 0.0) & (arr <= hi)):
+            raise BoundInputError("densities", f"must lie in [0, {hi:.6g}]")
         if not 0.0 <= self.upstream_density <= hi:
-            raise ValueError(f"upstream_density must lie in [0, {hi:.6g}]")
+            raise BoundInputError("upstream_density", f"must lie in [0, {hi:.6g}]")
         arr.flags.writeable = False
         object.__setattr__(self, "densities", arr)
 
@@ -129,8 +139,8 @@ def l0_lower_bound(inputs: BoundInputs) -> float:
 def time_to_clear(inputs: BoundInputs, zone_length: float) -> float:
     """Time for the bottleneck to discharge every vehicle stored at the
     incident instant (h), assuming congested discharge throughout."""
-    if zone_length < 0.0:
-        raise ValueError("zone_length must be non-negative")
+    if not 0.0 <= zone_length < np.inf:
+        raise BoundInputError("zone_length", "must be finite and non-negative")
     stored = zone_length * inputs.upstream_density + inputs.section_length * float(
         np.sum(inputs.densities)
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import InfeasibleSpeedError, zone_bound_report
+from .bounds import BoundInputError, InfeasibleSpeedError, zone_bound_report
 from .calibrate import CalibrationError, FdObservation, fit_fundamental_diagram
 from .scenario import (
     PRESETS,
@@ -39,6 +39,15 @@ EXIT_RUNTIME = 3
 
 class _UsageError(Exception):
     pass
+
+
+# The ``bound`` flag each bound input is read from.
+_BOUND_FLAGS = {
+    "zone_limit": "--v0",
+    "upstream_density": "--upstream-density",
+    "densities": "--densities",
+    "zone_length": "--zone-length",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,18 +167,25 @@ def _cmd_bound(args) -> int:
     scenario = load_scenario(args.scenario)
     densities = None
     if args.densities is not None:
-        densities = np.array([float(x) for x in args.densities.split(",")])
-    inputs = scenario.bound_inputs(
-        zone_limit=args.v0,
-        upstream_density=args.upstream_density,
-        densities=densities,
-    )
-    zone_length = (
-        scenario.geometry.upstream_zone_length
-        if args.zone_length is None
-        else args.zone_length
-    )
-    report = zone_bound_report(inputs, zone_length)
+        try:
+            densities = np.array([float(x) for x in args.densities.split(",")])
+        except ValueError:
+            raise BoundInputError(
+                "--densities:", f"{args.densities!r} is not a comma separated list of numbers"
+            ) from None
+    zone_length = args.zone_length
+    if zone_length is None:
+        zone_length = scenario.geometry.upstream_zone_length
+    try:
+        inputs = scenario.bound_inputs(
+            zone_limit=args.v0,
+            upstream_density=args.upstream_density,
+            densities=densities,
+        )
+        report = zone_bound_report(inputs, zone_length)
+    except BoundInputError as exc:
+        # Report the input under the flag it was read from.
+        raise BoundInputError(_BOUND_FLAGS[exc.field] + ":", str(exc)) from exc
     rows = [
         ("zone command v0 (km/h)", _fmt(inputs.zone_limit)),
         ("lower bound on zone length (km)", _fmt(report.lower_bound)),
@@ -305,6 +321,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (
+        BoundInputError,
         ScenarioValidationError,
         CalibrationError,
         InfeasibleSpeedError,

@@ -15,8 +15,6 @@ critical density.
 The law is written once, as array functions over the last (cell) axis:
 :func:`fluxes` gives every cell-boundary flow and :func:`euler_update` the
 next densities, for one state ``(C,)`` or a whole history ``(T, C)`` alike.
-``interface_flows``, ``bottleneck_outflow``, ``capacity_drop`` and
-``vsl_max_flow`` keep the one-state API on top of the same functions.
 """
 
 from __future__ import annotations
@@ -172,10 +170,8 @@ class NetworkGeometry:
         return np.concatenate(([0.0], np.cumsum(self.cell_lengths())))
 
 
-def _readonly(values, n_expected: int | None = None) -> np.ndarray:
+def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True).reshape(-1)
-    if n_expected is not None and arr.shape[0] != n_expected:
-        raise ValueError(f"expected {n_expected} entries, got {arr.shape[0]}")
     arr.flags.writeable = False
     return arr
 
@@ -232,11 +228,12 @@ class SpeedLimits:
     sections: np.ndarray  # km/h, sections 1..N
 
     def __post_init__(self) -> None:
-        if self.zone <= 0.0:
-            raise ValueError("zone speed limit must be strictly positive")
+        # Written so that NaN fails them too.
+        if not 0.0 < self.zone < np.inf:
+            raise ValueError("zone speed limit must be finite and positive")
         arr = _readonly(self.sections)
-        if np.any(arr <= 0.0):
-            raise ValueError("section speed limits must be strictly positive")
+        if not np.all((arr > 0.0) & (arr < np.inf)):
+            raise ValueError("section speed limits must be finite and positive")
         object.__setattr__(self, "sections", arr)
 
     @property
@@ -249,33 +246,6 @@ class SpeedLimits:
     @classmethod
     def uniform(cls, speed: float, num_sections: int) -> "SpeedLimits":
         return cls(float(speed), np.full(num_sections, float(speed)))
-
-
-@dataclass(frozen=True)
-class FlowVector:
-    """Flows produced by one flux evaluation.
-
-    ``inflow`` is the demand admitted into the corridor entrance;
-    ``interfaces`` holds q_1 .. q_{N+1}, where q_i crosses into section i and
-    q_{N+1} leaves through the bottleneck. Without a metering zone the
-    admitted inflow and q_1 coincide.
-    """
-
-    inflow: float  # veh/h
-    interfaces: np.ndarray  # veh/h
-
-    def __post_init__(self) -> None:
-        if self.inflow < 0.0:
-            raise ValueError("inflow must be non-negative")
-        arr = _readonly(self.interfaces)
-        if np.any(arr < 0.0):
-            raise ValueError("interface flows must be non-negative")
-        object.__setattr__(self, "interfaces", arr)
-
-    @property
-    def bottleneck(self) -> float:
-        """Discharge through the most downstream interface (veh/h)."""
-        return float(self.interfaces[-1])
 
 
 def vsl_max_flow(speed, fd: FundamentalDiagram):
@@ -306,28 +276,6 @@ def engaged_drop(downstream_capacity, fd: FundamentalDiagram, lc_active, lc_resi
         np.where(lc_active, lc_residual_drop, fd.capacity_drop_factor),
         0.0,
     )
-
-
-def _drop(rho_n, cap_d, drop, fd: FundamentalDiagram):
-    # The drop acts only above the bottleneck's critical density (strictly);
-    # drop * True is drop and drop * False is 0, exactly.
-    return drop * (rho_n > cap_d / fd.free_flow_speed)
-
-
-def _discharge(rho_n, send_n, cap_d, drop, fd: FundamentalDiagram):
-    # min(v_N * rho_N, (1 - eps) * C_d, w_out * (jam_out - rho_N))
-    eps = _drop(rho_n, cap_d, drop, fd)
-    return np.minimum(
-        np.minimum(send_n, (1.0 - eps) * cap_d),
-        fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
-    )
-
-
-def _check_bottleneck_density(rho_n: float, fd: FundamentalDiagram) -> None:
-    if not 0.0 <= rho_n <= fd.outflow_jam_density:
-        raise ValueError(
-            f"bottleneck density {rho_n:.6g} outside [0, {fd.outflow_jam_density:.6g}]"
-        )
 
 
 def speed_caps(v, n_cells: int, fd: FundamentalDiagram) -> np.ndarray:
@@ -373,7 +321,14 @@ def fluxes(
     supply = fd.backprop_speed * (fd.jam_density - rho)
     np.maximum(supply, 0.0, out=supply)
     np.minimum(head, supply, out=head)
-    q[..., n] = _discharge(rho[..., -1], q[..., n], cap_d, drop, fd)
+    rho_n = rho[..., -1]
+    # The drop acts only above the bottleneck's critical density (strictly);
+    # drop * True is drop and drop * False is 0, exactly.
+    eps = drop * (rho_n > cap_d / fd.free_flow_speed)
+    q[..., n] = np.minimum(
+        np.minimum(q[..., n], (1.0 - eps) * cap_d),
+        fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
+    )
     return q
 
 
@@ -383,80 +338,6 @@ def euler_update(rho, q, dt_over_length, out=None) -> np.ndarray:
     return np.add(rho, dt_over_length * (q[..., :-1] - q[..., 1:]), out=out)
 
 
-def capacity_drop(
-    rho_n: float,
-    fd: FundamentalDiagram,
-    lc_active: bool = False,
-    lc_residual_drop: float = 0.0,
-    downstream_capacity: float | None = None,
-) -> float:
-    """Active capacity-drop factor at the bottleneck.
-
-    The drop engages only while a true bottleneck exists (effective downstream
-    capacity below the mainline capacity) and the last section is above its
-    critical occupancy. Lane change advisories replace the drop factor with the
-    configured residual.
-    """
-    cap_d = fd.downstream_capacity if downstream_capacity is None else downstream_capacity
-    drop = engaged_drop(cap_d, fd, lc_active, lc_residual_drop)
-    return float(_drop(rho_n, cap_d, drop, fd))
-
-
-def bottleneck_outflow(
-    rho_n: float,
-    fd: FundamentalDiagram,
-    lc_active: bool = False,
-    lc_residual_drop: float = 0.0,
-    downstream_capacity: float | None = None,
-    speed_limit: float | None = None,
-) -> float:
-    """Discharge through the bottleneck interface (veh/h).
-
-    ``min(v_N * rho_N, (1 - eps) * C_d, w_out * (jam_out - rho_N))`` where the
-    drop factor ``eps`` follows :func:`capacity_drop`. ``downstream_capacity``
-    overrides ``fd.downstream_capacity`` so a cleared incident can revert the
-    cap to the mainline capacity.
-    """
-    _check_bottleneck_density(rho_n, fd)
-    cap_d = fd.downstream_capacity if downstream_capacity is None else downstream_capacity
-    v_n = fd.free_flow_speed if speed_limit is None else speed_limit
-    drop = engaged_drop(cap_d, fd, lc_active, lc_residual_drop)
-    return float(_discharge(rho_n, v_n * rho_n, cap_d, drop, fd))
-
-
 def equilibrium_density(demand: float, fd: FundamentalDiagram) -> float:
     """Uniform section density the controlled corridor settles to (veh/km)."""
     return min(demand, fd.downstream_capacity) / fd.free_flow_speed
-
-
-def interface_flows(
-    state: TrafficState,
-    limits: SpeedLimits,
-    fd: FundamentalDiagram,
-    demand: float,
-    has_zone: bool = True,
-    lc_active: bool = False,
-    lc_residual_drop: float = 0.0,
-    downstream_capacity: float | None = None,
-) -> FlowVector:
-    """Evaluate every interface flow for one state under posted speed limits.
-
-    :func:`fluxes` on one state: the entrance admits ``min(demand,
-    vsl_max_flow(v0), supply of the first cell)``, each interior interface
-    takes the minimum of the sender's demand and the receiver's supply, and
-    the bottleneck interface follows :func:`bottleneck_outflow`.
-    """
-    if demand < 0.0:
-        raise ValueError("demand must be non-negative")
-    n = state.num_sections
-    if limits.num_sections != n:
-        raise ValueError(
-            f"state has {n} sections but speed limits cover {limits.num_sections}"
-        )
-    _check_bottleneck_density(float(state.densities[-1]), fd)
-    rho = state.all_densities(has_zone)
-    v = limits.as_array()
-    cap_d = fd.downstream_capacity if downstream_capacity is None else downstream_capacity
-    drop = engaged_drop(cap_d, fd, lc_active, lc_residual_drop)
-    q = fluxes(rho, v, speed_caps(v, rho.shape[0], fd), demand, cap_d, drop, fd)
-    return FlowVector(inflow=float(q[0]), interfaces=q[1:] if has_zone else q)

@@ -13,7 +13,7 @@ bottleneck regime are computed once per run as ``(T,)`` arrays, each step writes
 :func:`~vslsim.ctm.fluxes` and :func:`~vslsim.ctm.euler_update` into
 preallocated rows of the trace, and a ``TrafficState`` is built only for the
 controller, at control instants. Density and flow bounds are checked over the
-finished arrays. ``step`` is the one-state view of the same update.
+finished arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .control import Controller, lc_distance
 from .ctm import (
-    FlowVector,
     FundamentalDiagram,
     NetworkGeometry,
     SpeedLimits,
@@ -107,36 +106,6 @@ def cfl_limit(geometry: NetworkGeometry, fd: FundamentalDiagram) -> float:
     return float(np.min(geometry.cell_lengths())) / fastest
 
 
-def step(
-    state: TrafficState,
-    flows: FlowVector,
-    geometry: NetworkGeometry,
-    dt: float,
-) -> TrafficState:
-    """Advance one Euler step: rho_i += dt / L_i * (q_i - q_{i+1}).
-
-    The update covers the metering zone (its own length) when the geometry has
-    one. With the CFL bound satisfied (``run`` checks it) the result stays
-    non-negative; a negative density signals a flux bug and raises.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be strictly positive")
-    rho = state.all_densities(geometry.has_zone)
-    if geometry.has_zone:
-        q = np.concatenate(([flows.inflow], flows.interfaces))
-    else:
-        q = flows.interfaces
-    if q.shape[0] != rho.shape[0] + 1:
-        raise ValueError("flow vector does not match the cell count")
-    new_rho = euler_update(rho, q, dt / geometry.cell_lengths())
-    if np.any(new_rho < -1e-9):
-        raise ValueError(
-            f"negative density {float(np.min(new_rho)):.6g} after step; "
-            "flux computation is inconsistent"
-        )
-    return TrafficState.from_cells(state.time + dt, new_rho, geometry.has_zone)
-
-
 @dataclass
 class SimulationTrace:
     """Complete record of one run on a uniform time grid.
@@ -181,19 +150,6 @@ class SimulationTrace:
     def inflow(self) -> np.ndarray:
         """Demand admitted into the corridor at each sample (veh/h)."""
         return self.flows[:, 0]
-
-    @property
-    def bottleneck_outflow(self) -> np.ndarray:
-        return self.flows[:, -1]
-
-    def state_at(self, index: int) -> TrafficState:
-        return TrafficState.from_cells(
-            float(self.times[index]), self.densities[index], self.geometry.has_zone
-        )
-
-    def limits_at(self, index: int) -> SpeedLimits:
-        row = self.limits[index]
-        return SpeedLimits(float(row[0]), row[1:])
 
     def vehicle_balance(self) -> dict[str, float]:
         """Cumulative conservation audit over the whole run.
@@ -247,8 +203,9 @@ def _check_limits(limits: SpeedLimits, fd: FundamentalDiagram, n: int) -> SpeedL
         raise ControllerError(
             f"controller returned {limits.num_sections} section limits, expected {n}"
         )
-    if limits.zone > fd.free_flow_speed or np.any(limits.sections > fd.free_flow_speed):
-        raise ControllerError("controller returned a limit above free flow speed")
+    v_f = fd.free_flow_speed
+    if not (limits.zone <= v_f and np.all(limits.sections <= v_f)):  # NaN fails
+        raise ControllerError("controller returned a limit above free flow or NaN")
     return limits
 
 

@@ -13,7 +13,6 @@ from vslsim import (
     BoundInputs,
     DemandProfile,
     FdObservation,
-    FlowVector,
     FundamentalDiagram,
     MetricConfig,
     NetworkGeometry,
@@ -29,6 +28,7 @@ from vslsim import (
     stop_count,
     warm_state,
 )
+from vslsim.ctm import engaged_drop, fluxes, speed_caps
 from vslsim.metrics import DENSITY_FLOOR
 
 
@@ -260,8 +260,7 @@ def oracle_emission(probes: list[OracleProbe], rate=default_emission_rate) -> fl
 # The per-step, per-cell loop the array kernel in vslsim.ctm and
 # vslsim.simulate replaced, kept as the oracle it is tested against: scalar
 # flux law with a Python loop over cells, an Euler step that rebuilds a
-# TrafficState, and a run loop that builds FlowVector and SpeedLimits values
-# at every step.
+# TrafficState, and a run loop that applies both one time step at a time.
 
 
 def _oracle_vsl_max_flow(speed: float, fd: FundamentalDiagram) -> float:
@@ -284,6 +283,19 @@ def _oracle_bottleneck_outflow(rho_n, fd, lc_active, lc_residual_drop, cap_d, v_
     )
 
 
+def one_state_flows(
+    rho, v, fd, demand, lc_active=False, lc_residual_drop=0.0, downstream_capacity=None
+):
+    """``vslsim.ctm.fluxes`` on one ``(C,)`` state under posted limits
+    ``v = [zone, section 1 .. N]``; the bottleneck cap defaults to the
+    incident's."""
+    rho = np.asarray(rho, dtype=float)
+    v = np.asarray(v, dtype=float)
+    cap_d = fd.downstream_capacity if downstream_capacity is None else downstream_capacity
+    drop = engaged_drop(cap_d, fd, lc_active, lc_residual_drop)
+    return fluxes(rho, v, speed_caps(v, rho.shape[-1], fd), demand, cap_d, drop, fd)
+
+
 def oracle_interface_flows(
     state: TrafficState,
     limits: SpeedLimits,
@@ -293,7 +305,10 @@ def oracle_interface_flows(
     lc_active: bool,
     lc_residual_drop: float,
     downstream_capacity: float,
-) -> FlowVector:
+) -> np.ndarray:
+    """Every cell-boundary flow ``q_0 .. q_C`` of one state, cell by cell:
+    the admitted inflow first (with a zone it enters the zone cell, without
+    one it is ``q_1``, the flow into section 1), the bottleneck last."""
     rho = state.densities
     v = limits.sections
     n = rho.shape[0]
@@ -326,15 +341,11 @@ def oracle_interface_flows(
         downstream_capacity,
         float(v[n - 1]),
     )
-    return FlowVector(inflow=inflow, interfaces=interfaces)
+    return np.concatenate(([inflow], interfaces)) if has_zone else interfaces
 
 
-def _oracle_step(state, flows, geometry, dt) -> TrafficState:
+def _oracle_step(state, q, geometry, dt) -> TrafficState:
     rho = state.all_densities(geometry.has_zone)
-    if geometry.has_zone:
-        q = np.concatenate(([flows.inflow], flows.interfaces))
-    else:
-        q = flows.interfaces
     new_rho = rho + (dt / geometry.cell_lengths()) * (q[:-1] - q[1:])
     if np.any(new_rho < -1e-9):
         raise ValueError(f"negative density {float(np.min(new_rho)):.6g} after step")
@@ -395,7 +406,7 @@ def oracle_run(scenario, controller=None, initial_state=None) -> SimulationTrace
         was_active = active
 
         demand = scenario.demand.flows[bisect.bisect_right(scenario.demand.times, t) - 1]
-        flows = oracle_interface_flows(
+        q = oracle_interface_flows(
             state,
             limits,
             fd,
@@ -408,18 +419,14 @@ def oracle_run(scenario, controller=None, initial_state=None) -> SimulationTrace
 
         times[k] = t
         densities[k] = state.all_densities(geometry.has_zone)
-        if geometry.has_zone:
-            flow_rows[k, 0] = flows.inflow
-            flow_rows[k, 1:] = flows.interfaces
-        else:
-            flow_rows[k] = flows.interfaces
+        flow_rows[k] = q
         limit_rows[k] = limits.as_array()
         demand_row[k] = demand
         incident_row[k] = active
         lc_row[k] = lc_on
 
         if k < n_steps:
-            state = _oracle_step(state, flows, geometry, dt)
+            state = _oracle_step(state, q, geometry, dt)
 
     return SimulationTrace(
         geometry=geometry,

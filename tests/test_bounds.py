@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from pathlib import Path
 
 from helpers import random_feasible_bound_inputs
 
@@ -190,3 +191,28 @@ class TestSimulationAgreement:
             t_arrive = first_held.exit_time if first_held.complete else np.inf
             simulated_absorbed = t_clear < t_arrive
             assert simulated_absorbed == chasing_verdict(inputs, zone).absorbed
+
+
+def test_readme_python_api_block():
+    """README's "Python API" block runs against the package's exports, and
+    each expression line gives the value its comment states, to the digits
+    shown."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    stated_values = []
+    for line in block.splitlines():
+        code, commented, comment = line.partition("#")
+        if not commented or "=" in code:
+            continue  # a statement, or a comment that states no value
+        value = eval(code, namespace)
+        stated = comment.split()[0]
+        if stated.startswith('"'):
+            assert value == stated.strip('"'), line
+        else:
+            digits = len(stated.partition(".")[2])
+            assert value == pytest.approx(float(stated), abs=0.5 * 10.0**-digits), line
+        stated_values.append(stated)
+    assert stated_values == ["1.76", "14.0", '"absorbed"']

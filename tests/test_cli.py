@@ -83,6 +83,25 @@ class TestBound:
         assert code == 2
         assert "no finite zone length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--densities", "nan,40,40,40,40,40"),
+            ("--zone-length", "nan"),
+            ("--zone-length", "inf"),
+            ("--densities", "1,2,x"),
+            ("--densities", "1,2"),
+            ("--v0", "nan"),
+            ("--zone-length", "-1"),
+            ("--upstream-density", "inf"),
+        ],
+    )
+    def test_out_of_domain_flag_is_validation_error(self, capsys, flag, value):
+        assert cli_dispatch(["bound", "high_demand", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"validation error: {flag}: ")
+
 
 class TestRun:
     def test_run_writes_trace_and_metrics(self, tmp_path, capsys):

@@ -2,20 +2,24 @@
 
 import numpy as np
 import pytest
-from helpers import oracle_interface_flows, random_triangle
+from helpers import one_state_flows, oracle_interface_flows, random_triangle
 
 from vslsim import (
-    FlowVector,
     FundamentalDiagram,
     NetworkGeometry,
     SpeedLimits,
     TrafficState,
-    bottleneck_outflow,
-    capacity_drop,
     equilibrium_density,
-    interface_flows,
     vsl_max_flow,
 )
+from vslsim.ctm import engaged_drop
+
+
+def discharge(rho_n, fd, **kwargs):
+    """Bottleneck flow of one cell posted at free flow speed and holding
+    ``rho_n`` (a scalar, or an array for many one-cell states at once)."""
+    rho = np.asarray(rho_n, dtype=float)[..., None]
+    return one_state_flows(rho, np.full(2, fd.free_flow_speed), fd, 0.0, **kwargs)[..., -1]
 
 
 class TestFundamentalDiagram:
@@ -97,38 +101,36 @@ class TestVslMaxFlow:
 
 class TestBottleneckOutflow:
     def test_demand_branch_below_threshold(self, fd):
-        assert bottleneck_outflow(40.0, fd) == pytest.approx(4000.0)
+        assert discharge(40.0, fd) == pytest.approx(4000.0)
 
     def test_dropped_capacity_when_congested(self, fd):
-        assert bottleneck_outflow(100.0, fd) == pytest.approx(4320.0)
+        assert discharge(100.0, fd) == pytest.approx(4320.0)
 
     def test_zero_at_outflow_jam(self, fd):
-        assert bottleneck_outflow(552.0, fd) == pytest.approx(0.0)
-
-    def test_density_out_of_range_rejected(self, fd):
-        with pytest.raises(ValueError):
-            bottleneck_outflow(-1.0, fd)
-        with pytest.raises(ValueError):
-            bottleneck_outflow(553.0, fd)
+        assert discharge(552.0, fd) == pytest.approx(0.0)
 
     def test_no_drop_when_cap_reverts_to_capacity(self, fd):
         # Incident cleared: cap C, drop inert, outflow limited by its own wave.
-        flow = bottleneck_outflow(100.0, fd, downstream_capacity=fd.capacity)
+        flow = discharge(100.0, fd, downstream_capacity=fd.capacity)
         assert flow == pytest.approx(15.0 * (552.0 - 100.0))
 
     def test_lane_change_replaces_drop_factor(self, fd):
-        assert capacity_drop(100.0, fd) == pytest.approx(0.1)
-        assert capacity_drop(100.0, fd, lc_active=True, lc_residual_drop=0.0) == 0.0
-        assert capacity_drop(100.0, fd, lc_active=True, lc_residual_drop=0.04) == 0.04
-        assert capacity_drop(48.0, fd) == 0.0  # threshold is strict
+        cap_d = fd.downstream_capacity
+        assert engaged_drop(cap_d, fd, False, 0.0) == pytest.approx(0.1)
+        assert engaged_drop(cap_d, fd, True, 0.0) == 0.0
+        assert engaged_drop(cap_d, fd, True, 0.04) == 0.04
+        assert engaged_drop(fd.capacity, fd, False, 0.0) == 0.0  # no bottleneck
+        assert discharge(100.0, fd, lc_active=True) == cap_d
+        assert discharge(100.0, fd, lc_active=True, lc_residual_drop=0.04) == 0.96 * cap_d
+        # The threshold is strict: at cap_d / v_f the full cap still applies.
+        assert discharge(48.0, fd) == cap_d
 
     def test_never_exceeds_downstream_capacity(self, fd):
         rng = np.random.default_rng(11)
-        for rho in rng.uniform(0.0, 552.0, size=200):
-            flow = bottleneck_outflow(float(rho), fd)
-            assert flow <= fd.downstream_capacity + 1e-9
-            if rho > 48.0:
-                assert flow <= fd.dropped_capacity + 1e-9
+        rho = rng.uniform(0.0, 552.0, size=200)
+        flow = discharge(rho, fd)
+        assert np.all(flow <= fd.downstream_capacity + 1e-9)
+        assert np.all(flow[rho > 48.0] <= fd.dropped_capacity + 1e-9)
 
 
 class TestEquilibriumDensity:
@@ -143,76 +145,58 @@ class TestEquilibriumDensity:
         assert equilibrium_density(4000.0, fd) == pytest.approx(40.0)
 
 
-def _uniform_state(density: float, n: int = 6) -> TrafficState:
-    return TrafficState.uniform(density, n)
-
-
-def _free_limits(fd, n: int = 6) -> SpeedLimits:
-    return SpeedLimits.uniform(fd.free_flow_speed, n)
+def _free_limits(fd, n: int = 6) -> np.ndarray:
+    return np.full(n + 1, fd.free_flow_speed)
 
 
 class TestInterfaceFlows:
     def test_empty_road_all_zero(self, fd):
-        flows = interface_flows(_uniform_state(0.0), _free_limits(fd), fd, 0.0)
-        assert flows.inflow == 0.0
-        assert np.all(flows.interfaces == 0.0)
+        q = one_state_flows(np.zeros(7), _free_limits(fd), fd, 0.0)
+        assert np.all(q == 0.0)
 
     def test_entrance_three_way_min(self, fd):
         # min(demand 7000, limited max flow 3744, supply 30*(312-70)=7260)
-        state = TrafficState(0.0, 70.0, np.full(6, 70.0))
-        limits = SpeedLimits(20.0, np.full(6, 100.0))
-        flows = interface_flows(state, limits, fd, 7000.0)
-        assert flows.inflow == pytest.approx(3744.0)
+        limits = np.array([20.0] + [100.0] * 6)
+        q = one_state_flows(np.full(7, 70.0), limits, fd, 7000.0)
+        assert q[0] == pytest.approx(3744.0)
 
     def test_uniform_equilibrium_carries_demand(self, fd):
-        state = _uniform_state(48.0)
-        flows = interface_flows(state, _free_limits(fd), fd, 4800.0)
-        assert flows.inflow == pytest.approx(4800.0)
-        assert np.allclose(flows.interfaces, 4800.0)
-
-    def test_dimension_mismatch_rejected(self, fd):
-        state = _uniform_state(10.0, n=6)
-        limits = SpeedLimits.uniform(100.0, 5)
-        with pytest.raises(ValueError, match="sections"):
-            interface_flows(state, limits, fd, 1000.0)
+        q = one_state_flows(np.full(7, 48.0), _free_limits(fd), fd, 4800.0)
+        assert np.allclose(q, 4800.0)
 
     def test_no_zone_entrance_includes_first_section_cap(self, fd):
-        state = _uniform_state(10.0)
-        limits = SpeedLimits(20.0, np.full(6, 100.0))
-        flows = interface_flows(state, limits, fd, 7000.0, has_zone=False)
-        assert flows.inflow == pytest.approx(3744.0)
-        assert flows.interfaces[0] == flows.inflow
+        # Six cells, no zone cell: the zone command still caps the entrance.
+        limits = np.array([20.0] + [100.0] * 6)
+        q = one_state_flows(np.full(6, 10.0), limits, fd, 7000.0)
+        assert q.shape == (7,)
+        assert q[0] == pytest.approx(3744.0)
 
     def test_monotone_in_sender_and_receiver_density(self, fd):
         rng = np.random.default_rng(3)
         limits = _free_limits(fd)
         for _ in range(50):
             rho = rng.uniform(0.0, 280.0, size=6)
-            state = TrafficState(0.0, float(rng.uniform(0, 280)), rho)
-            flows = interface_flows(state, limits, fd, 7000.0)
+            cells = np.concatenate(([rng.uniform(0, 280)], rho))
+            q = one_state_flows(cells, limits, fd, 7000.0)
+            # Section i is cell i + 1: q[i + 1] feeds it, q[i + 2] drains it.
             i = int(rng.integers(0, 5))
             # Demand branch: more sender density never lowers the interface flow.
-            bumped = rho.copy()
-            bumped[i] = min(bumped[i] + 5.0, 312.0)
-            up = interface_flows(TrafficState(0.0, state.upstream_density, bumped), limits, fd, 7000.0)
-            assert up.interfaces[i + 1] >= flows.interfaces[i + 1] - 1e-9
+            bumped = cells.copy()
+            bumped[i + 1] = min(bumped[i + 1] + 5.0, 312.0)
+            after = one_state_flows(bumped, limits, fd, 7000.0)
+            assert after[i + 2] >= q[i + 2] - 1e-9
             # Supply branch: more receiver density never raises it.
-            recv = rho.copy()
-            recv[i] = min(recv[i] + 5.0, 312.0)
-            down = interface_flows(TrafficState(0.0, state.upstream_density, recv), limits, fd, 7000.0)
-            assert down.interfaces[i] <= flows.interfaces[i] + 1e-9
+            assert after[i + 1] <= q[i + 1] + 1e-9
 
     def test_all_flows_non_negative_for_valid_states(self, fd):
         rng = np.random.default_rng(5)
         for _ in range(100):
             rho = rng.uniform(0.0, 552.0, size=6)
-            state = TrafficState(0.0, float(rng.uniform(0.0, 552.0)), rho)
+            cells = np.concatenate(([rng.uniform(0.0, 552.0)], rho))
             v0 = float(rng.uniform(1.0, 100.0))
-            limits = SpeedLimits(v0, np.full(6, 100.0))
-            flows = interface_flows(state, limits, fd, float(rng.uniform(0, 9000)))
-            assert flows.inflow >= 0.0
-            assert np.all(flows.interfaces >= 0.0)
-
+            limits = np.array([v0] + [100.0] * 6)
+            q = one_state_flows(cells, limits, fd, float(rng.uniform(0, 9000)))
+            assert np.all(q >= 0.0)
 
     def test_matches_per_cell_law(self):
         # The array law against the per-cell loop it replaced, on arbitrary
@@ -231,20 +215,23 @@ class TestInterfaceFlows:
             v_f = fd.free_flow_speed
             zone_limit = float(rng.uniform(1.0, v_f))
             limits = SpeedLimits(zone_limit, rng.uniform(1.0, v_f, size=n))
-            args = (
-                state,
-                limits,
+            demand = float(rng.uniform(0.0, 1.2 * fd.capacity))
+            has_zone = bool(rng.integers(2))
+            lc_active = bool(rng.integers(2))
+            residual = float(rng.uniform(0.0, fd.capacity_drop_factor))
+            got = one_state_flows(
+                state.all_densities(has_zone),
+                limits.as_array(),
                 fd,
-                float(rng.uniform(0.0, 1.2 * fd.capacity)),
-                bool(rng.integers(2)),
-                bool(rng.integers(2)),
-                float(rng.uniform(0.0, fd.capacity_drop_factor)),
+                demand,
+                lc_active,
+                residual,
                 cap_d,
             )
-            got = interface_flows(*args)
-            ref = oracle_interface_flows(*args)
-            assert got.inflow == ref.inflow
-            assert np.array_equal(got.interfaces, ref.interfaces)
+            ref = oracle_interface_flows(
+                state, limits, fd, demand, has_zone, lc_active, residual, cap_d
+            )
+            assert np.array_equal(got, ref)
 
 
 class TestValueTypes:
@@ -262,12 +249,6 @@ class TestValueTypes:
             SpeedLimits(0.0, np.array([100.0]))
         with pytest.raises(ValueError):
             SpeedLimits(50.0, np.array([0.0]))
-
-    def test_flow_vector_non_negative(self):
-        with pytest.raises(ValueError):
-            FlowVector(-1.0, np.array([0.0]))
-        vec = FlowVector(1.0, np.array([2.0, 3.0]))
-        assert vec.bottleneck == 3.0
 
     def test_geometry_properties(self, geometry):
         assert geometry.has_zone

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from helpers import fine_grid_scenario, oracle_run, oracle_to_csv, random_triangle
+from helpers import (
+    fine_grid_scenario,
+    one_state_flows,
+    oracle_run,
+    oracle_to_csv,
+    random_triangle,
+)
 from hypothesis import given, settings, strategies as st
 
 import vslsim.simulate
@@ -11,7 +17,6 @@ from vslsim import (
     CflViolationError,
     ControllerError,
     DemandProfile,
-    FlowVector,
     IncidentSchedule,
     LcConfig,
     MetricConfig,
@@ -21,14 +26,12 @@ from vslsim import (
     TrafficState,
     cfl_limit,
     high_demand_preset,
-    interface_flows,
     moderate_demand_preset,
     run,
     simulate_scenario,
-    step,
     warm_state,
 )
-from vslsim.ctm import engaged_drop, fluxes, speed_caps
+from vslsim.ctm import engaged_drop, euler_update, fluxes, speed_caps
 from vslsim.scenario import HIGH_DEMAND_ZONE_SWEEP
 
 
@@ -51,39 +54,28 @@ def mini_scenario(fd, **overrides) -> Scenario:
     return Scenario(**defaults)
 
 
+def free_flow_step(fd, geometry, rho, demand) -> np.ndarray:
+    """Densities one 1 s step on, all limits at free flow, incident active."""
+    v = np.full(geometry.num_sections + 1, fd.free_flow_speed)
+    q = one_state_flows(rho, v, fd, demand)
+    return euler_update(rho, q, (1.0 / 3600.0) / geometry.cell_lengths())
+
+
 class TestStep:
     def test_single_cell_hand_arithmetic(self, fd):
         # rho' = 10 + (1/3600/1.6) * (3744 - 1000)
         geometry = NetworkGeometry(1, 1.6, 0.0)
-        state = TrafficState(0.0, 10.0, np.array([10.0]))
-        flows = FlowVector(3744.0, np.array([3744.0, 1000.0]))
-        out = step(state, flows, geometry, 1.0 / 3600.0)
-        assert out.densities[0] == pytest.approx(10.4763888889, rel=1e-9)
+        q = np.array([3744.0, 1000.0])
+        out = euler_update(np.array([10.0]), q, (1.0 / 3600.0) / geometry.cell_lengths())
+        assert out[0] == pytest.approx(10.4763888889, rel=1e-9)
 
     def test_equilibrium_is_fixed_point(self, fd, geometry):
-        state = TrafficState(0.0, 48.0, np.full(6, 48.0))
-        limits = SpeedLimits.uniform(100.0, 6)
-        flows = interface_flows(
-            state, limits, fd, 4800.0, downstream_capacity=fd.downstream_capacity
-        )
-        after = step(state, flows, geometry, 1.0 / 3600.0)
-        assert after.upstream_density == pytest.approx(48.0, rel=1e-12)
-        assert np.allclose(after.densities, 48.0, rtol=1e-12)
+        after = free_flow_step(fd, geometry, np.full(7, 48.0), 4800.0)
+        assert np.allclose(after, 48.0, rtol=1e-12)
 
     def test_empty_road_stays_empty(self, fd, geometry):
-        state = TrafficState(0.0, 0.0, np.zeros(6))
-        flows = interface_flows(state, SpeedLimits.uniform(100.0, 6), fd, 0.0)
-        after = step(state, flows, geometry, 1.0 / 3600.0)
-        assert after.upstream_density == 0.0
-        assert np.all(after.densities == 0.0)
-
-    def test_flux_mismatch_detected(self, fd):
-        # An outflow far above what the cell holds drives density negative.
-        geometry = NetworkGeometry(1, 0.1, 0.0)
-        state = TrafficState(0.0, 1.0, np.array([1.0]))
-        bogus = FlowVector(0.0, np.array([0.0, 7200.0]))
-        with pytest.raises(ValueError, match="negative density"):
-            step(state, bogus, geometry, 10.0 / 3600.0)
+        after = free_flow_step(fd, geometry, np.zeros(7), 0.0)
+        assert np.all(after == 0.0)
 
     def test_cfl_limit_value(self, fd, geometry):
         # min cell 1.6 km over the fastest wave 100 km/h = 57.6 s
@@ -102,14 +94,14 @@ class TestRun:
         trace = simulate_scenario(scenario)
         during = trace.incident_active
         assert np.max(trace.section_densities[during, -1]) > 48.0
-        assert np.min(trace.bottleneck_outflow[during]) == pytest.approx(4320.0)
+        assert np.min(trace.flows[during, -1]) == pytest.approx(4320.0)
 
     def test_bottleneck_cap_reverts_after_incident(self, fd):
         scenario = mini_scenario(fd, horizon=20.0 / 60.0)
         trace = simulate_scenario(scenario)
         after = trace.times >= scenario.incident.end
         # Recovery discharge exceeds the incident cap once lanes reopen.
-        assert np.max(trace.bottleneck_outflow[after]) > fd.downstream_capacity
+        assert np.max(trace.flows[after, -1]) > fd.downstream_capacity
 
     def test_zero_horizon_yields_single_sample(self, fd):
         scenario = mini_scenario(fd, horizon=0.0, incident=None)
@@ -162,6 +154,36 @@ class TestRun:
 
         with pytest.raises(ControllerError, match="above free flow"):
             run(scenario, too_fast_later)
+
+    @pytest.mark.parametrize(
+        "zone, section, named",
+        [(np.nan, 90.0, "zone speed limit"), (90.0, np.nan, "section speed limits")],
+    )
+    def test_nan_limit_stops_first_controller_call(self, fd, zone, section, named):
+        scenario = mini_scenario(fd)
+        calls = []
+
+        def nan_limits(state, t):
+            calls.append(t)
+            return SpeedLimits(zone, np.array([90.0, section, 90.0]))
+
+        with pytest.raises(ValueError, match=named):
+            run(scenario, nan_limits)
+        assert calls == [0.0]
+        # A value that slipped past SpeedLimits is still refused by the run.
+        forged = SpeedLimits.uniform(90.0, 3)
+        object.__setattr__(forged, "zone", zone)
+        object.__setattr__(forged, "sections", np.array([90.0, section, 90.0]))
+        with pytest.raises(ControllerError, match="or NaN"):
+            run(scenario, lambda s, t: forged)
+
+    def test_initial_state_must_match_geometry(self, fd):
+        with pytest.raises(ValueError, match="does not match the geometry"):
+            run(
+                mini_scenario(fd),
+                lambda s, t: SpeedLimits.uniform(100.0, 3),
+                initial_state=TrafficState.uniform(10.0, 5),
+            )
 
     def test_cfl_checked_before_running(self, fd):
         scenario = mini_scenario(fd, dt=120.0)
@@ -232,10 +254,10 @@ class TestProfilesAndTypes:
     def test_state_accessors_without_zone(self, fd):
         scenario = mini_scenario(fd)
         trace = simulate_scenario(scenario)
-        state = trace.state_at(0)
+        state = TrafficState.from_cells(0.0, trace.densities[0], has_zone=False)
         assert state.upstream_density == state.densities[0]
-        limits = trace.limits_at(0)
-        assert limits.num_sections == 3
+        assert state.num_sections == 3
+        assert np.array_equal(state.all_densities(has_zone=False), trace.densities[0])
 
 
 def replay_flows(scenario: Scenario, trace) -> np.ndarray:
