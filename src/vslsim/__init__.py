@@ -70,7 +70,6 @@ from .scenario import (
     simulate_scenario,
 )
 from .simulate import (
-    CflViolationError,
     ControllerError,
     DemandProfile,
     IncidentSchedule,

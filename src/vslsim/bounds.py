@@ -46,11 +46,11 @@ class BoundInputs:
     densities: np.ndarray  # veh/km per section at the incident instant
 
     def __post_init__(self) -> None:
-        if self.num_sections < 1:
-            raise ValueError("num_sections must be at least 1")
-        if self.section_length <= 0.0:
-            raise ValueError("section_length must be strictly positive")
         # Each range test is written so that NaN fails it too.
+        if not 1 <= self.num_sections < np.inf:
+            raise ValueError("num_sections must be at least 1")
+        if not 0.0 < self.section_length < np.inf:
+            raise ValueError("section_length must be strictly positive")
         if not 0.0 < self.zone_limit <= self.fd.free_flow_speed:
             raise BoundInputError("zone_limit", "must lie in (0, free_flow_speed]")
         arr = np.array(self.densities, dtype=float, copy=True).reshape(-1)

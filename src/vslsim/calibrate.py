@@ -43,7 +43,7 @@ class FdObservation:
     incident: bool = False
 
     def __post_init__(self) -> None:
-        if self.density < 0.0 or self.flow < 0.0:
+        if not (0.0 <= self.density < np.inf and 0.0 <= self.flow < np.inf):
             raise ValueError("density and flow must be non-negative")
 
 

@@ -28,7 +28,7 @@ from .scenario import (
     simulate_scenario,
     write_trace,
 )
-from .simulate import CflViolationError, ControllerError
+from .simulate import ControllerError
 from .sweep import load_sweep_spec, run_sweep, sweep_rows_to_csv
 
 EXIT_OK = 0
@@ -325,7 +325,6 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         ScenarioValidationError,
         CalibrationError,
         InfeasibleSpeedError,
-        CflViolationError,
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -41,9 +41,9 @@ class VslRuleConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.derating <= 1.0:
             raise ValueError("derating must lie in (0, 1]")
-        if self.switch_margin < 0.0:
+        if not 0.0 <= self.switch_margin < math.inf:
             raise ValueError("switch_margin must be non-negative")
-        if self.quantize_step < 0.0:
+        if not 0.0 <= self.quantize_step < math.inf:
             raise ValueError("quantize_step must be non-negative")
 
 
@@ -60,7 +60,7 @@ class LcConfig:
     residual_drop: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.advisory_distance_per_lane <= 0.0:
+        if not 0.0 < self.advisory_distance_per_lane < math.inf:
             raise ValueError("advisory_distance_per_lane must be strictly positive")
         if not 0.0 <= self.residual_drop < 1.0:
             raise ValueError("residual_drop must lie in [0, 1)")

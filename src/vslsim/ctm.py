@@ -70,9 +70,10 @@ class FundamentalDiagram:
     capacity_drop_factor: float
 
     def __post_init__(self) -> None:
-        # Every parameter but the trailing drop factor is a positive magnitude.
+        # Every parameter but the trailing drop factor is a finite positive
+        # magnitude; each range test is written so that NaN fails it too.
         for f in fields(self)[:-1]:
-            if getattr(self, f.name) <= 0.0:
+            if not 0.0 < getattr(self, f.name) < np.inf:
                 raise ValueError(f"{f.name} must be strictly positive")
         if not 0.0 < self.capacity_drop_factor < 1.0:
             raise ValueError("capacity_drop_factor must lie in (0, 1)")
@@ -139,11 +140,11 @@ class NetworkGeometry:
     upstream_zone_length: float = 0.0  # km, 0 removes the zone cell
 
     def __post_init__(self) -> None:
-        if self.num_sections < 1:
+        if not 1 <= self.num_sections < np.inf:
             raise ValueError("num_sections must be at least 1")
-        if self.section_length <= 0.0:
+        if not 0.0 < self.section_length < np.inf:
             raise ValueError("section_length must be strictly positive")
-        if self.upstream_zone_length < 0.0:
+        if not 0.0 <= self.upstream_zone_length < np.inf:
             raise ValueError("upstream_zone_length must be non-negative")
 
     @property
@@ -189,12 +190,12 @@ class TrafficState:
     densities: np.ndarray  # veh/km, sections 1..N
 
     def __post_init__(self) -> None:
-        if self.time < 0.0:
+        if not 0.0 <= self.time < np.inf:
             raise ValueError("time must be non-negative")
-        if self.upstream_density < 0.0:
+        if not 0.0 <= self.upstream_density < np.inf:
             raise ValueError("upstream_density must be non-negative")
         arr = _readonly(self.densities)
-        if np.any(arr < 0.0):
+        if not np.all((arr >= 0.0) & (arr < np.inf)):
             raise ValueError("densities must be non-negative")
         object.__setattr__(self, "densities", arr)
 
@@ -257,7 +258,7 @@ def vsl_max_flow(speed, fd: FundamentalDiagram):
     gives a float, an array of speeds the array of their flows.
     """
     speed = np.asarray(speed, dtype=float)
-    if np.any(speed <= 0.0):
+    if not np.all((speed > 0.0) & (speed < np.inf)):
         raise ValueError("speed must be strictly positive")
     w = fd.backprop_speed
     flow = speed * w * fd.jam_density / (speed + w)

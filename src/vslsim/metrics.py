@@ -63,6 +63,8 @@ def emission_rate_from_table(points: Sequence[tuple[float, float]]) -> RateFn:
         raise ValueError("emission table needs at least two points")
     speeds = np.array([p[0] for p in pts])
     rates = np.array([p[1] for p in pts])
+    if not (np.isfinite(speeds).all() and np.isfinite(rates).all()):
+        raise ValueError("emission table points must be finite")
 
     def rate(speed: float | np.ndarray) -> float | np.ndarray:
         return np.interp(speed, speeds, rates)

@@ -1,4 +1,4 @@
-"""Scenario definition, JSON schema, validation, and the bundled presets.
+"""Scenario definition, JSON schema, and the bundled presets.
 
 Scenario files are plain JSON with fixed units: lengths in km (the lane
 change advisory distance in m), speeds in km/h, flows in veh/h, densities in
@@ -10,6 +10,10 @@ nests) names every key, the dataclass attribute it fills and its unit.
 Reading, checking and writing all go through that table; a missing key takes
 the dataclass default. Unknown keys, non-finite numbers and non-integral
 integers are rejected with the dotted path of the offending element.
+
+Like every model type, a ``Scenario`` checks itself when it is built:
+``Scenario(...)`` and ``dataclasses.replace`` raise ``ScenarioValidationError``
+listing every violation, which the loader reports under dotted paths.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import hashlib
 import json
 import math
 import unicodedata
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -68,11 +72,11 @@ class MetricConfig:
     emission_table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.stop_speed < self.resume_speed:
+        if not 0.0 <= self.stop_speed < self.resume_speed < math.inf:
             raise ValueError("stop_speed must satisfy 0 <= stop_speed < resume_speed")
-        if self.seed_interval <= 0.0:
+        if not 0.0 < self.seed_interval < math.inf:
             raise ValueError("seed_interval must be strictly positive")
-        if self.density_floor < 0.0:
+        if not 0.0 <= self.density_floor < math.inf:
             raise ValueError("density_floor must be non-negative")
         if self.emission_table is not None:
             self.rate_fn()
@@ -91,7 +95,7 @@ def _whole_multiple(value: float, step: float) -> bool:
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Everything one simulation run needs, with validated invariants."""
+    """Everything one simulation run needs; building one checks every invariant."""
 
     name: str = "scenario"
     fd: FundamentalDiagram
@@ -114,8 +118,7 @@ class Scenario:
     def control_period_hours(self) -> float:
         return self.control_period / 3600.0
 
-    def validate(self) -> list[str]:
-        """Collect every violated invariant (empty list means valid)."""
+    def __post_init__(self) -> None:
         problems: list[str] = []
         if not self.name or any(
             ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in self.name
@@ -165,13 +168,8 @@ class Scenario:
             problems.append(
                 "lane_change.residual_drop: must not exceed the capacity drop factor"
             )
-        return problems
-
-    def require_valid(self) -> "Scenario":
-        problems = self.validate()
         if problems:
             raise ScenarioValidationError(problems)
-        return self
 
     # Analytic companions -------------------------------------------------
 
@@ -217,18 +215,8 @@ class Scenario:
         t0 = self.incident.start if self.incident is not None else 0.0
         v0 = self.phase1_zone_limit() if zone_limit is None else zone_limit
         base = BoundInputs.free_flow(self.fd, self.geometry, v0, self.demand.at(t0))
-        if upstream_density is None and densities is None:
-            return base
-        return BoundInputs(
-            fd=self.fd,
-            num_sections=self.geometry.num_sections,
-            section_length=self.geometry.section_length,
-            zone_limit=v0,
-            upstream_density=(
-                base.upstream_density if upstream_density is None else upstream_density
-            ),
-            densities=base.densities if densities is None else densities,
-        )
+        given = {"upstream_density": upstream_density, "densities": densities}
+        return replace(base, **{k: v for k, v in given.items() if v is not None})
 
     # Serialization --------------------------------------------------------
 
@@ -335,8 +323,8 @@ def decode(section: Section, data, path: str, problems: list[str]):
     """Build ``section.cls`` from a JSON object, appending every violation
     to ``problems`` under its dotted path; None when anything failed.
 
-    JSON null is accepted only where the attribute's default is None. A
-    decoded object with a ``validate`` method has its violations appended too.
+    JSON null is accepted only where the attribute's default is None; a
+    constructor's ScenarioValidationError adds its violations under ``path``.
     """
     where = path or "document"
     if not isinstance(data, dict):
@@ -368,13 +356,12 @@ def decode(section: Section, data, path: str, problems: list[str]):
     if len(problems) > before:
         return None
     try:
-        obj = section.cls(**kwargs)
+        return section.cls(**kwargs)
+    except ScenarioValidationError as exc:
+        problems += [_join(path, v) for v in exc.violations]
     except (ValueError, TypeError) as exc:
         problems.append(f"{where}: {exc}")
-        return None
-    violations = obj.validate() if hasattr(obj, "validate") else []
-    problems += [_join(path, v) for v in violations]
-    return None if violations else obj
+    return None
 
 
 def _encode_value(f: Field, value):
@@ -499,7 +486,7 @@ def decode_or_raise(section: Section, data):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build and fully validate a scenario, reporting every violation."""
+    """Build a scenario from its JSON document, reporting every violation."""
     return decode_or_raise(SCENARIO_SCHEMA, data)
 
 
@@ -552,10 +539,6 @@ def make_controller(scenario: Scenario) -> control.Controller:
     kind = scenario.controller
     if kind == "no_control":
         return control.NoControl(scenario.fd, scenario.geometry)
-    if scenario.incident is None:
-        raise ScenarioValidationError(
-            ["controller: rule-based control needs an incident schedule"]
-        )
     if kind == "rule_based":
         return control.RuleBasedSchedule(
             scenario.fd,
@@ -564,20 +547,17 @@ def make_controller(scenario: Scenario) -> control.Controller:
             scenario.vsl,
             scenario.demand.at(scenario.incident.start),
         )
-    if kind == "rule_based_reactive":
-        return control.RuleBasedReactive(
-            scenario.fd,
-            scenario.geometry,
-            scenario.incident,
-            scenario.vsl,
-            scenario.demand.at,
-        )
-    raise ScenarioValidationError([f"controller: unknown kind {kind!r}"])
+    return control.RuleBasedReactive(
+        scenario.fd,
+        scenario.geometry,
+        scenario.incident,
+        scenario.vsl,
+        scenario.demand.at,
+    )
 
 
 def simulate_scenario(scenario: Scenario, controller=None) -> SimulationTrace:
-    """Validate, build the configured controller when none is given, and run."""
-    scenario.require_valid()
+    """Build the configured controller when none is given, and run."""
     if controller is None:
         controller = make_controller(scenario)
     return run(scenario, controller)

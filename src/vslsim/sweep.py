@@ -116,7 +116,7 @@ def _run_one(args: tuple[Scenario, str, float, Path | None]) -> SweepRow:
     """One swept value; writes its trace CSV into ``trace_dir`` when given."""
     base, variable, value, trace_dir = args
     try:
-        scenario = apply_sweep_value(base, variable, value).require_valid()
+        scenario = apply_sweep_value(base, variable, value)
         bound = zone_bound_report(
             scenario.bound_inputs(), scenario.geometry.upstream_zone_length
         )

@@ -132,7 +132,11 @@ class TestRun:
         assert "no probe vehicle completed" in out
 
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
-        path = write_mini_scenario(tmp_path, name="bad", dt=120.0)
+        # An invalid Scenario cannot be built, so the file is edited instead.
+        path = write_mini_scenario(tmp_path, name="bad")
+        doc = json.loads(path.read_text())
+        doc["dt_s"] = 120.0
+        path.write_text(json.dumps(doc))
         assert cli_dispatch(["run", str(path)]) == 2
         assert "CFL" in capsys.readouterr().err
 

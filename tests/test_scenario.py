@@ -4,19 +4,23 @@ import json
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import asdict, replace
 from hypothesis import given, settings, strategies as st
 
 from vslsim import (
+    BoundInputs,
     DemandProfile,
+    FdObservation,
     FundamentalDiagram,
     VslRuleConfig,
     IncidentSchedule,
+    LcConfig,
     MetricConfig,
     NetworkGeometry,
     Scenario,
     ScenarioValidationError,
     SweepSpec,
+    TrafficState,
     apply_sweep_value,
     evaluate_trace,
     high_demand_preset,
@@ -28,6 +32,7 @@ from vslsim import (
     scenario_from_dict,
     simulate_scenario,
     sweep_rows_to_csv,
+    vsl_max_flow,
 )
 from vslsim.scenario import CONTROLLER_KINDS, PRESETS, ZONE_SWEEPS
 from vslsim.sweep import load_sweep_spec
@@ -43,7 +48,7 @@ class TestPresets:
         assert s.geometry.section_length == pytest.approx(1.6)
         assert s.geometry.upstream_zone_length == pytest.approx(4.8)
         assert s.horizon == pytest.approx(1.5)
-        assert not s.validate()
+        assert replace(s) == s  # rebuilding re-checks every invariant
 
     def test_high_demand_posted_commands(self):
         s = high_demand_preset()
@@ -57,7 +62,7 @@ class TestPresets:
         assert s.demand.at(0.0) == 5500.0
         assert s.geometry.upstream_zone_length == pytest.approx(1.6)
         assert s.switch_time() == pytest.approx(0.5)
-        assert not s.validate()
+        assert replace(s) == s
 
     def test_sweep_value_lists(self):
         assert len(ZONE_SWEEPS["high_demand"]) == 12
@@ -69,37 +74,123 @@ class TestPresets:
             assert load_scenario(name).name == name
 
 
+def violations(base: Scenario, **changes) -> list[str]:
+    """Every violation ``replace(base, **changes)`` raises at construction."""
+    with pytest.raises(ScenarioValidationError) as err:
+        replace(base, **changes)
+    return err.value.violations
+
+
 class TestValidation:
     def test_cfl_violation_reported_with_field(self, fd):
-        scenario = replace(high_demand_preset(), dt=120.0)
-        problems = scenario.validate()
+        problems = violations(high_demand_preset(), dt=120.0)
         assert any("dt" in p and "CFL" in p for p in problems)
 
     def test_all_violations_reported_at_once(self):
-        scenario = replace(
+        problems = violations(
             high_demand_preset(),
             dt=120.0,
             name="",
             controller="magic",
             horizon=0.5,
         )
-        problems = scenario.validate()
         assert len(problems) >= 4
         joined = "\n".join(problems)
         for needle in ("dt", "name", "controller", "horizon"):
             assert needle in joined
 
     def test_residual_drop_bounded_by_drop_factor(self, fd):
-        from vslsim import LcConfig
-
-        scenario = replace(
-            high_demand_preset(), lc=LcConfig(residual_drop=0.5)
-        )
-        assert any("residual_drop" in p for p in scenario.validate())
+        problems = violations(high_demand_preset(), lc=LcConfig(residual_drop=0.5))
+        assert any("residual_drop" in p for p in problems)
 
     def test_rule_based_needs_incident(self, fd):
-        scenario = replace(high_demand_preset(), incident=None, horizon=0.5)
-        assert any("incident" in p for p in scenario.validate())
+        problems = violations(high_demand_preset(), incident=None, horizon=0.5)
+        assert any("incident" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "changes, fields",
+        [
+            # The step was rounded: a 1.1 s control period ran as 1.4 s, and
+            # the run stopped at 15.0033 min.
+            (dict(dt=0.7, control_period=1.1, horizon=0.25), ("dt:", "control_period:")),
+            # Only 30 min of the 80 min incident were simulated.
+            (dict(horizon=0.5), ("horizon:",)),
+            # The rule-based controller ran without an incident.
+            (dict(incident=None), ("controller:",)),
+        ],
+        ids=["rounded_steps", "horizon_before_incident_end", "rule_without_incident"],
+    )
+    def test_reinterpreted_scenarios_rejected_when_built(self, changes, fields):
+        problems = violations(high_demand_preset(), **changes)
+        for field in fields:
+            assert any(p.startswith(field) for p in problems), (field, problems)
+
+
+_FD = high_demand_preset().fd
+
+# A valid keyword set for each value object with numeric fields.
+VALID_KWARGS = {
+    FundamentalDiagram: asdict(_FD),
+    NetworkGeometry: dict(num_sections=6, section_length=1.6, upstream_zone_length=4.8),
+    DemandProfile: dict(times=(0.0, 0.5), flows=(7000.0, 6000.0)),
+    VslRuleConfig: dict(derating=0.8, switch_margin=0.1, quantize_step=5.0),
+    LcConfig: dict(advisory_distance_per_lane=800.0, residual_drop=0.0),
+    MetricConfig: dict(
+        stop_speed=5.0,
+        resume_speed=10.0,
+        seed_interval=10.0,
+        density_floor=1.0,
+        emission_table=((100.0, 150.0), (0.0, 300.0)),
+    ),
+    IncidentSchedule: dict(start=0.1, end=1.0, lanes_closed=1),
+    TrafficState: dict(time=0.0, upstream_density=50.0, densities=(50.0, 50.0)),
+    BoundInputs: dict(
+        fd=_FD,
+        num_sections=2,
+        section_length=1.6,
+        zone_limit=20.0,
+        upstream_density=50.0,
+        densities=(50.0, 50.0),
+    ),
+    FdObservation: dict(density=50.0, flow=5000.0),
+}
+
+
+def _spoil(value, bad):
+    """``value`` with its last number (the last element of a sequence, the
+    last number of the last pair) replaced by ``bad``."""
+    if isinstance(value, tuple):
+        return value[:-1] + (_spoil(value[-1], bad),)
+    return bad
+
+
+NON_FINITE_CASES = [
+    (cls, key, bad)
+    for cls, kwargs in VALID_KWARGS.items()
+    for key, value in kwargs.items()
+    if key != "fd"
+    for bad in (float("nan"), float("inf"))
+]
+
+
+class TestNonFiniteRejectedWhenBuilt:
+    @pytest.mark.parametrize(
+        "cls, key, bad",
+        NON_FINITE_CASES,
+        ids=[f"{c.__name__}.{k}-{b}" for c, k, b in NON_FINITE_CASES],
+    )
+    def test_value_objects(self, cls, key, bad):
+        kwargs = VALID_KWARGS[cls]
+        cls(**kwargs)
+        with pytest.raises(ValueError):
+            cls(**{**kwargs, key: _spoil(kwargs[key], bad)})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_vsl_max_flow(self, bad):
+        with pytest.raises(ValueError):
+            vsl_max_flow(bad, _FD)
+        with pytest.raises(ValueError):
+            vsl_max_flow(np.array([20.0, bad]), _FD)
 
 
 class TestSerialization:
@@ -329,20 +420,22 @@ class TestStrictSchema:
 
     @pytest.mark.parametrize("name", ["", "a/b", "..\\x", "a\x00b", "tab\there"])
     def test_unsafe_names_rejected(self, name):
-        problems = replace(high_demand_preset(), name=name).validate()
+        problems = violations(high_demand_preset(), name=name)
         assert any(p.startswith("name:") for p in problems)
 
     def test_plain_names_with_commas_and_quotes_accepted(self):
-        assert not replace(high_demand_preset(), name='a,"b" c').validate()
+        assert replace(high_demand_preset(), name='a,"b" c').name == 'a,"b" c'
 
     def test_steps_must_divide_horizon_and_control_period(self):
         base = high_demand_preset()
-        assert not replace(base, dt=0.5, control_period=10.0).validate()
-        assert any("horizon" in p for p in replace(base, dt=0.7).validate())
-        short = replace(base, dt=0.7, horizon=84.0 / 60.0)
-        assert not replace(short, control_period=1.4).validate()
-        assert any("control_period" in p for p in replace(short, control_period=1.1).validate())
-        assert any("control_period" in p for p in replace(base, control_period=0.5).validate())
+        assert replace(base, dt=0.5, control_period=10.0).dt == 0.5
+        assert any("horizon" in p for p in violations(base, dt=0.7))
+        short = dict(dt=0.7, horizon=84.0 / 60.0)
+        assert replace(base, **short, control_period=1.4).control_period == 1.4
+        assert any(
+            "control_period" in p for p in violations(base, **short, control_period=1.1)
+        )
+        assert any("control_period" in p for p in violations(base, control_period=0.5))
 
 
 @st.composite
@@ -480,6 +573,15 @@ class TestSweepSpecFile:
         path = self._write(tmp_path, {"scenario": doc, "values": [1.0]})
         with pytest.raises(ScenarioValidationError, match="scenario.vsl.deratng"):
             load_sweep_spec(path)
+        doc = high_demand_preset().to_dict()
+        doc["dt_s"] = 120
+        path = self._write(tmp_path, {"scenario": doc, "values": [1.0]})
+        with pytest.raises(ScenarioValidationError) as err:
+            load_sweep_spec(path)
+        assert [v.split(":")[0] for v in err.value.violations] == [
+            "scenario.dt",
+            "scenario.control_period",
+        ]
 
     def test_preset_and_scenario_conflict(self, tmp_path):
         doc = high_demand_preset().to_dict()

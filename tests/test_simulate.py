@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 import vslsim.simulate
 from vslsim import (
-    CflViolationError,
     ControllerError,
     DemandProfile,
     IncidentSchedule,
@@ -22,6 +21,7 @@ from vslsim import (
     MetricConfig,
     NetworkGeometry,
     Scenario,
+    ScenarioValidationError,
     SpeedLimits,
     TrafficState,
     cfl_limit,
@@ -186,9 +186,10 @@ class TestRun:
             )
 
     def test_cfl_checked_before_running(self, fd):
-        scenario = mini_scenario(fd, dt=120.0)
-        with pytest.raises(CflViolationError):
-            run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3))
+        # The scenario checks the CFL bound when it is built, so no run starts.
+        with pytest.raises(ScenarioValidationError) as err:
+            mini_scenario(fd, dt=120.0)
+        assert any(v.startswith("dt:") and "CFL" in v for v in err.value.violations)
 
     def test_events_logged(self, fd):
         scenario = mini_scenario(fd)
@@ -386,7 +387,11 @@ class TestOutOfRangeStates:
 
     def test_nan_state_names_step_and_cell(self, fd):
         scenario = mini_scenario(fd)
-        state = TrafficState(0.0, 70.0, np.array([70.0, np.nan, 70.0]))
+        with pytest.raises(ValueError, match="densities must be non-negative"):
+            TrafficState(0.0, 70.0, np.array([70.0, np.nan, 70.0]))
+        # A state that slipped past TrafficState is still refused by the run.
+        state = TrafficState.uniform(70.0, 3)
+        object.__setattr__(state, "densities", np.array([70.0, np.nan, 70.0]))
         with pytest.raises(ValueError, match=r"step 0 \(t = 0 min\): cell 1 density nan"):
             run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3), initial_state=state)
 
