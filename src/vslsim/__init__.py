@@ -30,7 +30,6 @@ from .control import (
     derated_command,
     lc_distance,
     rule_commands,
-    switch_time,
     v0_command,
 )
 from .ctm import (

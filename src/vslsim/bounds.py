@@ -190,7 +190,12 @@ def chasing_verdict(inputs: BoundInputs, zone_length: float) -> ChasingVerdict:
 
 @dataclass(frozen=True)
 class ZoneBoundReport:
-    """Everything the bound computation knows about one candidate zone length."""
+    """Everything the bound computation knows about one candidate zone length.
+
+    ``feasible`` is always true: ``zone_bound_report`` computes the raw bound
+    first, which raises ``InfeasibleSpeedError`` for an infeasible command, so
+    no report is built for one.
+    """
 
     zone_length: float  # km, the evaluated candidate
     lower_bound: float  # km, clamped at zero

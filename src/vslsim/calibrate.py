@@ -20,6 +20,10 @@ import numpy as np
 from .ctm import FundamentalDiagram
 
 MIN_BASE_OBSERVATIONS = 30
+# Capacities are this quantile of the observed flows, robust to a few outliers.
+CAPACITY_QUANTILE = 0.99
+# Most rounds of the free/congested split before the fit gives up converging.
+MAX_ALTERNATIONS = 5
 # Branch-split comparisons use a relative tolerance so observations sitting
 # exactly at the critical occupancy stay on the free-flow side even when the
 # fitted speed is off by an ulp.
@@ -90,15 +94,13 @@ def _affine_fit(rho: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
 
 def fit_fundamental_diagram(
     observations: Sequence[FdObservation],
-    capacity_quantile: float = 0.99,
     pinned_free_flow_speed: float | None = None,
-    max_alternations: int = 5,
 ) -> tuple[FundamentalDiagram, FitDiagnostics]:
     """Identify every fundamental-diagram parameter from observations.
 
     The free/congested split starts at the density of the highest-flow
     no-incident observation and alternates with refits until the implied
-    critical density stops moving (at most ``max_alternations`` rounds).
+    critical density stops moving (at most ``MAX_ALTERNATIONS`` rounds).
     ``pinned_free_flow_speed`` overrides the fitted slope in the returned
     diagram; the fitted value stays available in the diagnostics.
     """
@@ -112,14 +114,14 @@ def fit_fundamental_diagram(
         )
     rho = np.array([o.density for o in base])
     q = np.array([o.flow for o in base])
-    capacity = float(np.quantile(q, capacity_quantile))
+    capacity = float(np.quantile(q, CAPACITY_QUANTILE))
     if capacity <= 0.0:
         raise CalibrationError("no-incident flows are all zero")
 
     split = float(rho[int(np.argmax(q))])
     v_f = float("nan")
     w = float("nan")
-    for rounds in range(1, max_alternations + 1):
+    for rounds in range(1, MAX_ALTERNATIONS + 1):
         free = rho <= split * (1.0 + SPLIT_RTOL)
         congested = ~free
         if not np.any(free) or not np.any(congested):
@@ -165,7 +167,7 @@ def fit_fundamental_diagram(
     q_i = np.array([o.flow for o in incident])
     # The recovered-discharge threshold depends on the capacity being
     # estimated, so bootstrap it from all incident flows and refine once.
-    cap_d = min(float(np.quantile(q_i, capacity_quantile)), capacity)
+    cap_d = min(float(np.quantile(q_i, CAPACITY_QUANTILE)), capacity)
     for _ in range(2):
         threshold = cap_d / v_f
         below = rho_i <= threshold * (1.0 + SPLIT_RTOL)
@@ -174,7 +176,7 @@ def fit_fundamental_diagram(
                 "no incident observations at subcritical densities; cannot "
                 "identify the recovered bottleneck capacity"
             )
-        cap_d = min(float(np.quantile(q_i[below], capacity_quantile)), capacity)
+        cap_d = min(float(np.quantile(q_i[below], CAPACITY_QUANTILE)), capacity)
     threshold = cap_d / v_f
     below = rho_i <= threshold * (1.0 + SPLIT_RTOL)
     above = ~below
@@ -185,7 +187,7 @@ def fit_fundamental_diagram(
             "no incident observations at supercritical densities; cannot "
             "identify the capacity drop"
         )
-    dropped = float(np.quantile(q_i[above], capacity_quantile))
+    dropped = float(np.quantile(q_i[above], CAPACITY_QUANTILE))
     drop_factor = 1.0 - dropped / cap_d
     if not 0.0 < drop_factor < 1.0:
         raise CalibrationError(

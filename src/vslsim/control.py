@@ -12,15 +12,13 @@ single factor plus optional quantization to a sign step.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .bounds import BoundInputs, time_to_clear
-from .ctm import FundamentalDiagram, NetworkGeometry, SpeedLimits, TrafficState
+from .ctm import FundamentalDiagram, SpeedLimits, TrafficState
 
 if TYPE_CHECKING:
-    from .simulate import IncidentSchedule
+    from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -134,68 +132,42 @@ def derated_command(command: float, cfg: VslRuleConfig, fd: FundamentalDiagram) 
     return min(v, fd.free_flow_speed)
 
 
-def switch_time(
-    incident: "IncidentSchedule",
-    cfg: VslRuleConfig,
-    fd: FundamentalDiagram,
-    geometry: NetworkGeometry,
-    demand: float,
-) -> float:
-    """Instant the schedule steps the zone command up to the cleared value (h).
-
-    Estimated queue-clearing time for a corridor in free flow at the incident
-    instant, plus the configured margin. A switch landing at or beyond the
-    incident end is clamped there and reported.
-    """
-    congested, _ = rule_commands(fd)
-    inputs = BoundInputs.free_flow(
-        fd, geometry, derated_command(congested, cfg, fd), demand
-    )
-    t_s = incident.start + time_to_clear(inputs, geometry.upstream_zone_length)
-    t_s += cfg.switch_margin
-    if t_s >= incident.end:
-        warnings.warn(
-            f"switch time {t_s:.4g} h reaches the incident end "
-            f"{incident.end:.4g} h; clamping",
-            stacklevel=2,
-        )
-        t_s = incident.end
-    return t_s
-
-
 Controller = Callable[[TrafficState, float], SpeedLimits]
+
+
+def _require_incident(scenario: "Scenario") -> None:
+    if scenario.incident is None:
+        raise ValueError("rule-based control needs an incident schedule")
 
 
 class NoControl:
     """Baseline: every sign posts the free flow speed."""
 
-    def __init__(self, fd: FundamentalDiagram, geometry: NetworkGeometry) -> None:
-        self._limits = SpeedLimits.uniform(fd.free_flow_speed, geometry.num_sections)
+    def __init__(self, scenario: "Scenario") -> None:
+        self._limits = SpeedLimits.uniform(
+            scenario.fd.free_flow_speed, scenario.geometry.num_sections
+        )
 
     def __call__(self, state: TrafficState, t: float) -> SpeedLimits:
         return self._limits
 
 
 class RuleBasedSchedule:
-    """Time-triggered rule: phase commands precomputed from the incident
-    schedule, ignoring measured state entirely."""
+    """Time-triggered rule: the scenario's phase-1 command from the incident
+    start until ``Scenario.switch_time()``, the cleared command from then until
+    the incident end, ignoring measured state entirely."""
 
-    def __init__(
-        self,
-        fd: FundamentalDiagram,
-        geometry: NetworkGeometry,
-        incident: "IncidentSchedule",
-        cfg: VslRuleConfig,
-        demand: float,
-    ) -> None:
-        congested, cleared = rule_commands(fd)
-        self.congested_command = derated_command(congested, cfg, fd)
-        self.cleared_command = derated_command(cleared, cfg, fd)
-        self.switch_time = switch_time(incident, cfg, fd, geometry, demand)
-        self._incident = incident
-        self._fd = fd
-        self._free = SpeedLimits.uniform(fd.free_flow_speed, geometry.num_sections)
-        self._sections = [fd.free_flow_speed] * geometry.num_sections
+    def __init__(self, scenario: "Scenario") -> None:
+        _require_incident(scenario)
+        fd = scenario.fd
+        _, cleared = rule_commands(fd)
+        self.congested_command = scenario.phase1_zone_limit()
+        self.cleared_command = derated_command(cleared, scenario.vsl, fd)
+        self.switch_time = scenario.switch_time()
+        self._incident = scenario.incident
+        n = scenario.geometry.num_sections
+        self._free = SpeedLimits.uniform(fd.free_flow_speed, n)
+        self._sections = [fd.free_flow_speed] * n
 
     def __call__(self, state: TrafficState, t: float) -> SpeedLimits:
         if self._incident.start <= t < self.switch_time:
@@ -213,23 +185,27 @@ class RuleBasedReactive:
     window it posts free flow speed since no bottleneck is active.
     """
 
-    def __init__(
-        self,
-        fd: FundamentalDiagram,
-        geometry: NetworkGeometry,
-        incident: "IncidentSchedule",
-        cfg: VslRuleConfig,
-        demand_at: Callable[[float], float],
-    ) -> None:
+    def __init__(self, scenario: "Scenario") -> None:
+        _require_incident(scenario)
+        fd = scenario.fd
         self._fd = fd
-        self._incident = incident
-        self._cfg = cfg
-        self._demand_at = demand_at
-        self._sections = [fd.free_flow_speed] * geometry.num_sections
-        self._free = SpeedLimits.uniform(fd.free_flow_speed, geometry.num_sections)
+        self._incident = scenario.incident
+        self._cfg = scenario.vsl
+        self._demand_at = scenario.demand.at
+        n = scenario.geometry.num_sections
+        self._sections = [fd.free_flow_speed] * n
+        self._free = SpeedLimits.uniform(fd.free_flow_speed, n)
 
     def __call__(self, state: TrafficState, t: float) -> SpeedLimits:
         if not self._incident.start <= t < self._incident.end:
             return self._free
         command = v0_command(self._demand_at(t), float(state.densities[-1]), self._fd)
         return SpeedLimits(derated_command(command, self._cfg, self._fd), self._sections)
+
+
+# Controller kind named by ``Scenario.controller`` -> class built from the scenario.
+CONTROLLERS: dict[str, Callable[["Scenario"], Controller]] = {
+    "no_control": NoControl,
+    "rule_based": RuleBasedSchedule,
+    "rule_based_reactive": RuleBasedReactive,
+}

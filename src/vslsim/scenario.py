@@ -3,7 +3,10 @@
 Scenario files are plain JSON with fixed units: lengths in km (the lane
 change advisory distance in m), speeds in km/h, flows in veh/h, densities in
 veh/km, schedule times and the horizon in minutes, the integration step and
-the control period in seconds. Internally every time is in hours.
+the control period in seconds. Internally the schedule times, the demand
+step times, the horizon and ``VslRuleConfig.switch_margin`` are in hours,
+while ``Scenario.dt``, ``Scenario.control_period`` and
+``MetricConfig.seed_interval`` are in seconds.
 
 One field table per JSON object (``SCENARIO_SCHEMA`` and the sections it
 nests) names every key, the dataclass attribute it fills and its unit.
@@ -22,12 +25,13 @@ import hashlib
 import json
 import math
 import unicodedata
+import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
 from . import control
-from .bounds import BoundInputs
+from .bounds import BoundInputs, time_to_clear
 from .control import LcConfig, VslRuleConfig
 from .ctm import FundamentalDiagram, NetworkGeometry, equilibrium_density
 from .metrics import (
@@ -45,7 +49,7 @@ from .simulate import (
     run,
 )
 
-CONTROLLER_KINDS = ("no_control", "rule_based", "rule_based_reactive")
+CONTROLLER_KINDS = tuple(control.CONTROLLERS)
 
 # Relative tolerance for "a whole number of integration steps".
 STEP_RTOL = 1e-9
@@ -180,16 +184,27 @@ class Scenario:
 
     def switch_time(self) -> float | None:
         """Scheduled step-up instant of the zone command (h), None without
-        an incident."""
+        an incident.
+
+        The incident start plus the estimated queue-clearing time for a
+        corridor in free flow at that instant (``bound_inputs()``), plus the
+        configured margin. A switch landing at or beyond the incident end is
+        clamped there and reported with a warning raised here, so the default
+        filter shows it once however many callers ask.
+        """
         if self.incident is None:
             return None
-        return control.switch_time(
-            self.incident,
-            self.vsl,
-            self.fd,
-            self.geometry,
-            self.demand.at(self.incident.start),
+        t_s = self.incident.start + time_to_clear(
+            self.bound_inputs(), self.geometry.upstream_zone_length
         )
+        t_s += self.vsl.switch_margin
+        if t_s >= self.incident.end:
+            warnings.warn(
+                f"switch time {t_s:.4g} h reaches the incident end "
+                f"{self.incident.end:.4g} h; clamping"
+            )
+            t_s = self.incident.end
+        return t_s
 
     def rho_star(self) -> float:
         """Target equilibrium density for the tracking error (veh/km)."""
@@ -536,24 +551,7 @@ def write_trace(scenario: Scenario, trace: SimulationTrace, directory: Path) -> 
 
 def make_controller(scenario: Scenario) -> control.Controller:
     """Instantiate the controller selected by the scenario."""
-    kind = scenario.controller
-    if kind == "no_control":
-        return control.NoControl(scenario.fd, scenario.geometry)
-    if kind == "rule_based":
-        return control.RuleBasedSchedule(
-            scenario.fd,
-            scenario.geometry,
-            scenario.incident,
-            scenario.vsl,
-            scenario.demand.at(scenario.incident.start),
-        )
-    return control.RuleBasedReactive(
-        scenario.fd,
-        scenario.geometry,
-        scenario.incident,
-        scenario.vsl,
-        scenario.demand.at,
-    )
+    return control.CONTROLLERS[scenario.controller](scenario)
 
 
 def simulate_scenario(scenario: Scenario, controller=None) -> SimulationTrace:

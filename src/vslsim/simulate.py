@@ -90,10 +90,14 @@ class DemandProfile:
 
     def at(self, t):
         """Demand in force at time(s) ``t`` (h): the flow of the last step
-        starting at or before ``t``. A float gives a float, an array an array."""
+        starting at or before ``t``. A float gives a float, an array an array.
+        A negative or NaN time raises ValueError."""
+        scalar = np.ndim(t) == 0
+        if not (t >= 0.0 if scalar else np.all(np.greater_equal(t, 0.0))):
+            raise ValueError(f"demand time must be non-negative, got {t!r}")
         step = np.searchsorted(self.times, t, side="right") - 1  # bisect_right - 1
         flows = np.asarray(self.flows)[step]
-        return flows if np.ndim(t) else float(flows)
+        return float(flows) if scalar else flows
 
 
 def cfl_limit(geometry: NetworkGeometry, fd: FundamentalDiagram) -> float:

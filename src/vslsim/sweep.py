@@ -14,6 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from .bounds import ZoneBoundReport, zone_bound_report
 from .metrics import MetricsReport
@@ -161,25 +162,39 @@ def run_sweep(
     return [_run_one(job) for job in jobs]
 
 
-SWEEP_CSV_COLUMNS = (
-    "variable",
-    "value",
-    "name",
-    "status",
-    "error",
-    "att_min",
-    "avg_stops",
-    "avg_emission_g_per_km",
-    "rrmse",
-    "vehicles_counted",
-    "zone_length_km",
-    "l0_lower_bound_km",
-    "time_to_clear_min",
-    "arrival_time_min",
-    "verdict",
-    "feasible",
-    "error_type",
-)
+def _g(x: float) -> str:
+    return f"{x:.10g}"
+
+
+def _from_metrics(cell: Callable[[MetricsReport], str]) -> Callable[[SweepRow], str]:
+    return lambda row: "" if row.metrics is None else cell(row.metrics)
+
+
+def _from_bound(cell: Callable[[ZoneBoundReport], str]) -> Callable[[SweepRow], str]:
+    return lambda row: "" if row.bound is None else cell(row.bound)
+
+
+# Summary CSV header -> the text of its cell for one row, in column order. A
+# failed row leaves its metric and bound cells empty.
+SWEEP_CSV_COLUMNS: dict[str, Callable[[SweepRow], str]] = {
+    "variable": lambda row: row.variable,
+    "value": lambda row: _g(row.value),
+    "name": lambda row: row.name,
+    "status": lambda row: row.status,
+    "error": lambda row: row.error or "",
+    "att_min": _from_metrics(lambda m: _g(m.att_min)),
+    "avg_stops": _from_metrics(lambda m: _g(m.avg_stops)),
+    "avg_emission_g_per_km": _from_metrics(lambda m: _g(m.avg_emission_g_per_km)),
+    "rrmse": _from_metrics(lambda m: _g(m.rrmse)),
+    "vehicles_counted": _from_metrics(lambda m: str(m.vehicles_counted)),
+    "zone_length_km": _from_bound(lambda b: _g(b.zone_length)),
+    "l0_lower_bound_km": _from_bound(lambda b: _g(b.lower_bound)),
+    "time_to_clear_min": _from_bound(lambda b: _g(b.time_to_clear * 60.0)),
+    "arrival_time_min": _from_bound(lambda b: _g(b.arrival_time * 60.0)),
+    "verdict": _from_bound(lambda b: b.verdict),
+    "feasible": _from_bound(lambda b: str(b.feasible).lower()),
+    "error_type": lambda row: row.error_type or "",
+}
 
 
 def sweep_rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:
@@ -188,30 +203,9 @@ def sweep_rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_CSV_COLUMNS)
-        for row in rows:
-            m = row.metrics
-            b = row.bound
-            writer.writerow(
-                [
-                    row.variable,
-                    f"{row.value:.10g}",
-                    row.name,
-                    row.status,
-                    row.error or "",
-                    "" if m is None else f"{m.att_min:.10g}",
-                    "" if m is None else f"{m.avg_stops:.10g}",
-                    "" if m is None else f"{m.avg_emission_g_per_km:.10g}",
-                    "" if m is None else f"{m.rrmse:.10g}",
-                    "" if m is None else str(m.vehicles_counted),
-                    "" if b is None else f"{b.zone_length:.10g}",
-                    "" if b is None else f"{b.lower_bound:.10g}",
-                    "" if b is None else f"{b.time_to_clear * 60.0:.10g}",
-                    "" if b is None else f"{b.arrival_time * 60.0:.10g}",
-                    "" if b is None else b.verdict,
-                    "" if b is None else str(b.feasible).lower(),
-                    row.error_type or "",
-                ]
-            )
+        writer.writerows(
+            [cell(row) for cell in SWEEP_CSV_COLUMNS.values()] for row in rows
+        )
 
 
 def load_sweep_spec(source: str | Path) -> SweepSpec:

@@ -10,7 +10,7 @@ from vslsim import (
     FdObservation,
     fit_fundamental_diagram,
 )
-from vslsim.calibrate import free_flow_slope
+from vslsim.calibrate import MAX_ALTERNATIONS, free_flow_slope
 
 FIELDS = (
     "capacity",
@@ -48,7 +48,7 @@ class TestRoundTrip:
         for name, err in relative_errors(fitted, fd).items():
             assert err < 1e-3, f"{name} off by {err:.2e}"
         assert diag.split_converged
-        assert diag.alternations <= 5
+        assert diag.alternations <= MAX_ALTERNATIONS
 
     def test_noisy_within_three_percent(self, fd):
         rng = np.random.default_rng(987)

@@ -145,6 +145,20 @@ class TestRun:
         path.write_text("{not json")
         assert cli_dispatch(["run", str(path)]) == 2
 
+    def test_clamped_switch_warns_once_per_run(self, tmp_path, capsys):
+        import warnings
+        from dataclasses import replace
+
+        base = high_demand_preset()
+        scenario = replace(base, vsl=replace(base.vsl, switch_margin=1.2))
+        path = tmp_path / "clamped.json"
+        save_scenario(scenario, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert cli_dispatch(["run", str(path), "--out", str(tmp_path)]) == 0
+        clamps = [w for w in caught if "clamping" in str(w.message)]
+        assert len(clamps) == 1
+
 
 class TestSweep:
     def test_sweep_writes_summary(self, tmp_path, capsys):

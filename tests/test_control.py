@@ -1,5 +1,6 @@
 """Rule-based speed command law, schedule, derating, lane change advisories."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,23 +9,34 @@ import pytest
 from helpers import random_triangle
 
 from vslsim import (
+    DemandProfile,
     IncidentSchedule,
     LcConfig,
     NoControl,
-    NetworkGeometry,
     RuleBasedReactive,
     RuleBasedSchedule,
+    Scenario,
     TrafficState,
     VslRuleConfig,
     derated_command,
     lc_distance,
     rule_commands,
-    switch_time,
     v0_command,
     vsl_max_flow,
 )
 
 INCIDENT = IncidentSchedule(start=10.0 / 60.0, end=80.0 / 60.0, lanes_closed=1)
+
+
+def corridor(fd, geometry, cfg=VslRuleConfig()) -> Scenario:
+    """The reference corridor at 7000 veh/h with the incident above."""
+    return Scenario(
+        fd=fd,
+        geometry=geometry,
+        demand=DemandProfile.constant(7000.0),
+        incident=INCIDENT,
+        vsl=cfg,
+    )
 
 
 class TestCommandLaw:
@@ -130,7 +142,7 @@ class TestSchedule:
 
     def test_posted_timeline(self, fd, geometry):
         # Incident at 10 min, switch at 30 min, cleared at 80 min.
-        controller = RuleBasedSchedule(fd, geometry, INCIDENT, self.CFG, 7000.0)
+        controller = RuleBasedSchedule(corridor(fd, geometry, self.CFG))
         state = TrafficState.uniform(70.0, 6)
         for minute, zone in ((15.0, 20.0), (45.0, 25.0), (85.0, 100.0), (5.0, 100.0)):
             limits = controller(state, minute / 60.0)
@@ -138,24 +150,22 @@ class TestSchedule:
             assert np.all(limits.sections == fd.free_flow_speed)
 
     def test_switch_time_is_30_minutes(self, fd, geometry):
-        assert switch_time(INCIDENT, self.CFG, fd, geometry, 7000.0) == pytest.approx(
-            0.5
-        )
+        assert corridor(fd, geometry, self.CFG).switch_time() == pytest.approx(0.5)
 
     def test_schedule_without_derating_matches_command_law(self, fd, geometry):
         cfg = VslRuleConfig(derating=1.0, switch_margin=0.1, quantize_step=0.0)
-        controller = RuleBasedSchedule(fd, geometry, INCIDENT, cfg, 7000.0)
+        controller = RuleBasedSchedule(corridor(fd, geometry, cfg))
         limits = controller(TrafficState.uniform(70.0, 6), 15.0 / 60.0)
         assert limits.zone == pytest.approx(v0_command(7000.0, 100.0, fd))
 
     def test_oversized_margin_clamps_to_incident_end(self, fd, geometry):
         cfg = VslRuleConfig(derating=0.8, switch_margin=5.0, quantize_step=5.0)
         with pytest.warns(UserWarning, match="clamping"):
-            t_s = switch_time(INCIDENT, cfg, fd, geometry, 7000.0)
+            t_s = corridor(fd, geometry, cfg).switch_time()
         assert t_s == INCIDENT.end
 
     def test_downstream_limits_always_free_flow(self, fd, geometry):
-        controller = RuleBasedSchedule(fd, geometry, INCIDENT, self.CFG, 7000.0)
+        controller = RuleBasedSchedule(corridor(fd, geometry, self.CFG))
         state = TrafficState.uniform(70.0, 6)
         for minute in np.linspace(0.0, 90.0, 19):
             limits = controller(state, minute / 60.0)
@@ -181,23 +191,29 @@ class TestLaneChange:
 
 class TestControllers:
     def test_no_control_posts_free_flow(self, fd, geometry):
-        controller = NoControl(fd, geometry)
+        controller = NoControl(corridor(fd, geometry))
         state = TrafficState.uniform(150.0, 6)
         limits = controller(state, 0.5)
         assert limits.zone == fd.free_flow_speed
         assert np.all(limits.sections == fd.free_flow_speed)
 
     def test_schedule_controller_before_incident(self, fd, geometry):
-        controller = RuleBasedSchedule(
-            fd, geometry, INCIDENT, TestSchedule.CFG, 7000.0
-        )
+        controller = RuleBasedSchedule(corridor(fd, geometry, TestSchedule.CFG))
         limits = controller(TrafficState.uniform(70.0, 6), 5.0 / 60.0)
         assert limits.zone == fd.free_flow_speed
         assert controller.switch_time == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("rule", [RuleBasedSchedule, RuleBasedReactive])
+    def test_rule_needs_an_incident(self, fd, geometry, rule):
+        no_incident = replace(
+            corridor(fd, geometry), controller="no_control", incident=None
+        )
+        with pytest.raises(ValueError, match="needs an incident"):
+            rule(no_incident)
+
     def test_reactive_follows_measured_density(self, fd, geometry):
         cfg = VslRuleConfig(derating=0.8, quantize_step=5.0)
-        controller = RuleBasedReactive(fd, geometry, INCIDENT, cfg, lambda t: 7000.0)
+        controller = RuleBasedReactive(corridor(fd, geometry, cfg))
         congested = controller(TrafficState.uniform(100.0, 6), 20.0 / 60.0)
         assert congested.zone == pytest.approx(20.0)
         cleared = controller(TrafficState.uniform(40.0, 6), 20.0 / 60.0)

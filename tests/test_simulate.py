@@ -226,6 +226,16 @@ class TestProfilesAndTypes:
         assert profile.at(0.5) == 2000.0
         assert profile.at(2.0) == 500.0
 
+    @pytest.mark.parametrize(
+        "t",
+        [-0.1, float("nan"), np.array([0.0, -0.1, 0.5])],
+        ids=["negative", "nan", "array"],
+    )
+    def test_demand_profile_rejects_time_before_start(self, t):
+        profile = DemandProfile((0.0, 0.5), (1000.0, 2000.0))
+        with pytest.raises(ValueError, match="non-negative"):
+            profile.at(t)
+
     def test_demand_profile_validation(self):
         with pytest.raises(ValueError):
             DemandProfile(times=(0.5,), flows=(100.0,))
