@@ -46,9 +46,9 @@ from .metrics import (
     VirtualTrajectory,
     avg_emission,
     avg_stops,
-    compute_metrics,
     default_emission_rate,
     emission_rate_from_table,
+    evaluate_trace,
     reconstruct_trajectories,
     rrmse_density_pooled,
     speed_field,
@@ -59,7 +59,6 @@ from .scenario import (
     MetricConfig,
     Scenario,
     ScenarioValidationError,
-    evaluate_trace,
     high_demand_preset,
     load_scenario,
     make_controller,

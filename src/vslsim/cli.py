@@ -18,11 +18,11 @@ import numpy as np
 
 from .bounds import BoundInputError, InfeasibleSpeedError, zone_bound_report
 from .calibrate import CalibrationError, FdObservation, fit_fundamental_diagram
+from .metrics import evaluate_trace
 from .scenario import (
     PRESETS,
     ZONE_SWEEPS,
     ScenarioValidationError,
-    evaluate_trace,
     load_scenario,
     scenario_fragment,
     simulate_scenario,
@@ -134,12 +134,17 @@ def _cmd_run(args) -> int:
     record = {
         "scenario": scenario.name,
         "scenario_hash": scenario.content_hash(),
-        "metrics": report.to_dict(),
+        # JSON has no NaN: an unavailable metric is written as null.
+        "metrics": {
+            key: value if math.isfinite(value) else None
+            for key, value in report.to_dict().items()
+        },
         "vehicle_balance": balance,
         "events": [[t, label] for t, label in trace.events],
     }
     record_path = out / f"{scenario.name}_metrics.json"
-    record_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(record, indent=2, allow_nan=False)
+    record_path.write_text(text + "\n", encoding="utf-8")
     print(f"trace:   {trace_path}")
     print(f"metrics: {record_path}")
     print(
@@ -283,8 +288,6 @@ def _cmd_calibrate(args) -> int:
         f"branches: {diag.n_free} free / {diag.n_congested} congested, "
         f"incident {diag.n_incident_free} free / {diag.n_incident_congested} congested"
     )
-    if diag.outflow_wave_fallback:
-        print("outflow wave speed fell back to w / 2")
     for note in diag.notes:
         print(f"note: {note}")
     return EXIT_OK

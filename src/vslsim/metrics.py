@@ -20,17 +20,25 @@ over the distance they covered. Stop counts run a hysteresis counter over each
 probe's step-averaged speed (distance covered in a step over the time spent in
 it); when no cell speed anywhere falls below the stop threshold, no average
 can, and the count is zero without building the profiles.
+
+``evaluate_trace(scenario, trace)`` is the one way from a trace to a
+``MetricsReport``: it reads the seed interval, stop and resume speeds, density
+floor and emission curve from ``scenario.metrics``, and the tracking target
+and window from the scenario.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .simulate import SimulationTrace
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 # Maps an array of speeds (km/h) to an array of emission rates (g/km); a
 # callable returning one constant broadcasts.
@@ -212,7 +220,7 @@ def stop_count(speeds: Sequence[float], v_stop: float, v_resume: float) -> int:
     return stops
 
 
-def avg_stops(probes: ProbeSet, v_stop: float = 5.0, v_resume: float = 10.0) -> float:
+def avg_stops(probes: ProbeSet, v_stop: float, v_resume: float) -> float:
     """Mean number of stops per completed probe."""
     if v_stop >= v_resume:
         raise ValueError("v_stop must be below v_resume")
@@ -229,14 +237,13 @@ def avg_stops(probes: ProbeSet, v_stop: float = 5.0, v_resume: float = 10.0) -> 
     return float(np.mean(counts))
 
 
-def avg_emission(probes: ProbeSet, rate_fn: RateFn | None = None) -> float:
+def avg_emission(probes: ProbeSet, rate_fn: RateFn) -> float:
     """Distance-weighted mean emission rate over completed probes (g/veh/km).
 
     Integrates rate(v) * v over each probe's time in each cell and divides by
     the distance covered; cells at zero speed cover no distance and add no
     grams. ``rate_fn`` is evaluated once per cell on the array of its speeds.
     """
-    rate = default_emission_rate if rate_fn is None else rate_fn
     done = probes.crossings[probes.complete]
     if not done.shape[0]:
         return float("nan")
@@ -246,7 +253,7 @@ def avg_emission(probes: ProbeSet, rate_fn: RateFn | None = None) -> float:
         v = probes.field[:-1, c]
         moving = v > 0.0
         power = np.zeros_like(v)  # g/h
-        power[moving] = rate(v[moving]) * v[moving]
+        power[moving] = rate_fn(v[moving]) * v[moving]
         emitted = _Integral(power, probes.times, dt)
         grams += float(np.sum(emitted.at(done[:, c + 1]) - emitted.at(done[:, c])))
     return grams / (done.shape[0] * float(np.sum(probes.lengths)))
@@ -291,45 +298,35 @@ class MetricsReport:
     vehicles_counted: int  # completed probes
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "att_min": self.att_min,
-            "avg_stops": self.avg_stops,
-            "avg_emission_g_per_km": self.avg_emission_g_per_km,
-            "rrmse": self.rrmse,
-            "vehicles_counted": self.vehicles_counted,
-        }
+        return asdict(self)
 
 
-def compute_metrics(
-    trace: SimulationTrace,
-    seed_interval: float,
-    rho_star: float,
-    window: tuple[float, float],
-    v_stop: float = 5.0,
-    v_resume: float = 10.0,
-    rate_fn: RateFn | None = None,
-    rho_min: float = DENSITY_FLOOR,
-) -> MetricsReport:
-    """Reconstruct probes and evaluate every performance measure at once.
+def evaluate_trace(scenario: Scenario, trace: SimulationTrace) -> MetricsReport:
+    """Reconstruct probes and evaluate every performance measure with the
+    scenario's metric settings (``scenario.metrics``).
 
-    ``rate_fn`` maps an array of speeds (km/h) to an array of emission rates
-    (g/km), or returns one constant; the default is ``default_emission_rate``.
-    The density tracking error is the pooled per-section variant; it is NaN
-    when the target density is zero (empty-road scenarios) or the window is
+    The density tracking error is the pooled per-section variant against
+    ``scenario.rho_star()`` over ``scenario.metrics_window()``; it is NaN when
+    the target density is zero (empty-road scenarios) or the window is
     degenerate.
     """
-    probes = reconstruct_trajectories(trace, seed_interval, rho_min)
+    config = scenario.metrics
+    t_start, t_end = scenario.metrics_window()
+    rho_star = scenario.rho_star()
+    probes = reconstruct_trajectories(
+        trace, config.seed_interval / 3600.0, config.density_floor
+    )
     done = probes.crossings[probes.complete]
     transit = done[:, -1] - done[:, 0]
     att_min = 60.0 * float(np.mean(transit)) if transit.size else math.nan
-    if rho_star > 0.0 and window[1] > window[0]:
-        rrmse = rrmse_density_pooled(trace, rho_star, window[0], window[1])
+    if rho_star > 0.0 and t_end > t_start:
+        rrmse = rrmse_density_pooled(trace, rho_star, t_start, t_end)
     else:
         rrmse = math.nan
     return MetricsReport(
         att_min=att_min,
-        avg_stops=avg_stops(probes, v_stop, v_resume),
-        avg_emission_g_per_km=avg_emission(probes, rate_fn),
+        avg_stops=avg_stops(probes, config.stop_speed, config.resume_speed),
+        avg_emission_g_per_km=avg_emission(probes, config.rate_fn()),
         rrmse=rrmse,
         vehicles_counted=int(transit.size),
     )

@@ -35,11 +35,11 @@ from .bounds import BoundInputs, time_to_clear
 from .control import LcConfig, VslRuleConfig
 from .ctm import FundamentalDiagram, NetworkGeometry, equilibrium_density
 from .metrics import (
-    MetricsReport,
+    DENSITY_FLOOR,
     RateFn,
-    compute_metrics,
     default_emission_rate,
     emission_rate_from_table,
+    evaluate_trace,  # noqa: F401 - re-exported: the scenario API's metrics entry
 )
 from .simulate import (
     DemandProfile,
@@ -72,7 +72,7 @@ class MetricConfig:
     stop_speed: float = 5.0  # km/h
     resume_speed: float = 10.0  # km/h
     seed_interval: float = 10.0  # s between probe vehicles
-    density_floor: float = 1.0  # veh/km treated as an empty cell
+    density_floor: float = DENSITY_FLOOR  # veh/km treated as an empty cell
     emission_table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -559,21 +559,6 @@ def simulate_scenario(scenario: Scenario, controller=None) -> SimulationTrace:
     if controller is None:
         controller = make_controller(scenario)
     return run(scenario, controller)
-
-
-def evaluate_trace(scenario: Scenario, trace: SimulationTrace) -> MetricsReport:
-    """Compute the full metrics report with the scenario's settings."""
-    window = scenario.metrics_window()
-    return compute_metrics(
-        trace,
-        seed_interval=scenario.metrics.seed_interval / 3600.0,
-        rho_star=scenario.rho_star(),
-        window=window,
-        v_stop=scenario.metrics.stop_speed,
-        v_resume=scenario.metrics.resume_speed,
-        rate_fn=scenario.metrics.rate_fn(),
-        rho_min=scenario.metrics.density_floor,
-    )
 
 
 # Bundled presets ----------------------------------------------------------

@@ -1,12 +1,13 @@
 """Time integration of the cell transmission model under a controller, an
 incident schedule, and a demand profile.
 
-Explicit Euler on the flow-conservation update, default step 1 s, with the
-controller consulted on a fixed actuation period and its limits held constant
-in between. While the incident is active the bottleneck interface is capped by
-the downstream capacity (with the capacity drop engaged above critical
-occupancy); outside the incident window the cap reverts to the mainline
-capacity and the drop is inert.
+Every run starts from ``warm_state``, free flow at the initial demand, and
+integrates with explicit Euler on the flow-conservation update, default step
+1 s, with the controller consulted on a fixed actuation period and its limits
+held constant in between. While the incident is active the bottleneck
+interface is capped by the downstream capacity (with the capacity drop engaged
+above critical occupancy); outside the incident window the cap reverts to the
+mainline capacity and the drop is inert.
 
 ``run`` works on arrays: the demand, incident and lane-change flags and the
 bottleneck regime are computed once per run as ``(T,)`` arrays, each step writes
@@ -278,12 +279,9 @@ def _check_run(
     )
 
 
-def run(
-    scenario: "Scenario",
-    controller: Controller,
-    initial_state: TrafficState | None = None,
-) -> SimulationTrace:
-    """Simulate the scenario horizon under the given controller.
+def run(scenario: "Scenario", controller: Controller) -> SimulationTrace:
+    """Simulate the scenario horizon under the given controller, starting
+    from ``warm_state(scenario)``.
 
     The controller is consulted every actuation period with the measured
     state; between consultations the posted limits hold. The incident window
@@ -302,10 +300,6 @@ def run(
     ctrl_every = int(round(scenario.control_period_hours / dt))
     n_sections = geometry.num_sections
     has_zone = geometry.has_zone
-
-    state = initial_state if initial_state is not None else warm_state(scenario)
-    if state.num_sections != n_sections:
-        raise ValueError("initial state does not match the geometry")
 
     # Everything that does not depend on the densities, once per run.
     times = np.arange(n_steps + 1) * dt
@@ -326,7 +320,7 @@ def run(
     regime_drop = regime_drop.tolist()
 
     densities = np.empty((n_steps + 1, geometry.num_cells))
-    densities[0] = state.all_densities(has_zone)
+    densities[0] = warm_state(scenario).all_densities(has_zone)
     flows = np.empty((n_steps + 1, geometry.num_cells + 1))
     limits = np.empty((n_steps + 1, n_sections + 1))
     dt_over_length = dt / geometry.cell_lengths()

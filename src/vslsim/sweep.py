@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
 from .bounds import ZoneBoundReport, zone_bound_report
-from .metrics import MetricsReport
+from .metrics import MetricsReport, evaluate_trace
 from .simulate import DemandProfile
 from .scenario import (
     NUMBERS,
@@ -28,7 +28,6 @@ from .scenario import (
     ScenarioValidationError,
     Section,
     decode_or_raise,
-    evaluate_trace,
     read_json,
     simulate_scenario,
     write_trace,
@@ -166,27 +165,24 @@ def _g(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _from_metrics(cell: Callable[[MetricsReport], str]) -> Callable[[SweepRow], str]:
-    return lambda row: "" if row.metrics is None else cell(row.metrics)
+def _metric(name: str) -> Callable[[SweepRow], str]:
+    return lambda row: "" if row.metrics is None else _g(getattr(row.metrics, name))
 
 
 def _from_bound(cell: Callable[[ZoneBoundReport], str]) -> Callable[[SweepRow], str]:
     return lambda row: "" if row.bound is None else cell(row.bound)
 
 
-# Summary CSV header -> the text of its cell for one row, in column order. A
-# failed row leaves its metric and bound cells empty.
+# Summary CSV header -> the text of its cell for one row, in column order; the
+# metric columns are the fields of MetricsReport. A failed row leaves its
+# metric and bound cells empty.
 SWEEP_CSV_COLUMNS: dict[str, Callable[[SweepRow], str]] = {
     "variable": lambda row: row.variable,
     "value": lambda row: _g(row.value),
     "name": lambda row: row.name,
     "status": lambda row: row.status,
     "error": lambda row: row.error or "",
-    "att_min": _from_metrics(lambda m: _g(m.att_min)),
-    "avg_stops": _from_metrics(lambda m: _g(m.avg_stops)),
-    "avg_emission_g_per_km": _from_metrics(lambda m: _g(m.avg_emission_g_per_km)),
-    "rrmse": _from_metrics(lambda m: _g(m.rrmse)),
-    "vehicles_counted": _from_metrics(lambda m: str(m.vehicles_counted)),
+    **{f.name: _metric(f.name) for f in fields(MetricsReport)},
     "zone_length_km": _from_bound(lambda b: _g(b.zone_length)),
     "l0_lower_bound_km": _from_bound(lambda b: _g(b.lower_bound)),
     "time_to_clear_min": _from_bound(lambda b: _g(b.time_to_clear * 60.0)),

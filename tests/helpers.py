@@ -355,7 +355,7 @@ def _oracle_step(state, q, geometry, dt) -> TrafficState:
     return TrafficState(t, float(new_rho[0]), new_rho)
 
 
-def oracle_run(scenario, controller=None, initial_state=None) -> SimulationTrace:
+def oracle_run(scenario, controller=None) -> SimulationTrace:
     """The scenario simulated step by step, as ``vslsim.run`` did before the
     array kernel; ``controller`` defaults to the scenario's own."""
     if controller is None:
@@ -368,7 +368,7 @@ def oracle_run(scenario, controller=None, initial_state=None) -> SimulationTrace
     n_sections = geometry.num_sections
     n_cells = geometry.num_cells
 
-    state = initial_state if initial_state is not None else warm_state(scenario)
+    state = warm_state(scenario)
     times = np.empty(n_steps + 1)
     densities = np.empty((n_steps + 1, n_cells))
     flow_rows = np.empty((n_steps + 1, n_cells + 1))

@@ -130,6 +130,9 @@ class TestRun:
         assert cli_dispatch(["run", str(path), "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "no probe vehicle completed" in out
+        record = json.loads((tmp_path / "empty_metrics.json").read_text())
+        assert record["metrics"]["att_min"] is None
+        assert record["metrics"]["vehicles_counted"] == 0
 
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         # An invalid Scenario cannot be built, so the file is edited instead.
@@ -158,6 +161,25 @@ class TestRun:
             assert cli_dispatch(["run", str(path), "--out", str(tmp_path)]) == 0
         clamps = [w for w in caught if "clamping" in str(w.message)]
         assert len(clamps) == 1
+
+    @pytest.mark.filterwarnings("ignore:switch time")
+    def test_unavailable_metric_is_written_as_null(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        # A switch clamped to the incident end leaves an empty tracking window.
+        base = high_demand_preset()
+        scenario = replace(base, vsl=replace(base.vsl, switch_margin=72.0 / 60.0))
+        path = tmp_path / "clamped.json"
+        save_scenario(scenario, path)
+        assert cli_dispatch(["run", str(path), "--out", str(tmp_path)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (tmp_path / "high_demand_metrics.json").read_text()
+        record = json.loads(text, parse_constant=reject)
+        assert record["metrics"]["rrmse"] is None
+        assert record["metrics"]["vehicles_counted"] > 0
 
 
 class TestSweep:
@@ -234,6 +256,19 @@ class TestCalibrate:
             assert cli_dispatch(["calibrate", str(path)]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_wave_speed_fallback_reported_once(self, tmp_path, capsys, fd):
+        obs = sample_fd_observations(fd, np.random.default_rng(3), n_outflow=0)
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            "density,flow,incident\n"
+            + "".join(f"{o.density},{o.flow},{int(o.incident)}\n" for o in obs)
+        )
+        assert cli_dispatch(["calibrate", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "w / 2" in line] == [
+            "note: too few deep-congestion incident observations; using w / 2"
+        ]
 
 
 def _nan(section, key):

@@ -1,6 +1,6 @@
 """Probe-vehicle reconstruction and the four performance measures."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,12 +17,12 @@ from vslsim import (
     DemandProfile,
     IncidentSchedule,
     MetricConfig,
+    MetricsReport,
     NetworkGeometry,
     Scenario,
     SimulationTrace,
     avg_emission,
     avg_stops,
-    compute_metrics,
     default_emission_rate,
     emission_rate_from_table,
     evaluate_trace,
@@ -192,23 +192,37 @@ class TestTrajectories:
             assert np.all(trail_pos[:n] <= lead_pos[offset : offset + n] + 1e-9)
 
 
+def trace_scenario(fd, trace, seed_interval_s):
+    """A no-control scenario on the corridor and horizon of a trace with 1 s
+    steps, seeding a probe every ``seed_interval_s`` seconds."""
+    return Scenario(
+        fd=fd,
+        geometry=trace.geometry,
+        demand=DemandProfile.constant(trace.demand[0]),
+        controller="no_control",
+        horizon=float(trace.times[-1]),
+        dt=1.0,
+        metrics=MetricConfig(seed_interval=seed_interval_s),
+    )
+
+
 class TestAtt:
     def test_mean_of_two(self, fd):
         # 10 km at 60 km/h (10 min), then 10 km at 30 km/h (20 min).
         trace = two_speed_trace(fd)
-        report = compute_metrics(trace, 600.0 / 3600.0, 20.0, (0.0, 0.5))
+        report = evaluate_trace(trace_scenario(fd, trace, 600.0), trace)
         assert report.vehicles_counted == 2
         assert report.att_min == pytest.approx(15.0, rel=1e-6)
 
     def test_single_trajectory(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=20.0, flow=2000.0)
-        report = compute_metrics(trace, 1.0, 20.0, (0.0, 0.4))
+        report = evaluate_trace(trace_scenario(fd, trace, 3600.0), trace)
         assert report.vehicles_counted == 1
         assert report.att_min == pytest.approx(60.0 * geometry.total_length / 100.0)
 
     def test_requires_a_completed_trip(self, fd, geometry):
         trace = constant_trace(fd, geometry, duration_h=0.05, density=20.0, flow=2000.0)
-        report = compute_metrics(trace, 1.0, 20.0, (0.0, 0.05))
+        report = evaluate_trace(trace_scenario(fd, trace, 3600.0), trace)
         assert report.vehicles_counted == 0
         assert np.isnan(report.att_min)
 
@@ -234,8 +248,9 @@ class TestStops:
         trace = speed_trace(fd, speeds, 0.05)
         probes = reconstruct_trajectories(trace, 60.0 / 3600.0)
         assert np.count_nonzero(probes.complete) >= 5
-        assert avg_stops(probes) == pytest.approx(2.0)
-        assert avg_stops(probes) == oracle_stops(oracle_probes(trace, 60.0 / 3600.0))
+        assert avg_stops(probes, 5.0, 10.0) == pytest.approx(2.0)
+        oracle = oracle_probes(trace, 60.0 / 3600.0)
+        assert avg_stops(probes, 5.0, 10.0) == oracle_stops(oracle)
 
     def test_invariant_to_changes_above_resume(self):
         base = [100.0, 3.0, 50.0, 2.0, 80.0]
@@ -247,7 +262,8 @@ class TestEmission:
     def test_constant_speed_returns_rate_at_that_speed(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=20.0, flow=1600.0)  # 80 km/h
         probes = reconstruct_trajectories(trace, 60.0 / 3600.0)
-        assert avg_emission(probes) == pytest.approx(default_emission_rate(80.0))
+        emission = avg_emission(probes, default_emission_rate)
+        assert emission == pytest.approx(default_emission_rate(80.0))
 
     def test_constant_rate_function(self, fd):
         probes = reconstruct_trajectories(two_speed_trace(fd), 600.0 / 3600.0)
@@ -276,7 +292,8 @@ class TestEmission:
         speeds = np.full((1200, 3), 60.0)
         speeds[300:360, 1] = 0.0
         probes = reconstruct_trajectories(speed_trace(fd, speeds, 1.0), 30.0 / 3600.0)
-        assert avg_emission(probes) == pytest.approx(default_emission_rate(60.0))
+        emission = avg_emission(probes, default_emission_rate)
+        assert emission == pytest.approx(default_emission_rate(60.0))
 
     def test_default_curve_anchors(self):
         assert default_emission_rate(100.0) == pytest.approx(320.0, abs=0.1)
@@ -343,7 +360,7 @@ class TestSlowStopPath:
     def test_matches_step_walk_without_stall(self, fd):
         trace = self.dip_trace(fd, 2.0)
         probes = reconstruct_trajectories(trace, 20.0 / 3600.0)
-        stops = avg_stops(probes)
+        stops = avg_stops(probes, 5.0, 10.0)
         assert 0.0 < stops < 1.0  # only probes inside the dipped cell stop
         assert stops == oracle_stops(oracle_probes(trace, 20.0 / 3600.0))
 
@@ -359,12 +376,12 @@ class TestSlowStopPath:
         ]
         assert held
         completed = np.count_nonzero(probes.complete)
-        assert avg_stops(probes) == pytest.approx(len(held) / completed)
+        assert avg_stops(probes, 5.0, 10.0) == pytest.approx(len(held) / completed)
         # The step walk stopped a probe's clock when it met the stalled cell
         # mid-step, so its step speed there was the approach speed; this
         # trace keeps both counts equal.
         oracle = oracle_probes(trace, 20.0 / 3600.0)
-        assert avg_stops(probes) == oracle_stops(oracle)
+        assert avg_stops(probes, 5.0, 10.0) == oracle_stops(oracle)
         for probe, ref in zip(probes, oracle):
             assert probe.exit_time == pytest.approx(ref.exit_time, abs=1e-9)
 
@@ -438,3 +455,54 @@ class TestAgainstStepWalk:
         emission = oracle_emission(oracle)
         assert report.avg_emission_g_per_km == pytest.approx(emission, rel=1e-4)
         assert report.avg_stops == oracle_stops(oracle)
+
+
+# One change per MetricConfig field, each moving the high-demand report away
+# from the base settings below (stop and resume at 30 / 60 km/h, so that the
+# slow probes held in the 20 km/h zone count a stop).
+METRIC_CHANGES = {
+    "stop_speed": 50.0,  # more probes fall below the stop threshold
+    "resume_speed": 150.0,  # above free flow: the counter never arms
+    "seed_interval": 60.0,  # s: one probe a minute
+    "density_floor": 100.0,  # veh/km: dense cells move at the posted limit
+    "emission_table": ((20.0, 400.0), (100.0, 300.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def high_demand_run():
+    scenario = replace(
+        high_demand_preset(), metrics=MetricConfig(stop_speed=30.0, resume_speed=60.0)
+    )
+    return scenario, simulate_scenario(scenario)
+
+
+def component_report(scenario, trace):
+    """The report assembled from the component functions by hand."""
+    config = scenario.metrics
+    probes = reconstruct_trajectories(
+        trace, config.seed_interval / 3600.0, config.density_floor
+    )
+    done = [p for p in probes if p.complete]
+    return MetricsReport(
+        att_min=60.0 * float(np.mean([p.transit_time for p in done])),
+        avg_stops=avg_stops(probes, config.stop_speed, config.resume_speed),
+        avg_emission_g_per_km=avg_emission(probes, config.rate_fn()),
+        rrmse=rrmse_density_pooled(trace, scenario.rho_star(), *scenario.metrics_window()),
+        vehicles_counted=len(done),
+    )
+
+
+class TestEvaluateTrace:
+    def test_changes_cover_every_setting(self):
+        assert set(METRIC_CHANGES) == {f.name for f in fields(MetricConfig)}
+
+    @pytest.mark.parametrize("name", METRIC_CHANGES)
+    def test_honours_each_metric_setting(self, high_demand_run, name):
+        base, trace = high_demand_run
+        metrics = replace(base.metrics, **{name: METRIC_CHANGES[name]})
+        scenario = replace(base, metrics=metrics)
+        report = evaluate_trace(scenario, trace)
+        expected = component_report(scenario, trace)
+        assert report.to_dict() == pytest.approx(expected.to_dict(), rel=1e-12)
+        assert report != evaluate_trace(base, trace)

@@ -177,14 +177,6 @@ class TestRun:
         with pytest.raises(ControllerError, match="or NaN"):
             run(scenario, lambda s, t: forged)
 
-    def test_initial_state_must_match_geometry(self, fd):
-        with pytest.raises(ValueError, match="does not match the geometry"):
-            run(
-                mini_scenario(fd),
-                lambda s, t: SpeedLimits.uniform(100.0, 3),
-                initial_state=TrafficState.uniform(10.0, 5),
-            )
-
     def test_cfl_checked_before_running(self, fd):
         # The scenario checks the CFL bound when it is built, so no run starts.
         with pytest.raises(ScenarioValidationError) as err:
@@ -395,22 +387,24 @@ class TestOutOfRangeStates:
         with pytest.raises(ValueError, match=message):
             simulate_scenario(mini_scenario(fd))
 
-    def test_nan_state_names_step_and_cell(self, fd):
+    def test_nan_state_names_step_and_cell(self, fd, monkeypatch):
         scenario = mini_scenario(fd)
         with pytest.raises(ValueError, match="densities must be non-negative"):
             TrafficState(0.0, 70.0, np.array([70.0, np.nan, 70.0]))
         # A state that slipped past TrafficState is still refused by the run.
         state = TrafficState.uniform(70.0, 3)
         object.__setattr__(state, "densities", np.array([70.0, np.nan, 70.0]))
+        monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: state)
         with pytest.raises(ValueError, match=r"step 0 \(t = 0 min\): cell 1 density nan"):
-            run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3), initial_state=state)
+            run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3))
 
-    def test_overfull_bottleneck_names_step_and_cell(self, fd):
+    def test_overfull_bottleneck_names_step_and_cell(self, fd, monkeypatch):
         scenario = mini_scenario(fd)
         state = TrafficState(0.0, 70.0, np.array([70.0, 70.0, 600.0]))
+        monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: state)
         message = r"step 0 \(t = 0 min\): bottleneck cell 2 density 600 outside \[0, 552\]"
         with pytest.raises(ValueError, match=message):
-            run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3), initial_state=state)
+            run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3))
 
     def test_nan_flow_mid_run_names_step_and_cell(self, fd, monkeypatch):
         real = vslsim.simulate.fluxes
