@@ -35,8 +35,6 @@ from .control import (
 from .ctm import (
     FundamentalDiagram,
     NetworkGeometry,
-    SpeedLimits,
-    TrafficState,
     equilibrium_density,
     vsl_max_flow,
 )

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .ctm import FundamentalDiagram, SpeedLimits, TrafficState
+import numpy as np
+
+from .ctm import FundamentalDiagram
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -132,7 +134,8 @@ def derated_command(command: float, cfg: VslRuleConfig, fd: FundamentalDiagram) 
     return min(v, fd.free_flow_speed)
 
 
-Controller = Callable[[TrafficState, float], SpeedLimits]
+# ``controller(cells, t) -> limits``; the contract is in :func:`vslsim.simulate.run`.
+Controller = Callable[[np.ndarray, float], np.ndarray]
 
 
 def _require_incident(scenario: "Scenario") -> None:
@@ -140,16 +143,21 @@ def _require_incident(scenario: "Scenario") -> None:
         raise ValueError("rule-based control needs an incident schedule")
 
 
+def _posted(zone: float, s: "Scenario") -> np.ndarray:
+    """Read-only limits row: ``zone`` at the zone, free flow on every section."""
+    row = np.array([zone] + [s.fd.free_flow_speed] * s.geometry.num_sections)
+    row.flags.writeable = False
+    return row
+
+
 class NoControl:
     """Baseline: every sign posts the free flow speed."""
 
     def __init__(self, scenario: "Scenario") -> None:
-        self._limits = SpeedLimits.uniform(
-            scenario.fd.free_flow_speed, scenario.geometry.num_sections
-        )
+        self._free = _posted(scenario.fd.free_flow_speed, scenario)
 
-    def __call__(self, state: TrafficState, t: float) -> SpeedLimits:
-        return self._limits
+    def __call__(self, cells: np.ndarray, t: float) -> np.ndarray:
+        return self._free
 
 
 class RuleBasedSchedule:
@@ -165,21 +173,21 @@ class RuleBasedSchedule:
         self.cleared_command = derated_command(cleared, scenario.vsl, fd)
         self.switch_time = scenario.switch_time()
         self._incident = scenario.incident
-        n = scenario.geometry.num_sections
-        self._free = SpeedLimits.uniform(fd.free_flow_speed, n)
-        self._sections = [fd.free_flow_speed] * n
+        self._congested = _posted(self.congested_command, scenario)
+        self._cleared = _posted(self.cleared_command, scenario)
+        self._free = _posted(fd.free_flow_speed, scenario)
 
-    def __call__(self, state: TrafficState, t: float) -> SpeedLimits:
+    def __call__(self, cells: np.ndarray, t: float) -> np.ndarray:
         if self._incident.start <= t < self.switch_time:
-            return SpeedLimits(self.congested_command, self._sections)
+            return self._congested
         if self.switch_time <= t < self._incident.end:
-            return SpeedLimits(self.cleared_command, self._sections)
+            return self._cleared
         return self._free
 
 
 class RuleBasedReactive:
     """Measurement-driven rule: re-evaluates the command law on the live
-    bottleneck density at every controller invocation.
+    bottleneck (last cell) density at every controller invocation.
 
     Exists to study sensitivity to density measurements; outside the incident
     window it posts free flow speed since no bottleneck is active.
@@ -187,20 +195,14 @@ class RuleBasedReactive:
 
     def __init__(self, scenario: "Scenario") -> None:
         _require_incident(scenario)
-        fd = scenario.fd
-        self._fd = fd
-        self._incident = scenario.incident
-        self._cfg = scenario.vsl
-        self._demand_at = scenario.demand.at
-        n = scenario.geometry.num_sections
-        self._sections = [fd.free_flow_speed] * n
-        self._free = SpeedLimits.uniform(fd.free_flow_speed, n)
+        self._scenario = scenario
 
-    def __call__(self, state: TrafficState, t: float) -> SpeedLimits:
-        if not self._incident.start <= t < self._incident.end:
-            return self._free
-        command = v0_command(self._demand_at(t), float(state.densities[-1]), self._fd)
-        return SpeedLimits(derated_command(command, self._cfg, self._fd), self._sections)
+    def __call__(self, cells: np.ndarray, t: float) -> np.ndarray:
+        s = self._scenario
+        command = s.fd.free_flow_speed
+        if s.incident.active(t):
+            command = v0_command(s.demand.at(t), float(cells[-1]), s.fd)
+        return _posted(derated_command(command, s.vsl, s.fd), s)
 
 
 # Controller kind named by ``Scenario.controller`` -> class built from the scenario.

@@ -171,84 +171,6 @@ class NetworkGeometry:
         return np.concatenate(([0.0], np.cumsum(self.cell_lengths())))
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True).reshape(-1)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class TrafficState:
-    """Instantaneous densities: the metering zone plus each mainline section.
-
-    For a geometry without a zone, ``upstream_density`` mirrors the first
-    section's density so reports stay uniform.
-    """
-
-    time: float  # h
-    upstream_density: float  # veh/km
-    densities: np.ndarray  # veh/km, sections 1..N
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.time < np.inf:
-            raise ValueError("time must be non-negative")
-        if not 0.0 <= self.upstream_density < np.inf:
-            raise ValueError("upstream_density must be non-negative")
-        arr = _readonly(self.densities)
-        if not np.all((arr >= 0.0) & (arr < np.inf)):
-            raise ValueError("densities must be non-negative")
-        object.__setattr__(self, "densities", arr)
-
-    @property
-    def num_sections(self) -> int:
-        return self.densities.shape[0]
-
-    def all_densities(self, has_zone: bool = True) -> np.ndarray:
-        """Cell densities in simulation order, zone first when present."""
-        if has_zone:
-            return np.concatenate(([self.upstream_density], self.densities))
-        return self.densities.copy()
-
-    @classmethod
-    def uniform(cls, density: float, num_sections: int, time: float = 0.0) -> "TrafficState":
-        return cls(time, density, np.full(num_sections, float(density)))
-
-    @classmethod
-    def from_cells(cls, time: float, cells: np.ndarray, has_zone: bool) -> "TrafficState":
-        """State of the cell densities ``cells`` in simulation order."""
-        if has_zone:
-            return cls(time, float(cells[0]), cells[1:])
-        return cls(time, float(cells[0]), cells)
-
-
-@dataclass(frozen=True)
-class SpeedLimits:
-    """Posted speed limits: zone command plus one limit per mainline section."""
-
-    zone: float  # v0, km/h
-    sections: np.ndarray  # km/h, sections 1..N
-
-    def __post_init__(self) -> None:
-        # Written so that NaN fails them too.
-        if not 0.0 < self.zone < np.inf:
-            raise ValueError("zone speed limit must be finite and positive")
-        arr = _readonly(self.sections)
-        if not np.all((arr > 0.0) & (arr < np.inf)):
-            raise ValueError("section speed limits must be finite and positive")
-        object.__setattr__(self, "sections", arr)
-
-    @property
-    def num_sections(self) -> int:
-        return self.sections.shape[0]
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.zone], self.sections))
-
-    @classmethod
-    def uniform(cls, speed: float, num_sections: int) -> "SpeedLimits":
-        return cls(float(speed), np.full(num_sections, float(speed)))
-
-
 def vsl_max_flow(speed, fd: FundamentalDiagram):
     """Largest flow a section posted with ``speed`` can pass (veh/h).
 

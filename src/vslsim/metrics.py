@@ -82,12 +82,15 @@ def emission_rate_from_table(points: Sequence[tuple[float, float]]) -> RateFn:
 
 def speed_field(trace: SimulationTrace, rho_min: float = DENSITY_FLOOR) -> np.ndarray:
     """(T, num_cells) probe speeds for every sample and cell."""
-    has_zone = trace.geometry.has_zone
+    return _speeds(trace, trace.flows, rho_min)
+
+
+def _speeds(trace: SimulationTrace, flows: np.ndarray, rho_min: float) -> np.ndarray:
+    """:func:`speed_field` from the trace's already derived ``flows``."""
     rho = trace.densities
-    q_out = trace.flows[:, 1:]
-    limits = trace.limits if has_zone else trace.limits[:, 1:]
+    limits = trace.limits[:, -rho.shape[1] :]  # the zone command only on a zone cell
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rho > 0.0, q_out / np.where(rho > 0.0, rho, 1.0), np.inf)
+        ratio = np.where(rho > 0.0, flows[:, 1:] / np.where(rho > 0.0, rho, 1.0), np.inf)
     return np.where(rho > rho_min, np.minimum(ratio, limits), limits)
 
 
@@ -188,8 +191,9 @@ def reconstruct_trajectories(
     dt, times = trace.dt, trace.times
     stride = max(1, int(round(seed_interval / dt))) if dt > 0.0 else 1
     seeds = np.arange(0, trace.num_samples - 1, stride)
-    seeds = seeds[trace.inflow[seeds] > 0.0]
-    field = speed_field(trace, rho_min)
+    flows = trace.flows  # derived on access: once here
+    seeds = seeds[flows[seeds, 0] > 0.0]
+    field = _speeds(trace, flows, rho_min)
     lengths = trace.geometry.cell_lengths()
     crossings = np.full((seeds.shape[0], lengths.shape[0] + 1), np.inf)
     crossings[:, 0] = times[seeds]

@@ -536,6 +536,8 @@ def load_scenario(source: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
+    """Write the scenario file, hour-valued fields in minutes: a scenario built in
+    Python can reload one ulp off (another ``content_hash``), a loaded one not."""
     Path(path).write_text(
         json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -14,11 +14,11 @@ and control period as one ``(B, C)`` state, and ``run`` is its batch of one.
 The demand and the incident and lane-change flags are computed once per run,
 the bottleneck cap and drop at the steps where a flag switches. Each step
 writes :func:`~vslsim.ctm.euler_update` into a preallocated density history
-and :func:`~vslsim.ctm.fluxes` into a scratch block of one control period,
-and a ``TrafficState`` is built only for the controller, at control
-instants. Density and flow bounds are checked at each control instant and
-at the end. The trace keeps the densities and the limit changes; its flows
-and per-sample limits are derived on access.
+and :func:`~vslsim.ctm.fluxes` into a scratch block of one control period;
+controllers read the history's rows and return plain limit arrays. Density
+and flow bounds are checked at each control instant and at the end. The
+trace keeps the densities and the limit changes; its flows and per-sample
+limits are derived on access.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .control import Controller, lc_distance
 from .ctm import (
     FundamentalDiagram,
     NetworkGeometry,
-    SpeedLimits,
-    TrafficState,
     engaged_drop,
     euler_update,
     fluxes,
@@ -240,24 +238,21 @@ class SimulationTrace:
                 fh.write("".join([fmt % tuple(row) for row in rows]))
 
 
-def _check_limits(limits: SpeedLimits, fd: FundamentalDiagram, n: int) -> SpeedLimits:
-    if not isinstance(limits, SpeedLimits):
-        raise ControllerError("controller must return a SpeedLimits value")
-    if limits.num_sections != n:
-        raise ControllerError(
-            f"controller returned {limits.num_sections} section limits, expected {n}"
-        )
-    v_f = fd.free_flow_speed
-    if not (limits.zone <= v_f and np.all(limits.sections <= v_f)):  # NaN fails
-        raise ControllerError("controller returned a limit above free flow or NaN")
-    return limits
+def _check_limits(limits, fd: FundamentalDiagram, width: int) -> np.ndarray:
+    """``limits`` as an array; ControllerError unless ``width`` values in (0, v_f]."""
+    row = np.asarray(limits, dtype=float)
+    if row.shape == (width,) and row.min() > 0.0 and row.max() <= fd.free_flow_speed:
+        return row
+    raise ControllerError(
+        f"controller returned {row.tolist()}; expected {width} limits, each "
+        f"above 0 and at most free flow ({fd.free_flow_speed:.6g} km/h)"
+    )
 
 
-def warm_state(scenario: "Scenario") -> TrafficState:
-    """Free-flow equilibrium at the initial demand: every cell at
-    min(demand, capacity) / free_flow_speed."""
+def warm_state(scenario: "Scenario") -> np.ndarray:
+    """Free flow at the initial demand: ``(C,)`` min(demand, capacity) / v_f."""
     rho = min(scenario.demand.at(0.0), scenario.fd.capacity) / scenario.fd.free_flow_speed
-    return TrafficState.uniform(rho, scenario.geometry.num_sections)
+    return np.full(scenario.geometry.num_cells, rho)
 
 
 def _incident_events(
@@ -356,7 +351,7 @@ def run_batch(
     exception that stopped it.
 
     Every row starts from ``warm_state`` of its scenario, and its
-    controller is consulted at each control instant with that row's state.
+    controller is consulted at each control instant with that row's densities.
     One :func:`~vslsim.ctm.fluxes` and one :func:`~vslsim.ctm.euler_update`
     call advance every row per step; being elementwise, they give each row
     the bytes it gets on its own. The history is laid out ``(B, T, C)``, so
@@ -375,7 +370,6 @@ def run_batch(
     n_steps = int(round(base.horizon / dt))
     ctrl_every = int(round(base.control_period_hours / dt))
     n_sections = base.geometry.num_sections
-    has_zone = base.geometry.has_zone
     n_cells = base.geometry.num_cells
     n_rows = len(scenarios)
     jam_out = fd.outflow_jam_density
@@ -396,8 +390,9 @@ def run_batch(
     switches = {0, *(np.flatnonzero(switched) + 1).tolist()}
 
     densities = np.empty((n_rows, n_steps + 1, n_cells))
-    for b, s in enumerate(scenarios):
-        densities[b, 0] = warm_state(s).all_densities(has_zone)
+    densities[:, 0] = [warm_state(s) for s in scenarios]
+    cells = densities.view()  # what the controllers see
+    cells.flags.writeable = False
     dt_over_length = dt / np.stack([s.geometry.cell_lengths() for s in scenarios])
     posted = np.full((n_rows, n_sections + 1), fd.free_flow_speed)
     caps = speed_caps(posted, n_cells, fd)
@@ -447,17 +442,15 @@ def run_batch(
                 if failed[b] is not None:
                     continue
                 try:
-                    state = TrafficState.from_cells(t, densities[b, k], has_zone)
-                    new = _check_limits(controller(state, t), fd, n_sections)
+                    row = _check_limits(controller(cells[b, k], t), fd, n_sections + 1)
                 except Exception as exc:  # noqa: BLE001 - fails this row only
                     fail(b, k, exc)
                     continue
-                row = new.as_array()
                 if not changes[b] or not np.array_equal(row, posted[b]):
                     if changes[b]:
-                        events[b].append((t, f"speed_limits zone={new.zone:.6g}"))
-                    changes[b].append((k, row))
+                        events[b].append((t, f"speed_limits zone={row[0]:.6g}"))
                     posted[b] = row
+                    changes[b].append((k, posted[b].copy()))  # row may be reused
                     caps[b] = speed_caps(row, n_cells, fd)
             if None not in failed:
                 break
@@ -498,16 +491,17 @@ def run(scenario: "Scenario", controller: Controller) -> SimulationTrace:
     """Simulate the scenario horizon under the given controller, starting
     from ``warm_state(scenario)``: the batch of one of :func:`run_batch`.
 
-    The controller is consulted every actuation period with the measured
-    state; between consultations the posted limits hold. The incident window
-    switches the bottleneck cap to the downstream capacity and, when lane
-    change advisories are configured, replaces the capacity-drop factor with
-    the configured residual. Identical inputs produce bit-identical traces.
-    The scenario checked itself when it was built, so its step meets the CFL
-    bound and divides the horizon and the control period into whole steps.
-    A density or flow out of range raises ``ValueError`` naming the first
-    step and cell it occurs at, by the next control instant; an exception
-    of the controller stops the run at once.
+    Every actuation period ``controller(cells, t)`` gets a read-only
+    ``(C,)`` view of the cell densities (a row of ``trace.densities``) and
+    the time in hours, and returns the ``N + 1`` posted limits ``[zone,
+    section 1 .. N]`` (a row of ``trace.limits``), which hold until the next
+    call. Identical inputs produce bit-identical traces. The scenario
+    checked itself when it was built, so its step meets the CFL bound and
+    divides the horizon and the control period into whole steps. A density
+    or flow out of range raises ``ValueError`` naming the first step and
+    cell it occurs at, by the next control instant. A controller stops the
+    run at the call that raises or that returns other than N + 1 limits in
+    (0, ``free_flow_speed``], the latter with ``ControllerError``.
     """
     (result,) = run_batch([scenario], [controller])
     if isinstance(result, Exception):

@@ -70,13 +70,14 @@ class SweepSpec:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(
-                f"unknown sweep variable {self.variable!r}; "
-                f"expected one of {', '.join(SWEEP_VARIABLES)}"
-            )
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        # Run names key the trace files; naming also rejects an unknown variable.
+        names = [_run_name(self.base.name, self.variable, v) for v in self.values]
+        for i, (value, name) in enumerate(zip(self.values, names)):
+            if (j := names.index(name)) < i:
+                problem = f"values[{i}]: {value!r} gives the run name {name} of values[{j}]"
+                raise ScenarioValidationError([problem])
 
 
 SWEEP_SPEC_SCHEMA = Section(
@@ -93,7 +94,9 @@ SWEEP_SPEC_SCHEMA = Section(
 def _run_name(base_name: str, variable: str, value: float) -> str:
     """Name of the run for one swept value, e.g. ``high_demand_L0_2.4``."""
     if variable not in _SWEEPS:
-        raise ValueError(f"unknown sweep variable {variable!r}")
+        raise ValueError(
+            f"unknown sweep variable {variable!r}; expected one of {', '.join(_SWEEPS)}"
+        )
     return f"{base_name}_{_SWEEPS[variable][0]}_{value:g}"
 
 

@@ -19,8 +19,6 @@ from vslsim import (
     NetworkGeometry,
     Scenario,
     SimulationTrace,
-    SpeedLimits,
-    TrafficState,
     default_emission_rate,
     high_demand_preset,
     lc_distance,
@@ -272,8 +270,8 @@ def oracle_emission(probes: list[OracleProbe], rate=default_emission_rate) -> fl
 #
 # The per-step, per-cell loop the array kernel in vslsim.ctm and
 # vslsim.simulate replaced, kept as the oracle it is tested against: scalar
-# flux law with a Python loop over cells, an Euler step that rebuilds a
-# TrafficState, and a run loop that applies both one time step at a time.
+# flux law with a Python loop over cells, an Euler step on the cell
+# densities, and a run loop that applies both one time step at a time.
 
 
 def _oracle_vsl_max_flow(speed: float, fd: FundamentalDiagram) -> float:
@@ -310,8 +308,8 @@ def one_state_flows(
 
 
 def oracle_interface_flows(
-    state: TrafficState,
-    limits: SpeedLimits,
+    cells: np.ndarray,
+    limits: np.ndarray,
     fd: FundamentalDiagram,
     demand: float,
     has_zone: bool,
@@ -319,23 +317,26 @@ def oracle_interface_flows(
     lc_residual_drop: float,
     downstream_capacity: float,
 ) -> np.ndarray:
-    """Every cell-boundary flow ``q_0 .. q_C`` of one state, cell by cell:
-    the admitted inflow first (with a zone it enters the zone cell, without
-    one it is ``q_1``, the flow into section 1), the bottleneck last."""
-    rho = state.densities
-    v = limits.sections
+    """Every cell-boundary flow ``q_0 .. q_C`` of the cell densities
+    ``cells`` (zone first when present) under ``limits = [zone, section 1 ..
+    N]``, cell by cell: the admitted inflow first (with a zone it enters the
+    zone cell, without one it is ``q_1``, the flow into section 1), the
+    bottleneck last."""
+    rho = cells[1:] if has_zone else cells
+    zone_limit = float(limits[0])
+    v = limits[1:]
     n = rho.shape[0]
     w = fd.backprop_speed
     rho_j = fd.jam_density
-    zone_cap = _oracle_vsl_max_flow(limits.zone, fd)
+    zone_cap = _oracle_vsl_max_flow(zone_limit, fd)
     section_cap = [_oracle_vsl_max_flow(float(vi), fd) for vi in v]
 
     interfaces = np.empty(n + 1)
     supply_1 = max(0.0, w * (rho_j - rho[0]))
     if has_zone:
-        rho0 = state.upstream_density
+        rho0 = float(cells[0])
         inflow = min(demand, zone_cap, max(0.0, w * (rho_j - rho0)))
-        interfaces[0] = min(limits.zone * rho0, zone_cap, section_cap[0], supply_1)
+        interfaces[0] = min(zone_limit * rho0, zone_cap, section_cap[0], supply_1)
     else:
         inflow = min(demand, zone_cap, section_cap[0], supply_1)
         interfaces[0] = inflow
@@ -357,15 +358,11 @@ def oracle_interface_flows(
     return np.concatenate(([inflow], interfaces)) if has_zone else interfaces
 
 
-def _oracle_step(state, q, geometry, dt) -> TrafficState:
-    rho = state.all_densities(geometry.has_zone)
+def _oracle_step(rho, q, geometry, dt) -> np.ndarray:
     new_rho = rho + (dt / geometry.cell_lengths()) * (q[:-1] - q[1:])
     if np.any(new_rho < -1e-9):
         raise ValueError(f"negative density {float(np.min(new_rho)):.6g} after step")
-    t = state.time + dt
-    if geometry.has_zone:
-        return TrafficState(t, float(new_rho[0]), new_rho[1:])
-    return TrafficState(t, float(new_rho[0]), new_rho)
+    return new_rho
 
 
 def oracle_run(scenario, controller=None) -> SimpleNamespace:
@@ -383,7 +380,7 @@ def oracle_run(scenario, controller=None) -> SimpleNamespace:
     n_sections = geometry.num_sections
     n_cells = geometry.num_cells
 
-    state = warm_state(scenario)
+    rho = warm_state(scenario)
     times = np.empty(n_steps + 1)
     densities = np.empty((n_steps + 1, n_cells))
     flow_rows = np.empty((n_steps + 1, n_cells + 1))
@@ -401,12 +398,10 @@ def oracle_run(scenario, controller=None) -> SimpleNamespace:
     for k in range(n_steps + 1):
         t = k * dt
         if k % ctrl_every == 0 or limits is None:
-            new_limits = controller(state, t)
-            if limits is None or not np.array_equal(
-                new_limits.as_array(), limits.as_array()
-            ):
+            new_limits = controller(rho, t)
+            if limits is None or not np.array_equal(new_limits, limits):
                 if limits is not None:
-                    events.append((t, f"speed_limits zone={new_limits.zone:.6g}"))
+                    events.append((t, f"speed_limits zone={new_limits[0]:.6g}"))
                 limits = new_limits
 
         active = incident is not None and incident.start <= t < incident.end
@@ -422,7 +417,7 @@ def oracle_run(scenario, controller=None) -> SimpleNamespace:
 
         demand = scenario.demand.flows[bisect.bisect_right(scenario.demand.times, t) - 1]
         q = oracle_interface_flows(
-            state,
+            rho,
             limits,
             fd,
             demand,
@@ -433,15 +428,15 @@ def oracle_run(scenario, controller=None) -> SimpleNamespace:
         )
 
         times[k] = t
-        densities[k] = state.all_densities(geometry.has_zone)
+        densities[k] = rho
         flow_rows[k] = q
-        limit_rows[k] = limits.as_array()
+        limit_rows[k] = limits
         demand_row[k] = demand
         incident_row[k] = active
         lc_row[k] = lc_on
 
         if k < n_steps:
-            state = _oracle_step(state, q, geometry, dt)
+            rho = _oracle_step(rho, q, geometry, dt)
 
     return SimpleNamespace(
         times=times,

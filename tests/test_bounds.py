@@ -160,9 +160,13 @@ class TestSimulationAgreement:
 
     Clearing is read off the bottleneck section falling below its critical
     occupancy; arrival is the first probe vehicle seeded after the incident
-    reaching the exit. Euler smearing of the queue tail at 1.6 km cells makes
-    the verdicts disagree in a band around the bound; agreement is asserted
-    outside +-25% of it (the tightest band this discretization supports).
+    reaching the exit. The verdicts disagree in a band around the bound
+    because the zone is one cell, up to 4.8 km long, which smears out the
+    low-density gap the bound reasons about: refining only the 1.6 km
+    sections widens the disagreement, and cutting the zone into cells of
+    the refined section length too makes the verdicts agree. Agreement is
+    asserted outside +-25% of the bound (the tightest band this one-cell
+    zone supports).
     """
 
     def test_verdicts_match_outside_band(self, fd):

@@ -345,6 +345,18 @@ REJECTED = [
         lambda s: s.update(values=[1.2, float("nan")]),
         "values[1]: must be a finite number",
     ),
+    (
+        "sweep_run_name_collision",
+        "sweep",
+        lambda s: s.update(values=[1.6000001, 1.6000002]),
+        "values[1]: 1.6000002 gives the run name mini_cli_L0_1.6 of values[0]",
+    ),
+    (
+        "sweep_repeated_value",
+        "sweep",
+        lambda s: s.update(values=[1.6, 0.8, 1.6]),
+        "values[2]: 1.6 gives the run name mini_cli_L0_1.6 of values[0]",
+    ),
 ]
 
 

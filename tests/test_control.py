@@ -16,7 +16,6 @@ from vslsim import (
     RuleBasedReactive,
     RuleBasedSchedule,
     Scenario,
-    TrafficState,
     VslRuleConfig,
     derated_command,
     lc_distance,
@@ -143,11 +142,11 @@ class TestSchedule:
     def test_posted_timeline(self, fd, geometry):
         # Incident at 10 min, switch at 30 min, cleared at 80 min.
         controller = RuleBasedSchedule(corridor(fd, geometry, self.CFG))
-        state = TrafficState.uniform(70.0, 6)
+        state = np.full(7, 70.0)
         for minute, zone in ((15.0, 20.0), (45.0, 25.0), (85.0, 100.0), (5.0, 100.0)):
             limits = controller(state, minute / 60.0)
-            assert limits.zone == pytest.approx(zone)
-            assert np.all(limits.sections == fd.free_flow_speed)
+            assert limits[0] == pytest.approx(zone)
+            assert np.all(limits[1:] == fd.free_flow_speed)
 
     def test_switch_time_is_30_minutes(self, fd, geometry):
         assert corridor(fd, geometry, self.CFG).switch_time() == pytest.approx(0.5)
@@ -155,8 +154,8 @@ class TestSchedule:
     def test_schedule_without_derating_matches_command_law(self, fd, geometry):
         cfg = VslRuleConfig(derating=1.0, switch_margin=0.1, quantize_step=0.0)
         controller = RuleBasedSchedule(corridor(fd, geometry, cfg))
-        limits = controller(TrafficState.uniform(70.0, 6), 15.0 / 60.0)
-        assert limits.zone == pytest.approx(v0_command(7000.0, 100.0, fd))
+        limits = controller(np.full(7, 70.0), 15.0 / 60.0)
+        assert limits[0] == pytest.approx(v0_command(7000.0, 100.0, fd))
 
     def test_oversized_margin_clamps_to_incident_end(self, fd, geometry):
         cfg = VslRuleConfig(derating=0.8, switch_margin=5.0, quantize_step=5.0)
@@ -166,10 +165,10 @@ class TestSchedule:
 
     def test_downstream_limits_always_free_flow(self, fd, geometry):
         controller = RuleBasedSchedule(corridor(fd, geometry, self.CFG))
-        state = TrafficState.uniform(70.0, 6)
+        state = np.full(7, 70.0)
         for minute in np.linspace(0.0, 90.0, 19):
             limits = controller(state, minute / 60.0)
-            assert np.all(limits.sections == fd.free_flow_speed)
+            assert np.all(limits[1:] == fd.free_flow_speed)
 
 
 class TestLaneChange:
@@ -192,15 +191,16 @@ class TestLaneChange:
 class TestControllers:
     def test_no_control_posts_free_flow(self, fd, geometry):
         controller = NoControl(corridor(fd, geometry))
-        state = TrafficState.uniform(150.0, 6)
+        state = np.full(7, 150.0)
         limits = controller(state, 0.5)
-        assert limits.zone == fd.free_flow_speed
-        assert np.all(limits.sections == fd.free_flow_speed)
+        assert limits.shape == (7,) and not limits.flags.writeable
+        assert limits[0] == fd.free_flow_speed
+        assert np.all(limits[1:] == fd.free_flow_speed)
 
     def test_schedule_controller_before_incident(self, fd, geometry):
         controller = RuleBasedSchedule(corridor(fd, geometry, TestSchedule.CFG))
-        limits = controller(TrafficState.uniform(70.0, 6), 5.0 / 60.0)
-        assert limits.zone == fd.free_flow_speed
+        limits = controller(np.full(7, 70.0), 5.0 / 60.0)
+        assert limits[0] == fd.free_flow_speed
         assert controller.switch_time == pytest.approx(0.5)
 
     @pytest.mark.parametrize("rule", [RuleBasedSchedule, RuleBasedReactive])
@@ -214,9 +214,9 @@ class TestControllers:
     def test_reactive_follows_measured_density(self, fd, geometry):
         cfg = VslRuleConfig(derating=0.8, quantize_step=5.0)
         controller = RuleBasedReactive(corridor(fd, geometry, cfg))
-        congested = controller(TrafficState.uniform(100.0, 6), 20.0 / 60.0)
-        assert congested.zone == pytest.approx(20.0)
-        cleared = controller(TrafficState.uniform(40.0, 6), 20.0 / 60.0)
-        assert cleared.zone == pytest.approx(25.0)
-        outside = controller(TrafficState.uniform(100.0, 6), 5.0 / 60.0)
-        assert outside.zone == fd.free_flow_speed
+        congested = controller(np.full(7, 100.0), 20.0 / 60.0)
+        assert congested[0] == pytest.approx(20.0)
+        cleared = controller(np.full(7, 40.0), 20.0 / 60.0)
+        assert cleared[0] == pytest.approx(25.0)
+        outside = controller(np.full(7, 100.0), 5.0 / 60.0)
+        assert outside[0] == fd.free_flow_speed

@@ -1,4 +1,4 @@
-"""Fundamental diagram, state types, and flux laws."""
+"""Fundamental diagram, geometry, and flux laws."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from helpers import one_state_flows, oracle_interface_flows, random_triangle
 from vslsim import (
     FundamentalDiagram,
     NetworkGeometry,
-    SpeedLimits,
-    TrafficState,
     equilibrium_density,
     vsl_max_flow,
 )
@@ -211,45 +209,23 @@ class TestInterfaceFlows:
             rho[rng.uniform(size=n) < 0.2] = 0.0
             if rng.uniform() < 0.2:
                 rho[-1] = cap_d / fd.free_flow_speed
-            state = TrafficState(0.0, float(rng.uniform(0.0, 1.2 * fd.jam_density)), rho)
+            zone_rho = float(rng.uniform(0.0, 1.2 * fd.jam_density))
             v_f = fd.free_flow_speed
             zone_limit = float(rng.uniform(1.0, v_f))
-            limits = SpeedLimits(zone_limit, rng.uniform(1.0, v_f, size=n))
+            limits = np.concatenate(([zone_limit], rng.uniform(1.0, v_f, size=n)))
             demand = float(rng.uniform(0.0, 1.2 * fd.capacity))
             has_zone = bool(rng.integers(2))
             lc_active = bool(rng.integers(2))
             residual = float(rng.uniform(0.0, fd.capacity_drop_factor))
-            got = one_state_flows(
-                state.all_densities(has_zone),
-                limits.as_array(),
-                fd,
-                demand,
-                lc_active,
-                residual,
-                cap_d,
-            )
+            cells = np.concatenate(([zone_rho], rho)) if has_zone else rho
+            got = one_state_flows(cells, limits, fd, demand, lc_active, residual, cap_d)
             ref = oracle_interface_flows(
-                state, limits, fd, demand, has_zone, lc_active, residual, cap_d
+                cells, limits, fd, demand, has_zone, lc_active, residual, cap_d
             )
             assert np.array_equal(got, ref)
 
 
 class TestValueTypes:
-    def test_traffic_state_immutable_and_validated(self):
-        state = TrafficState(0.0, 10.0, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            state.densities[0] = 5.0
-        with pytest.raises(ValueError):
-            TrafficState(-1.0, 10.0, np.array([1.0]))
-        with pytest.raises(ValueError):
-            TrafficState(0.0, 10.0, np.array([-1.0]))
-
-    def test_speed_limits_positive(self):
-        with pytest.raises(ValueError):
-            SpeedLimits(0.0, np.array([100.0]))
-        with pytest.raises(ValueError):
-            SpeedLimits(50.0, np.array([0.0]))
-
     def test_geometry_properties(self, geometry):
         assert geometry.has_zone
         assert geometry.num_cells == 7

@@ -20,7 +20,6 @@ from vslsim import (
     Scenario,
     ScenarioValidationError,
     SweepSpec,
-    TrafficState,
     apply_sweep_value,
     evaluate_trace,
     high_demand_preset,
@@ -143,7 +142,6 @@ VALID_KWARGS = {
         emission_table=((100.0, 150.0), (0.0, 300.0)),
     ),
     IncidentSchedule: dict(start=0.1, end=1.0, lanes_closed=1),
-    TrafficState: dict(time=0.0, upstream_density=50.0, densities=(50.0, 50.0)),
     BoundInputs: dict(
         fd=_FD,
         num_sections=2,
@@ -326,6 +324,11 @@ class TestSweep:
             SweepSpec(base=_mini(fd), variable="upstream_zone_length", values=())
         with pytest.raises(ValueError):
             SweepSpec(base=_mini(fd), variable="nope", values=(1.0,))
+        # Two rows of one run name would write one trace file.
+        with pytest.raises(ScenarioValidationError) as err:
+            SweepSpec(base=_mini(fd), variable="upstream_zone_length", values=(1.6, 1.6))
+        name = f"{_mini(fd).name}_L0_1.6"
+        assert err.value.violations == [f"values[1]: 1.6 gives the run name {name} of values[0]"]
 
     def test_load_sweep_spec_from_preset(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -1,5 +1,6 @@
 """Euler stepping, the run loop, conservation, and trace bookkeeping."""
 
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -25,9 +26,7 @@ from vslsim import (
     NetworkGeometry,
     Scenario,
     ScenarioValidationError,
-    SpeedLimits,
     SweepSpec,
-    TrafficState,
     apply_sweep_value,
     cfl_limit,
     evaluate_trace,
@@ -136,56 +135,77 @@ class TestRun:
     def test_warm_state_matches_demand(self, fd):
         scenario = mini_scenario(fd)
         state = warm_state(scenario)
-        assert np.allclose(state.densities, 70.0)
+        assert state.shape == (3,)
+        assert np.allclose(state, 70.0)
 
     def test_controller_rejected_on_bad_limits(self, fd):
         scenario = mini_scenario(fd)
+        # Limits returned at t = 0 -> how the message shows them; N + 1 = 4.
+        for limits, shown in (
+            (np.full(4, 150.0), "[150.0, 150.0, 150.0, 150.0]"),
+            (np.array([90.0, 90.0, 0.0, 90.0]), "[90.0, 90.0, 0.0, 90.0]"),
+            (np.array([90.0, 90.0, 90.0, -5.0]), "[90.0, 90.0, 90.0, -5.0]"),
+            (np.full(5, 90.0), "[90.0, 90.0, 90.0, 90.0, 90.0]"),
+            (np.full(3, 90.0), "[90.0, 90.0, 90.0]"),
+            ((90.0, 90.0, 90.0), "[90.0, 90.0, 90.0]"),
+        ):
+            calls = []
 
-        def too_fast(state, t):
-            return SpeedLimits.uniform(150.0, 3)
+            def bad(cells, t):
+                calls.append(t)
+                return limits
 
-        with pytest.raises(ControllerError):
-            run(scenario, too_fast)
+            message = re.escape(f"controller returned {shown}; expected 4 limits")
+            with pytest.raises(ControllerError, match=message):
+                run(scenario, bad)
+            assert calls == [0.0]
 
-        def wrong_shape(state, t):
-            return SpeedLimits.uniform(90.0, 5)
+        def too_fast_later(cells, t):
+            return np.full(4, 150.0 if t > 5.0 / 60.0 else 90.0)
 
-        with pytest.raises(ControllerError):
-            run(scenario, wrong_shape)
-
-        def not_limits(state, t):
-            return (90.0, 90.0, 90.0)
-
-        with pytest.raises(ControllerError):
-            run(scenario, not_limits)
-
-        def too_fast_later(state, t):
-            return SpeedLimits.uniform(150.0 if t > 5.0 / 60.0 else 90.0, 3)
-
-        with pytest.raises(ControllerError, match="above free flow"):
+        with pytest.raises(ControllerError, match=r"at most free flow \(100 km/h\)"):
             run(scenario, too_fast_later)
 
     @pytest.mark.parametrize(
-        "zone, section, named",
-        [(np.nan, 90.0, "zone speed limit"), (90.0, np.nan, "section speed limits")],
+        "zone, section, shown",
+        [(np.nan, 90.0, "[nan, 90.0, 90.0, 90.0]"), (90.0, np.nan, "[90.0, 90.0, nan, 90.0]")],
+        ids=["zone", "section"],
     )
-    def test_nan_limit_stops_first_controller_call(self, fd, zone, section, named):
+    def test_nan_limit_stops_first_controller_call(self, fd, zone, section, shown):
         scenario = mini_scenario(fd)
         calls = []
 
-        def nan_limits(state, t):
+        def nan_limits(cells, t):
             calls.append(t)
-            return SpeedLimits(zone, np.array([90.0, section, 90.0]))
+            return np.array([zone, 90.0, section, 90.0])
 
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ControllerError, match=re.escape(shown)):
             run(scenario, nan_limits)
         assert calls == [0.0]
-        # A value that slipped past SpeedLimits is still refused by the run.
-        forged = SpeedLimits.uniform(90.0, 3)
-        object.__setattr__(forged, "zone", zone)
-        object.__setattr__(forged, "sections", np.array([90.0, section, 90.0]))
-        with pytest.raises(ControllerError, match="or NaN"):
-            run(scenario, lambda s, t: forged)
+
+    def test_controller_cannot_write_the_densities(self, fd):
+        scenario = mini_scenario(fd)
+        free = np.full(4, 100.0)
+
+        def vandal(cells, t):
+            assert cells.shape == (3,)
+            with pytest.raises(ValueError, match="read-only"):
+                cells[:] = 0.0
+            return free
+
+        clean = run(scenario, lambda cells, t: free)
+        assert np.array_equal(run(scenario, vandal).densities, clean.densities)
+
+    def test_run_copies_the_limits_it_keeps(self, fd):
+        shared = np.full(4, 100.0)
+
+        def reusing(cells, t):
+            # One array, rewritten in place at every call.
+            shared[0] = 50.0 if t < 5.0 / 60.0 else 100.0
+            return shared
+
+        trace = run(mini_scenario(fd), reusing)
+        assert trace.limits[0, 0] == 50.0 and trace.limits[-1, 0] == 100.0
 
     def test_cfl_checked_before_running(self, fd):
         # The scenario checks the CFL bound when it is built, so no run starts.
@@ -267,10 +287,9 @@ class TestProfilesAndTypes:
     def test_state_accessors_without_zone(self, fd):
         scenario = mini_scenario(fd)
         trace = simulate_scenario(scenario)
-        state = TrafficState.from_cells(0.0, trace.densities[0], has_zone=False)
-        assert state.upstream_density == state.densities[0]
-        assert state.num_sections == 3
-        assert np.array_equal(state.all_densities(has_zone=False), trace.densities[0])
+        assert trace.section_densities.shape == (trace.num_samples, 3)
+        assert np.array_equal(trace.section_densities, trace.densities)
+        assert np.array_equal(trace.upstream_densities, trace.densities[:, 0])
 
 
 def replay_flows(scenario: Scenario, trace) -> np.ndarray:
@@ -406,22 +425,18 @@ class TestOutOfRangeStates:
 
     def test_nan_state_names_step_and_cell(self, fd, monkeypatch):
         scenario = mini_scenario(fd)
-        with pytest.raises(ValueError, match="densities must be non-negative"):
-            TrafficState(0.0, 70.0, np.array([70.0, np.nan, 70.0]))
-        # A state that slipped past TrafficState is still refused by the run.
-        state = TrafficState.uniform(70.0, 3)
-        object.__setattr__(state, "densities", np.array([70.0, np.nan, 70.0]))
+        state = np.array([70.0, np.nan, 70.0])
         monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: state)
         with pytest.raises(ValueError, match=r"step 0 \(t = 0 min\): cell 1 density nan"):
-            run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3))
+            run(scenario, lambda cells, t: np.full(4, 100.0))
 
     def test_overfull_bottleneck_names_step_and_cell(self, fd, monkeypatch):
         scenario = mini_scenario(fd)
-        state = TrafficState(0.0, 70.0, np.array([70.0, 70.0, 600.0]))
+        state = np.array([70.0, 70.0, 600.0])
         monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: state)
         message = r"step 0 \(t = 0 min\): bottleneck cell 2 density 600 outside \[0, 552\]"
         with pytest.raises(ValueError, match=message):
-            run(scenario, lambda s, t: SpeedLimits.uniform(100.0, 3))
+            run(scenario, lambda cells, t: np.full(4, 100.0))
 
     def test_nan_flow_mid_run_names_step_and_cell(self, fd, monkeypatch):
         real = vslsim.simulate.fluxes
@@ -523,16 +538,16 @@ class TestBatch:
 
         target = apply_sweep_value(base, "upstream_zone_length", 1.6)
         if fault == "controller":
-            # A NaN zone limit from 30 min on, forged past SpeedLimits' own check.
+            # A NaN zone limit from 30 min on.
             def faulty(scenario):
                 controller = make_controller(scenario)
                 if scenario.name != target.name:
                     return controller
 
-                def nan_later(state, t):
-                    limits = controller(state, t)
+                def nan_later(cells, t):
+                    limits = controller(cells, t).copy()
                     if t >= 0.5:
-                        object.__setattr__(limits, "zone", float("nan"))
+                        limits[0] = np.nan
                     return limits
 
                 return nan_later
@@ -546,7 +561,7 @@ class TestBatch:
             def nan_state(scenario):
                 state = real_warm_state(scenario)
                 if scenario.name == target.name:
-                    object.__setattr__(state, "densities", np.full(6, np.nan))
+                    state[1:] = np.nan  # every section, not the zone
                 return state
 
             monkeypatch.setattr(vslsim.simulate, "warm_state", nan_state)
