@@ -23,6 +23,7 @@ from vslsim import (
     v0_command,
     vsl_max_flow,
 )
+from vslsim.control import CONTROLLERS
 
 INCIDENT = IncidentSchedule(start=10.0 / 60.0, end=80.0 / 60.0, lanes_closed=1)
 
@@ -202,6 +203,20 @@ class TestControllers:
         limits = controller(np.full(7, 70.0), 5.0 / 60.0)
         assert limits[0] == fd.free_flow_speed
         assert controller.switch_time == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("kind", sorted(CONTROLLERS))
+    def test_posts_read_only_rows_without_writing_the_cells(self, fd, geometry, kind):
+        controller = CONTROLLERS[kind](corridor(fd, geometry, TestSchedule.CFG))
+        for rho in (0.0, 40.0, 100.0, fd.jam_density):
+            cells = np.full(7, rho)
+            cells.flags.writeable = False
+            # Before, during (both phases) and after the incident window.
+            for t in (0.0, 20.0 / 60.0, 60.0 / 60.0, 90.0 / 60.0):
+                limits = controller(cells, t)
+                assert limits.shape == (geometry.num_sections + 1,)
+                assert not limits.flags.writeable
+                assert np.all(limits > 0.0) and np.all(limits <= fd.free_flow_speed)
+                assert np.all(cells == rho)
 
     @pytest.mark.parametrize("rule", [RuleBasedSchedule, RuleBasedReactive])
     def test_rule_needs_an_incident(self, fd, geometry, rule):

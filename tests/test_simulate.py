@@ -183,6 +183,23 @@ class TestRun:
             run(scenario, nan_limits)
         assert calls == [0.0]
 
+    @pytest.mark.parametrize(
+        "zone, section, shown",
+        [(np.inf, 90.0, "[inf, 90.0, 90.0, 90.0]"), (90.0, np.inf, "[90.0, 90.0, inf, 90.0]")],
+        ids=["zone", "section"],
+    )
+    def test_infinite_limit_stops_first_controller_call(self, fd, zone, section, shown):
+        scenario = mini_scenario(fd)
+        calls = []
+
+        def infinite_limits(cells, t):
+            calls.append(t)
+            return np.array([zone, 90.0, section, 90.0])
+
+        with pytest.raises(ControllerError, match=re.escape(shown)):
+            run(scenario, infinite_limits)
+        assert calls == [0.0]
+
     def test_controller_cannot_write_the_densities(self, fd):
         scenario = mini_scenario(fd)
         free = np.full(4, 100.0)
@@ -428,6 +445,13 @@ class TestOutOfRangeStates:
         state = np.array([70.0, np.nan, 70.0])
         monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: state)
         with pytest.raises(ValueError, match=r"step 0 \(t = 0 min\): cell 1 density nan"):
+            run(scenario, lambda cells, t: np.full(4, 100.0))
+
+    def test_infinite_state_names_step_and_cell(self, fd, monkeypatch):
+        scenario = mini_scenario(fd)
+        state = np.array([70.0, np.inf, 70.0])
+        monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: state)
+        with pytest.raises(ValueError, match=r"step 0 \(t = 0 min\): cell 1 density inf"):
             run(scenario, lambda cells, t: np.full(4, 100.0))
 
     def test_overfull_bottleneck_names_step_and_cell(self, fd, monkeypatch):
