@@ -41,7 +41,8 @@ from .ctm import (
 if TYPE_CHECKING:
     from .scenario import Scenario
 
-# Rows of the trace CSV formatted per write. The block's temporary table
+# Most rows of the trace CSV formatted per write; a block ends early where a
+# stretch of held limits and flags ends. The block's temporary table
 # (column_stack, then one Python float per value) stays at tens of kB; a
 # whole-trace table would add megabytes to the peak memory of a run.
 CSV_BLOCK_ROWS = 10
@@ -214,7 +215,14 @@ class SimulationTrace:
         }
 
     def to_csv(self, path, comment: str | None = None) -> None:
-        """Write one row per sample; a leading comment line carries provenance."""
+        """Write one row per sample; a leading comment line carries provenance.
+
+        The posted speeds and the two flags are held over a stretch of
+        steps, which starts at each limit change and at each flag switch.
+        Each stretch formats that suffix once, into its row format, so a row
+        formats only its time, densities and flows. Blocks of
+        ``CSV_BLOCK_ROWS`` rows stay within one stretch.
+        """
         n = self.geometry.num_sections
         columns = ["t_h", "rho_0"]
         columns += [f"rho_{i}" for i in range(1, n + 1)]
@@ -226,16 +234,28 @@ class SimulationTrace:
         if not self.geometry.has_zone:
             # No zone cell: the admitted inflow and q_1 coincide.
             table.append(flows[:, 0])
-        table += [flows, self.limits, self.incident_active, self.lc_active]
-        fmt = ",".join(["%.10g"] * (len(columns) - 2) + ["%d", "%d"]) + "\n"
+        table.append(flows)
+        varying = ",".join(["%.10g"] * (len(columns) - n - 3))
+        held = ",".join(["%.10g"] * (n + 1) + ["%d", "%d"])
+        incident, lc = self.incident_active, self.lc_active
+        # A boolean mask, not np.union1d: numpy's set routines import numpy.ma.
+        first = np.zeros(self.num_samples, dtype=bool)
+        first[self.limit_steps] = True
+        first[1:] |= (incident[1:] != incident[:-1]) | (lc[1:] != lc[:-1])
+        starts = np.flatnonzero(first)
+        posted = np.searchsorted(self.limit_steps, starts, side="right") - 1
+        ends = np.append(starts[1:], self.num_samples)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
             fh.write(",".join(columns) + "\n")
-            for start in range(0, self.num_samples, CSV_BLOCK_ROWS):
-                block = slice(start, start + CSV_BLOCK_ROWS)
-                rows = np.column_stack([col[block] for col in table]).tolist()
-                fh.write("".join([fmt % tuple(row) for row in rows]))
+            for start, end, i in zip(starts.tolist(), ends.tolist(), posted.tolist()):
+                suffix = held % (*self.limit_rows[i].tolist(), incident[start], lc[start])
+                fmt = f"{varying},{suffix.replace('%', '%%')}\n"
+                for block_start in range(start, end, CSV_BLOCK_ROWS):
+                    block = slice(block_start, min(block_start + CSV_BLOCK_ROWS, end))
+                    values = np.column_stack([col[block] for col in table]).tolist()
+                    fh.write("".join([fmt % tuple(row) for row in values]))
 
 
 def _check_limits(limits, fd: FundamentalDiagram, width: int) -> np.ndarray:

@@ -221,7 +221,7 @@ def test_c07_directional_control_benefit(high_run, no_control_run):
     travel time and density tracking; stop counts must not degrade.
 
     Neither scenario produces speeds below the 5 km/h stop threshold in this
-    model (the uncontrolled jam still crawls near 26 km/h), so both stop
+    model (the uncontrolled jam still crawls near 31.6 km/h), so both stop
     counts are zero and the comparison degenerates to a tie at zero.
     """
     controlled_scenario, controlled_trace = high_run

@@ -26,7 +26,9 @@ from vslsim import (
     NetworkGeometry,
     Scenario,
     ScenarioValidationError,
+    SimulationTrace,
     SweepSpec,
+    VslRuleConfig,
     apply_sweep_value,
     cfl_limit,
     evaluate_trace,
@@ -418,6 +420,47 @@ class TestTraceCsv:
         blocked = (tmp_path / "blocked.csv").read_bytes()
         assert blocked == (tmp_path / "oracle.csv").read_bytes()
         assert blocked.startswith(b"# scenario=mini") == (comment is not None)
+
+    @pytest.mark.parametrize("zone", [0.0, 1.2])
+    @pytest.mark.parametrize(
+        "controller, lc", [("rule_based", LcConfig()), ("rule_based_reactive", None)]
+    )
+    def test_stretches_that_start_mid_block(self, fd, tmp_path, zone, controller, lc):
+        # 610 rows, limits posted every 7 s; the closure holds from step 123
+        # to step 608, so the flags switch at steps 123 and 609. The limits
+        # change first at step 126 and last at step 609, the last sample,
+        # which makes a one-row stretch.
+        scenario = mini_scenario(
+            fd,
+            geometry=NetworkGeometry(3, 1.6, zone),
+            incident=IncidentSchedule(start=122.5 / 3600.0, end=608.5 / 3600.0),
+            controller=controller,
+            lc=lc,
+            horizon=609.0 / 3600.0,
+            control_period=7.0,
+            vsl=VslRuleConfig(switch_margin=0.0),
+        )
+        trace = simulate_scenario(scenario)
+        assert trace.num_samples == 610
+        assert trace.limit_steps[1] == 126 and trace.limit_steps[-1] == 609
+        trace.to_csv(tmp_path / "blocked.csv")
+        oracle_to_csv(trace, tmp_path / "oracle.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (
+            tmp_path / "oracle.csv"
+        ).read_bytes()
+
+    def test_writes_without_per_sample_limits(self, tmp_path, monkeypatch):
+        def no_limits(trace):
+            raise AssertionError("to_csv built the (T, N + 1) limits")
+
+        trace = simulate_scenario(high_demand_preset())
+        with monkeypatch.context() as patch:
+            patch.setattr(SimulationTrace, "limits", property(no_limits))
+            trace.to_csv(tmp_path / "blocked.csv")
+        oracle_to_csv(trace, tmp_path / "oracle.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (
+            tmp_path / "oracle.csv"
+        ).read_bytes()
 
 
 class TestOutOfRangeStates:
