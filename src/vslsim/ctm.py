@@ -14,7 +14,10 @@ critical density.
 
 The law is written once, as array functions over the last (cell) axis:
 :func:`fluxes` gives every cell-boundary flow and :func:`euler_update` the
-next densities, for one state ``(C,)`` or a whole history ``(T, C)`` alike.
+next densities, for one state ``(C,)``, a batch ``(B, C)`` or a whole history
+``(T, C)`` alike. A single state takes its bottleneck interface on Python
+floats, with a NaN-propagating minimum, which is cheaper than 0-d numpy
+arithmetic and gives the same bits; every other shape takes it on arrays.
 """
 
 from __future__ import annotations
@@ -216,6 +219,13 @@ def speed_caps(v, n_cells: int, fd: FundamentalDiagram) -> np.ndarray:
     return np.minimum(upstream, cell)
 
 
+def _minimum(a, b):
+    """``np.minimum`` of two Python floats: ``a`` when it is the smaller or
+    NaN, else ``b`` (so NaN propagates from either side, and of two zeros
+    the second is kept, as ``np.minimum`` does)."""
+    return a if a < b or a != a else b
+
+
 def fluxes(
     rho, v, cap, demand, cap_d, drop, fd: FundamentalDiagram, out=None
 ) -> np.ndarray:
@@ -234,6 +244,12 @@ def fluxes(
     w_out * (jam_out - rho_N))``, with ``eps = drop`` while ``rho_N``
     exceeds ``cap_d / free_flow_speed`` and 0 otherwise. ``out``, when
     given, receives the flows.
+
+    Each array pass makes at most one temporary. For one ``(C,)`` state the
+    last interface is computed on Python floats, with the same IEEE
+    operations in the same order and a NaN-propagating minimum, so it gives
+    the bits of the array path; ``cap_d`` and ``drop`` are cheapest there
+    as Python floats.
     """
     n = rho.shape[-1]
     q = np.empty(rho.shape[:-1] + (n + 1,)) if out is None else out
@@ -241,15 +257,19 @@ def fluxes(
     np.multiply(v[..., -n:], rho, out=q[..., 1:])  # v * rho sent by each cell
     head = q[..., :n]
     np.minimum(head, cap, out=head)
-    supply = fd.backprop_speed * (fd.jam_density - rho)
+    supply = np.subtract(fd.jam_density, rho)
+    supply *= fd.backprop_speed
     np.maximum(supply, 0.0, out=supply)
     np.minimum(head, supply, out=head)
-    rho_n = rho[..., -1]
+    if rho.ndim == 1:
+        rho_n, q_n, minimum = rho.item(-1), q.item(n), _minimum
+    else:
+        rho_n, q_n, minimum = rho[..., -1], q[..., n], np.minimum
     # The drop acts only above the bottleneck's critical density (strictly);
     # drop * True is drop and drop * False is 0, exactly.
     eps = drop * (rho_n > cap_d / fd.free_flow_speed)
-    q[..., n] = np.minimum(
-        np.minimum(q[..., n], (1.0 - eps) * cap_d),
+    q[..., n] = minimum(
+        minimum(q_n, (1.0 - eps) * cap_d),
         fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
     )
     return q
@@ -257,8 +277,11 @@ def fluxes(
 
 def euler_update(rho, q, dt_over_length, out=None) -> np.ndarray:
     """Densities one step on, ``rho_c + dt / L_c * (q_c - q_{c+1})``, over
-    the last axis; ``out``, when given, receives them."""
-    return np.add(rho, dt_over_length * (q[..., :-1] - q[..., 1:]), out=out)
+    the last axis; ``out``, when given, receives them. The change is one
+    temporary, scaled in place."""
+    change = np.subtract(q[..., :-1], q[..., 1:])
+    change *= dt_over_length
+    return np.add(rho, change, out=out)
 
 
 def equilibrium_density(demand: float, fd: FundamentalDiagram) -> float:

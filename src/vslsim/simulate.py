@@ -23,6 +23,7 @@ limits are derived on access.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -96,12 +97,12 @@ class DemandProfile:
         """Demand in force at time(s) ``t`` (h): the flow of the last step
         starting at or before ``t``. A float gives a float, an array an array.
         A negative or NaN time raises ValueError."""
-        scalar = np.ndim(t) == 0
+        scalar = isinstance(t, float) or np.ndim(t) == 0
         if not (t >= 0.0 if scalar else np.all(np.greater_equal(t, 0.0))):
             raise ValueError(f"demand time must be non-negative, got {t!r}")
-        step = np.searchsorted(self.times, t, side="right") - 1  # bisect_right - 1
-        flows = np.asarray(self.flows)[step]
-        return float(flows) if scalar else flows
+        if scalar:
+            return float(self.flows[bisect.bisect_right(self.times, t) - 1])
+        return np.asarray(self.flows)[np.searchsorted(self.times, t, side="right") - 1]
 
 
 def cfl_limit(geometry: NetworkGeometry, fd: FundamentalDiagram) -> float:
@@ -452,8 +453,8 @@ def run_batch(
     for k, (rho, d_k) in enumerate(zip(steps, step_demand)):
         if k in switches:
             cap_d_k, drop_k = _bottleneck(fd, active[:, k], lc_on[:, k], residual)
-            if single:
-                cap_d_k, drop_k = cap_d_k[0], drop_k[0]
+            if single:  # Python floats: fluxes' one-state path is float arithmetic
+                cap_d_k, drop_k = cap_d_k.item(0), drop_k.item(0)
         if k % ctrl_every == 0:
             check(k, k)
             last = k

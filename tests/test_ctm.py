@@ -10,7 +10,7 @@ from vslsim import (
     equilibrium_density,
     vsl_max_flow,
 )
-from vslsim.ctm import engaged_drop
+from vslsim.ctm import engaged_drop, fluxes, speed_caps
 
 
 def discharge(rho_n, fd, **kwargs):
@@ -223,6 +223,55 @@ class TestInterfaceFlows:
                 cells, limits, fd, demand, has_zone, lc_active, residual, cap_d
             )
             assert np.array_equal(got, ref)
+
+
+class TestOneStatePath:
+    """``fluxes`` takes the last interface of one ``(C,)`` state on Python
+    floats and of a ``(B, C)`` batch on arrays: the two give the same bits."""
+
+    SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+    SCALARS = (float, np.float64, np.array)  # np.array(x) is 0-d
+
+    def _special(self, rng, value, p=0.1):
+        return float(rng.choice(self.SPECIALS)) if rng.uniform() < p else value
+
+    def test_one_state_matches_batch_row(self):
+        # Random diagrams and states, with the bottleneck exactly at the drop
+        # threshold or past outflow_jam_density, NaN, infinities and signed
+        # zeros in the bottleneck cell, another cell, the demand, the cap
+        # and the drop, both caps with advisories on and off, and cap and
+        # drop as Python floats, numpy float64 and 0-d arrays.
+        rng = np.random.default_rng(41)
+        for _ in range(3000):
+            fd = random_triangle(rng)
+            n_sections = int(rng.integers(1, 7))
+            n_cells = n_sections + int(rng.integers(2))
+            cap_d = float(rng.choice([fd.downstream_capacity, fd.capacity]))
+            lc_active = bool(rng.integers(2))
+            residual = float(rng.uniform(0.0, fd.capacity_drop_factor))
+            drop = float(engaged_drop(cap_d, fd, lc_active, residual))
+            rho = rng.uniform(0.0, fd.jam_density, size=n_cells)
+            rho[rng.uniform(size=n_cells) < 0.2] = 0.0
+            tail = rng.uniform()
+            if tail < 0.2:
+                rho[-1] = cap_d / fd.free_flow_speed
+            elif tail < 0.4:
+                rho[-1] = rng.uniform(1.0, 1.5) * fd.outflow_jam_density
+            rho[-1] = self._special(rng, rho[-1], 0.3)
+            other = int(rng.integers(n_cells))
+            rho[other] = self._special(rng, rho[other], 0.2)
+            demand = self._special(rng, float(rng.uniform(0.0, 1.2 * fd.capacity)))
+            cap_d = self._special(rng, cap_d, 0.05)
+            drop = self._special(rng, drop, 0.05)
+            v = rng.uniform(1.0, fd.free_flow_speed, size=n_sections + 1)
+            cap = speed_caps(v, n_cells, fd)
+            c, d = (self.SCALARS[rng.integers(3)](x) for x in (cap_d, drop))
+            rows = (np.array([x]) for x in (demand, cap_d, drop))
+            with np.errstate(invalid="ignore"):  # inf * False and inf - inf
+                one = fluxes(rho, v, cap, demand, c, d, fd)
+                batch = fluxes(rho[None], v[None], cap[None], *rows, fd)
+            assert np.array_equal(one, batch[0], equal_nan=True)
+            assert np.array_equal(np.signbit(one), np.signbit(batch[0]))
 
 
 class TestValueTypes:

@@ -1,7 +1,8 @@
 """sha256 of the files refactors claim to leave byte-identical.
 
-Pinned: the trace CSVs of ``vslsim run`` on ``high_demand`` and on its
-``rule_based_reactive`` and ``no_control`` variants, the summary CSV of a
+Pinned: the trace CSVs of ``vslsim run`` on ``high_demand``, on its
+``rule_based_reactive`` and ``no_control`` variants and on the 25-cell fine
+grid (``helpers.fine_grid_scenario``), the summary CSV of a
 three-value ``sweep --traces``, and a canonical dump of each metrics JSON's
 ``metrics`` and ``events`` blocks. ``vehicle_balance`` is left out: it goes
 through a BLAS dot whose last bits may differ between CPUs. The trace CSV uses
@@ -14,6 +15,8 @@ why in its change notes.
 import hashlib
 import json
 from dataclasses import replace
+
+from helpers import fine_grid_scenario
 
 from vslsim import high_demand_preset, save_scenario
 from vslsim.cli import cli_dispatch
@@ -37,6 +40,12 @@ PINNED = {
     "high_demand_no_control_metrics": (
         "875850337cf4ee75bf47c0dba6ac05a57534b4c7ce4bc15193460887da3a33c0"
     ),
+    "fine_grid_trace.csv": (
+        "5275ad09844daf878b7c0d6b1931a88e8a5e8bb7e5a49d77d3ac6c2a590a2744"
+    ),
+    "fine_grid_metrics": (
+        "6da15fd700a26ebafd08f717d5394d4fd604d75c8ff38f31f084d1d01a235313"
+    ),
     "high_demand_upstream_zone_length_sweep.csv": (
         "4c29d0369ed7cb4aac3de280a18610b27d1020b8187f3348b4b45bb9211ecc19"
     ),
@@ -53,6 +62,7 @@ def test_run_and_sweep_outputs_match_pinned_hashes(tmp_path, capsys):
         base,
         replace(base, name="high_demand_reactive", controller="rule_based_reactive"),
         replace(base, name="high_demand_no_control", controller="no_control"),
+        fine_grid_scenario(),
     )
     out = tmp_path / "out"
     hashes = {}

@@ -267,6 +267,22 @@ class TestProfilesAndTypes:
         assert profile.at(0.5) == 2000.0
         assert profile.at(2.0) == 500.0
 
+    def test_demand_scalar_and_array_lookups_agree(self):
+        # The scalar lookup bisects the tuples, the array one searchsorts:
+        # the same step at each breakpoint and one ulp either side of it.
+        profile = DemandProfile((0.0, 0.25, 0.5, 4.0 / 3.0), (7000.0, 0.0, 6200.0, 7400.0))
+        times = np.array(profile.times)
+        near = np.concatenate(
+            (times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf))
+        )
+        near = near[near >= 0.0]
+        array = profile.at(near)
+        for t, flow in zip(near.tolist(), array.tolist()):
+            assert type(profile.at(t)) is float
+            assert profile.at(t) == flow
+            assert profile.at(np.float64(t)) == flow
+            assert profile.at(np.array(t)) == flow
+
     @pytest.mark.parametrize(
         "t",
         [-0.1, float("nan"), np.array([0.0, -0.1, 0.5])],
