@@ -41,7 +41,6 @@ from .ctm import (
 from .metrics import (
     MetricsReport,
     ProbeSet,
-    VirtualTrajectory,
     avg_emission,
     avg_stops,
     default_emission_rate,

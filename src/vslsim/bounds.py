@@ -189,8 +189,8 @@ def chasing_verdict(inputs: BoundInputs, zone_length: float) -> ChasingVerdict:
 
 
 @dataclass(frozen=True)
-class ZoneBoundReport:
-    """Everything the bound computation knows about one candidate zone length.
+class ZoneBoundReport(ChasingVerdict):
+    """The race at one candidate zone length, plus the zone-length bound.
 
     ``feasible`` is always true: ``zone_bound_report`` computes the raw bound
     first, which raises ``InfeasibleSpeedError`` for an infeasible command, so
@@ -198,30 +198,23 @@ class ZoneBoundReport:
     """
 
     zone_length: float  # km, the evaluated candidate
-    lower_bound: float  # km, clamped at zero
     lower_bound_raw: float  # km, signed
-    vacuous: bool  # True when the raw bound is negative
-    feasible: bool
-    time_to_clear: float  # h
-    arrival_time: float  # h
-    absorbed: bool
+
+    feasible = True
 
     @property
-    def verdict(self) -> str:
-        return "absorbed" if self.absorbed else "shockwave_risk"
+    def lower_bound(self) -> float:
+        """Zone-length bound clamped at zero (km)."""
+        return max(0.0, self.lower_bound_raw)
+
+    @property
+    def vacuous(self) -> bool:
+        """True when the raw bound is negative: any zone length works."""
+        return self.lower_bound_raw < 0.0
 
 
 def zone_bound_report(inputs: BoundInputs, zone_length: float) -> ZoneBoundReport:
     """Bundle bound, clearing time, arrival time, and verdict for reporting."""
     raw = l0_lower_bound_raw(inputs)
-    verdict = chasing_verdict(inputs, zone_length)
-    return ZoneBoundReport(
-        zone_length=zone_length,
-        lower_bound=max(0.0, raw),
-        lower_bound_raw=raw,
-        vacuous=raw < 0.0,
-        feasible=v0_feasible(inputs),
-        time_to_clear=verdict.time_to_clear,
-        arrival_time=verdict.arrival_time,
-        absorbed=verdict.absorbed,
-    )
+    race = chasing_verdict(inputs, zone_length)
+    return ZoneBoundReport(**vars(race), zone_length=zone_length, lower_bound_raw=raw)

@@ -196,7 +196,7 @@ def _cmd_bound(args) -> int:
         ("lower bound on zone length (km)", _fmt(report.lower_bound)),
         ("time to clear congestion (min)", _fmt(report.time_to_clear * 60.0)),
         ("first held vehicle arrival (min)", _fmt(report.arrival_time * 60.0)),
-        ("verdict at zone length %s km" % _fmt(report.zone_length), report.verdict),
+        ("verdict at zone length %s km" % _fmt(report.zone_length), report.label),
         ("command feasible", str(report.feasible).lower()),
     ]
     width = max(len(label) for label, _ in rows)
@@ -212,7 +212,7 @@ def _cmd_bound(args) -> int:
                 "vacuous": report.vacuous,
                 "time_to_clear_h": report.time_to_clear,
                 "arrival_time_h": report.arrival_time,
-                "verdict": report.verdict,
+                "verdict": report.label,
                 "feasible": report.feasible,
             }
         )

@@ -119,8 +119,9 @@ class _Integral:
 
 @dataclass(frozen=True, eq=False)
 class ProbeSet:
-    """Probes as the instants (h) ``crossings[p, c]`` probe ``p`` enters cell
-    ``c``; the last column is the exit, ``inf`` a boundary not yet reached."""
+    """Probes as rows: ``crossings[p, c]`` is the instant (h) probe ``p``
+    enters cell ``c``, the last column is the exit, and ``inf`` a boundary not
+    yet reached. Iterating yields the rows."""
 
     crossings: np.ndarray  # (P, num_cells + 1)
     field: np.ndarray  # (T, num_cells) speeds the probes moved at, km/h
@@ -130,44 +131,18 @@ class ProbeSet:
     def __len__(self) -> int:
         return self.crossings.shape[0]
 
-    def __iter__(self) -> Iterator[VirtualTrajectory]:
-        return (VirtualTrajectory(self, i) for i in range(len(self)))
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.crossings)
 
     @property
     def complete(self) -> np.ndarray:
         return np.isfinite(self.crossings[:, -1])
 
-
-@dataclass(frozen=True)
-class VirtualTrajectory:
-    """One probe, a row of a ``ProbeSet``; no ``exit_time`` if still inside."""
-
-    probes: ProbeSet
-    index: int
-
-    @property
-    def entry_time(self) -> float:
-        return float(self.probes.crossings[self.index, 0])
-
-    @property
-    def exit_time(self) -> float | None:
-        t = float(self.probes.crossings[self.index, -1])
-        return t if math.isfinite(t) else None
-
-    @property
-    def complete(self) -> bool:
-        return self.exit_time is not None
-
-    @property
-    def transit_time(self) -> float:
-        if self.exit_time is None:
-            raise ValueError("trajectory did not exit the corridor")
-        return self.exit_time - self.entry_time
-
-    def steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distance (km) and time (h) in each grid step from entry to exit or
-        horizon: positions are the running sum, speeds the ratio."""
-        times, x = self.probes.times, self.probes.crossings[self.index]
+    def steps(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distance (km) and time (h) probe ``i`` spends in each grid step from
+        entry to exit or horizon: positions are the running sum, speeds the
+        ratio."""
+        times, x = self.times, self.crossings[i]
         end = min(x[-1], times[-1])
         k0, k1 = np.searchsorted(times, (x[0], end))
         # Between consecutive step instants and crossings the speed is constant.
@@ -175,7 +150,7 @@ class VirtualTrajectory:
         mid = 0.5 * (edges[:-1] + edges[1:])
         k = np.clip(np.searchsorted(times, mid, side="right") - 1, k0, k1 - 1)
         c = np.clip(np.searchsorted(x, mid, side="right") - 1, 0, len(x) - 2)
-        km = np.bincount(k - k0, self.probes.field[k, c] * np.diff(edges), k1 - k0)
+        km = np.bincount(k - k0, self.field[k, c] * np.diff(edges), k1 - k0)
         return km, np.diff(np.append(times[k0:k1], end))
 
 
@@ -236,7 +211,7 @@ def avg_stops(probes: ProbeSet, v_stop: float, v_resume: float) -> float:
         return 0.0
     counts = []
     for i in done:
-        km, hours = VirtualTrajectory(probes, i).steps()
+        km, hours = probes.steps(i)
         counts.append(stop_count(km / hours, v_stop, v_resume))
     return float(np.mean(counts))
 

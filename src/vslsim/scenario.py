@@ -39,7 +39,6 @@ from .metrics import (
     RateFn,
     default_emission_rate,
     emission_rate_from_table,
-    evaluate_trace,  # noqa: F401 - re-exported: the scenario API's metrics entry
 )
 from .simulate import (
     DemandProfile,

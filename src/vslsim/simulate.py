@@ -385,6 +385,11 @@ def run_batch(
     """
     if len({batch_key(s) for s in scenarios}) != 1:
         raise ValueError("a batch needs one or more scenarios with one batch_key")
+    if len(controllers) != len(scenarios):
+        raise ValueError(
+            f"a batch needs one controller per scenario: got {len(controllers)} "
+            f"controllers for {len(scenarios)} scenarios"
+        )
     base = scenarios[0]
     fd = base.fd
     dt = base.dt_hours
@@ -419,7 +424,6 @@ def run_batch(
     caps = speed_caps(posted, n_cells, fd)
     flows = np.empty((ctrl_every, n_rows, n_cells + 1))
     changes: list[list[tuple[int, np.ndarray]]] = [[] for _ in scenarios]
-    events: list[list[tuple[float, str]]] = [[] for _ in scenarios]
     failed: list[Exception | None] = [None] * n_rows
 
     def fail(b: int, k: int, exc: Exception) -> None:
@@ -468,8 +472,6 @@ def run_batch(
                     fail(b, k, exc)
                     continue
                 if not changes[b] or not np.array_equal(row, posted[b]):
-                    if changes[b]:
-                        events[b].append((t, f"speed_limits zone={row[0]:.6g}"))
                     posted[b] = row
                     changes[b].append((k, posted[b].copy()))  # row may be reused
                     caps[b] = speed_caps(row, n_cells, fd)
@@ -487,7 +489,8 @@ def run_batch(
             results.append(failed[b])
             continue
         # Stable sort: at one instant the controller's event precedes the incident's.
-        row_events = events[b] + _incident_events(s, active[b], lc_on[b], dt)
+        row_events = [(k * dt, f"speed_limits zone={v[0]:.6g}") for k, v in changes[b][1:]]
+        row_events += _incident_events(s, active[b], lc_on[b], dt)
         row_events.sort(key=lambda event: event[0])
         limit_steps, limit_rows = zip(*changes[b])
         results.append(

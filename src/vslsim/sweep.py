@@ -113,11 +113,14 @@ class SweepRow:
     variable: str
     value: float
     name: str
-    status: str  # "ok" or "failed"
     error: str | None = None
     error_type: str | None = None
     metrics: MetricsReport | None = None
     bound: ZoneBoundReport | None = None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.error is None else "failed"
 
 
 def _failed_row(variable: str, value: float, name: str, exc: Exception) -> SweepRow:
@@ -125,7 +128,6 @@ def _failed_row(variable: str, value: float, name: str, exc: Exception) -> Sweep
         variable=variable,
         value=value,
         name=name,
-        status="failed",
         error=str(exc),
         error_type=type(exc).__name__,
     )
@@ -162,7 +164,6 @@ def _run_one(
         variable=variable,
         value=member.value,
         name=scenario.name,
-        status="ok",
         metrics=report,
         bound=member.bound,
     )
@@ -250,7 +251,7 @@ SWEEP_CSV_COLUMNS: dict[str, Callable[[SweepRow], str]] = {
     "l0_lower_bound_km": _from_bound(lambda b: _g(b.lower_bound)),
     "time_to_clear_min": _from_bound(lambda b: _g(b.time_to_clear * 60.0)),
     "arrival_time_min": _from_bound(lambda b: _g(b.arrival_time * 60.0)),
-    "verdict": _from_bound(lambda b: b.verdict),
+    "verdict": _from_bound(lambda b: b.label),
     "feasible": _from_bound(lambda b: str(b.feasible).lower()),
     "error_type": lambda row: row.error_type or "",
 }

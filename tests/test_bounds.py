@@ -151,7 +151,7 @@ class TestChasingVerdict:
         assert not report.vacuous
         assert report.absorbed
         assert report.lower_bound == pytest.approx(1.7621917808, rel=1e-9)
-        assert report.verdict == "absorbed"
+        assert report.label == "absorbed"
 
 
 @pytest.mark.slow
@@ -191,8 +191,8 @@ class TestSimulationAgreement:
             below = after & (trace.section_densities[:, -1] <= threshold)
             t_clear = trace.times[np.argmax(below)] if below.any() else np.inf
             probes = reconstruct_trajectories(trace, 10.0 / 3600.0)
-            first_held = next(p for p in probes if p.entry_time >= t0)
-            t_arrive = first_held.exit_time if first_held.complete else np.inf
+            # An incomplete probe's exit is inf.
+            t_arrive = next(row[-1] for row in probes if row[0] >= t0)
             simulated_absorbed = t_clear < t_arrive
             assert simulated_absorbed == chasing_verdict(inputs, zone).absorbed
 

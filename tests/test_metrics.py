@@ -85,9 +85,10 @@ def speed_trace(fd, speeds, section_length):
     )
 
 
-def positions(probe):
-    """km from the entrance at entry, each later sample instant, and exit."""
-    return np.concatenate(([0.0], np.cumsum(probe.steps()[0])))
+def positions(probes, i):
+    """km from the entrance of probe ``i`` at entry, each later sample
+    instant, and exit."""
+    return np.concatenate(([0.0], np.cumsum(probes.steps(i)[0])))
 
 
 def two_speed_trace(fd, slow_from_k=600, n=1861, seeds=(0, 600)):
@@ -143,13 +144,13 @@ class TestSpeedField:
 class TestTrajectories:
     def test_free_flow_transit_time(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=20.0, flow=2000.0)
-        trajs = reconstruct_trajectories(trace, seed_interval=60.0 / 3600.0)
-        assert trajs
+        probes = reconstruct_trajectories(trace, seed_interval=60.0 / 3600.0)
+        assert probes
         expected = geometry.total_length / fd.free_flow_speed
-        for traj in trajs:
-            if traj.complete:
-                assert traj.transit_time == pytest.approx(expected, rel=1e-9)
-        assert any(t.complete for t in trajs)
+        for row in probes:
+            if np.isfinite(row[-1]):
+                assert row[-1] - row[0] == pytest.approx(expected, rel=1e-9)
+        assert probes.complete.any()
 
     def test_no_seeding_without_inflow(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=0.0, flow=0.0)
@@ -159,10 +160,10 @@ class TestTrajectories:
         trace = constant_trace(fd, geometry, density=150.0, flow=3000.0)
         probes = reconstruct_trajectories(trace, seed_interval=300.0 / 3600.0)
         assert np.all(probes.crossings[:, 1:] >= probes.crossings[:, :-1])
-        for traj in probes:
-            assert np.all(np.diff(positions(traj)) >= -1e-12)
-            if traj.complete:
-                assert positions(traj)[-1] == pytest.approx(geometry.total_length)
+        for i in range(len(probes)):
+            assert np.all(np.diff(positions(probes, i)) >= -1e-12)
+            if probes.complete[i]:
+                assert positions(probes, i)[-1] == pytest.approx(geometry.total_length)
 
     def test_first_in_first_out_on_controlled_run(self, fd):
         from vslsim import VslRuleConfig
@@ -183,9 +184,10 @@ class TestTrajectories:
         trajs = reconstruct_trajectories(trace, seed_interval=30.0 / 3600.0)
         assert np.all(trajs.crossings[1:] >= trajs.crossings[:-1])
         dt = trace.dt
-        for lead, trail in zip(trajs, list(trajs)[1:]):
-            offset = int(round((trail.entry_time - lead.entry_time) / dt))
-            trail_pos, lead_pos = positions(trail), positions(lead)
+        for lead in range(len(trajs) - 1):
+            entry = trajs.crossings[lead : lead + 2, 0]
+            offset = int(round((entry[1] - entry[0]) / dt))
+            trail_pos, lead_pos = positions(trajs, lead + 1), positions(trajs, lead)
             n = min(len(trail_pos), len(lead_pos) - offset)
             if n <= 0:
                 continue
@@ -370,9 +372,9 @@ class TestSlowStopPath:
         assert speed_field(trace).min() == 0.0
         probes = reconstruct_trajectories(trace, 20.0 / 3600.0)
         held = [
-            p
-            for p in probes
-            if p.complete and np.any(p.steps()[0] / p.steps()[1] < 5.0)
+            i
+            for i in np.flatnonzero(probes.complete)
+            if np.any(probes.steps(i)[0] / probes.steps(i)[1] < 5.0)
         ]
         assert held
         completed = np.count_nonzero(probes.complete)
@@ -382,8 +384,10 @@ class TestSlowStopPath:
         # trace keeps both counts equal.
         oracle = oracle_probes(trace, 20.0 / 3600.0)
         assert avg_stops(probes, 5.0, 10.0) == oracle_stops(oracle)
-        for probe, ref in zip(probes, oracle):
-            assert probe.exit_time == pytest.approx(ref.exit_time, abs=1e-9)
+        for row, ref in zip(probes, oracle):
+            # An incomplete probe's exit is inf where the oracle's is None.
+            ref_exit = np.inf if ref.exit_time is None else ref.exit_time
+            assert row[-1] == pytest.approx(ref_exit, abs=1e-9)
 
 
 def _random_scenario(seed, sections, section_length, zone, steps, controller):
@@ -427,11 +431,11 @@ class TestAgainstStepWalk:
         seed_interval = scenario.metrics.seed_interval / 3600.0
         probes = reconstruct_trajectories(trace, seed_interval)
         oracle = oracle_probes(trace, seed_interval)
-        assert [p.entry_time for p in probes] == [p.entry_time for p in oracle]
-        assert [p.complete for p in probes] == [p.complete for p in oracle]
-        for probe, ref in zip(probes, oracle):
+        assert probes.crossings[:, 0].tolist() == [p.entry_time for p in oracle]
+        assert probes.complete.tolist() == [p.complete for p in oracle]
+        for row, ref in zip(probes, oracle):
             if ref.complete:
-                assert abs(probe.transit_time - ref.transit_time) <= 1e-9
+                assert abs((row[-1] - row[0]) - ref.transit_time) <= 1e-9
         crossings = probes.crossings
         assert np.all(crossings[1:] >= crossings[:-1])  # first in, first out
 
@@ -483,9 +487,9 @@ def component_report(scenario, trace):
     probes = reconstruct_trajectories(
         trace, config.seed_interval / 3600.0, config.density_floor
     )
-    done = [p for p in probes if p.complete]
+    done = probes.crossings[probes.complete]
     return MetricsReport(
-        att_min=60.0 * float(np.mean([p.transit_time for p in done])),
+        att_min=60.0 * float(np.mean(done[:, -1] - done[:, 0])),
         avg_stops=avg_stops(probes, config.stop_speed, config.resume_speed),
         avg_emission_g_per_km=avg_emission(probes, config.rate_fn()),
         rrmse=rrmse_density_pooled(trace, scenario.rho_star(), *scenario.metrics_window()),

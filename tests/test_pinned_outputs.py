@@ -3,8 +3,10 @@
 Pinned: the trace CSVs of ``vslsim run`` on ``high_demand``, on its
 ``rule_based_reactive`` and ``no_control`` variants and on the 25-cell fine
 grid (``helpers.fine_grid_scenario``), the summary CSV of a
-three-value ``sweep --traces``, and a canonical dump of each metrics JSON's
-``metrics`` and ``events`` blocks. ``vehicle_balance`` is left out: it goes
+three-value ``sweep --traces``, a canonical dump of each metrics JSON's
+``metrics`` and ``events`` blocks, and the full stdout of ``vslsim bound`` on
+four cases: the ``high_demand`` default, a shockwave risk, a vacuous bound
+and a changed zone command. ``vehicle_balance`` is left out: it goes
 through a BLAS dot whose last bits may differ between CPUs. The trace CSV uses
 only elementwise IEEE arithmetic printed at ``%.10g``, so its bytes do not.
 
@@ -15,6 +17,8 @@ why in its change notes.
 import hashlib
 import json
 from dataclasses import replace
+
+import pytest
 
 from helpers import fine_grid_scenario
 
@@ -48,6 +52,23 @@ PINNED = {
     ),
     "high_demand_upstream_zone_length_sweep.csv": (
         "4c29d0369ed7cb4aac3de280a18610b27d1020b8187f3348b4b45bb9211ecc19"
+    ),
+}
+
+
+# Arguments of ``vslsim bound`` -> sha256 of its full stdout.
+PINNED_BOUND = {
+    ("high_demand",): (
+        "e789aac2348d4d7ee474d6067fd3e85a3fb4297ec44004a5b0a16599de2eae44"
+    ),
+    ("high_demand", "--zone-length", "1.0"): (
+        "061c241e6d99a2950d8a35746047d57e093659fad2111608c1376a393b518791"
+    ),
+    ("high_demand", "--densities", "10,10,10,10,10,10"): (
+        "7f92add40e2c3357e5206a78344224fd109702fac92f8aba886db1e248a079fd"
+    ),
+    ("moderate_demand", "--v0", "20"): (
+        "e2c7cd7f83b45ae565fd47b88f24009c17b51261f6b0710d1080f25baa63bb5f"
     ),
 }
 
@@ -92,3 +113,9 @@ def test_run_and_sweep_outputs_match_pinned_hashes(tmp_path, capsys):
     hashes[summary] = _sha256((out / summary).read_bytes())
 
     assert hashes == PINNED
+
+
+@pytest.mark.parametrize("args", PINNED_BOUND, ids="_".join)
+def test_bound_output_matches_pinned_hash(args, capsys):
+    assert cli_dispatch(["bound", *args]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == PINNED_BOUND[args]

@@ -663,4 +663,4 @@ class TestSweepWorkersAndCsv:
         assert read[1]["name"] == 'a,"b"_alpha_1.5'
         assert read[1]["error"] == rows[1].error
         assert read[1]["error_type"] == "ValueError"
-        assert read[0]["verdict"] == rows[0].bound.verdict
+        assert read[0]["verdict"] == rows[0].bound.label

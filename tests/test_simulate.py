@@ -664,6 +664,22 @@ class TestBatch:
             name = f"{after[i].name}_trace.csv"
             assert (faulted / name).read_bytes() == (clean / name).read_bytes()
 
+    @pytest.mark.parametrize("n_scenarios,n_controllers", [(2, 1), (1, 2)])
+    def test_one_controller_per_scenario(
+        self, fd, n_scenarios, n_controllers, monkeypatch
+    ):
+        scenario = mini_scenario(fd)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before the counts were checked")
+
+        monkeypatch.setattr(vslsim.simulate, "fluxes", no_step)
+        message = f"got {n_controllers} controllers for {n_scenarios} scenarios"
+        with pytest.raises(ValueError, match=message):
+            vslsim.simulate.run_batch(
+                [scenario] * n_scenarios, [make_controller(scenario)] * n_controllers
+            )
+
 
 def test_lean_trace_stores_less():
     scenario = fine_grid_scenario()
