@@ -19,11 +19,17 @@ controllers read the history's rows and return plain limit arrays. Density
 and flow bounds are checked at each control instant and at the end. The
 trace keeps the densities and the limit changes; its flows and per-sample
 limits are derived on access.
+
+The trace CSV prints each value as ``'%.10g' % v`` does. Its varying
+columns go through numpy a block of rows at a time (:func:`_format_g10`),
+which proves the ten digits of each value it prints and leaves the rest to
+``%``; the held limits and flags are formatted once per stretch.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -42,11 +48,17 @@ from .ctm import (
 if TYPE_CHECKING:
     from .scenario import Scenario
 
-# Most rows of the trace CSV formatted per write; a block ends early where a
-# stretch of held limits and flags ends. The block's temporary table
-# (column_stack, then one Python float per value) stays at tens of kB; a
-# whole-trace table would add megabytes to the peak memory of a run.
-CSV_BLOCK_ROWS = 10
+# Values of the trace CSV formatted per numpy pass: a block is this many
+# values' worth of whole rows. The pass's temporaries (one-block arrays, and
+# its text at 26 bytes a value) peak near 0.6 MB, below the 2-4 MB that
+# deriving ``flows`` takes on the fine grid; a whole-trace pass would add
+# tens of megabytes to the peak memory of a run.
+CSV_BLOCK_VALUES = 4096
+
+# One value's text in 26 byte slots: the sign, the "0.000" of a negative
+# exponent, ten digit slots (0xFF) with a point slot after each of the first
+# nine, and the comma.
+_G10_TEMPLATE = b"-0.000" + b".".join([b"\xff"] * 10) + b","
 
 
 class ControllerError(ValueError):
@@ -119,6 +131,106 @@ def _bottleneck(fd: FundamentalDiagram, active, lc_on, residual_drop):
     return cap_d, engaged_drop(cap_d, fd, lc_on, residual_drop)
 
 
+@functools.cache
+def _g10_tables() -> tuple[np.ndarray, ...]:
+    """Tables of :func:`_format_g10`, built on its first call: the lower
+    ends ``1e-4 .. 1e9`` of the decimal exponents it prints; the exact
+    powers ``1e0 .. 1e13``; each two-digit number as the four bytes ``d,
+    0xFF, d, 0xFF`` (one uint32), whose minimum with a digit slot and the
+    slot after it keeps the latter; the trailing zeros of each two-digit
+    number (two for 0); and one mask row per decimal exponent ``e`` in
+    [-4, 9], sign and position of the last nonzero digit, which holds the
+    template's bytes (0xFF for a digit) in the slots such a value prints
+    and 0 in the others."""
+    bands = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9])
+    powers = np.array([1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13])
+    pairs = [f"{i:02d}" for i in range(100)]
+    two_digits = np.frombuffer(
+        b"".join(f"{p[0]}\xff{p[1]}\xff".encode("latin-1") for p in pairs), np.uint32
+    )
+    trailing_zeros = np.array([2] + [len(p) - len(p.rstrip("0")) for p in pairs[1:]])
+    mask_rows = []
+    for e in range(-4, 10):
+        for negative in (False, True):
+            for last in range(1, 11):
+                keep = {0} if negative else set()
+                keep |= {6 + 2 * j for j in range(max(e + 1, last))} | {25}
+                if e < 0:
+                    keep |= set(range(1, 2 - e))  # "0." and -e - 1 zeros
+                elif last > e + 1:
+                    keep.add(7 + 2 * e)  # the point after the units digit
+                mask_rows.append(bytes(b if i in keep else 0 for i, b in enumerate(_G10_TEMPLATE)))
+    masks = np.frombuffer(b"".join(mask_rows), np.uint8).reshape(len(mask_rows), 26)
+    return bands, powers, two_digits, trailing_zeros, masks
+
+
+def _format_g10(values: np.ndarray) -> np.ndarray:
+    """``'%.10g,' % v`` for each of the 1-D float ``values``, as the rows of
+    a ``(n, 26)`` uint8 array padded with zero bytes.
+
+    ``%.10g`` prints the ten significant digits ``D`` of ``v`` (correctly
+    rounded, an integer in [1e9, 1e10)) at its decimal exponent ``e``; for
+    ``-4 <= e <= 9`` in fixed notation, with trailing zeros after the point,
+    and a bare point, dropped. This builds that text with array arithmetic
+    for each value where it can prove ``D`` and ``e``:
+
+    - ``e`` is where ``|v|`` falls among the literals ``1e-4 .. 1e9``, and
+      ``scaled = |v| * 10**(9 - e)`` one correctly rounded product (the
+      power is exact). Where ``scaled < 1e10 < 2**34`` it is within half an
+      ulp, ``2**-20``, of the exact product ``P``.
+    - A value is kept where ``scaled >= 1e9``, ``D = rint(scaled) < 1e10``
+      and ``|scaled - D| < 1/2 - 2**-16``. Then ``|P - D| < 1/2``: ``D`` is
+      ``P`` rounded, and no tie.
+    - If ``P >= 1e9``, then ``10**e <= |v| < 10**(e + 1)`` (as ``P < D + 1/2
+      < 1e10``): ``e`` is the exponent and ``D`` the digits, with no carry.
+      Otherwise ``1e9 - 2**-20 <= P < 1e9``, and ``|v|`` rounds to ten
+      digits as ``10**e``: ``D = 1e9`` at ``e`` again.
+
+    Every other value (zero, subnormals, NaN, inf, an exponent outside
+    [-4, 9], a fraction near one half, ``D`` at its bounds) is formatted
+    with ``%``, all of them in one list. No floating-point warning is raised.
+    Only numpy kernels that a run already pages in are used (searchsorted,
+    not log10; float floor, not integer division; minimum, not bitwise and),
+    which keeps the op's peak memory where it was.
+    """
+    bands, powers, two_digits, trailing_zeros, masks = _g10_tables()
+    magnitude = np.abs(values)
+    # Zeros, NaN, inf and the far exponents become 1e20, which fails D < 1e10.
+    magnitude[~((magnitude >= 1e-4) & (magnitude < 1e10))] = 1e20
+    band = np.searchsorted(bands, magnitude, side="right") - 1  # e + 4
+    scaled = magnitude * powers.take(13 - band)
+    digits = np.rint(scaled)
+    fast = (scaled >= 1e9) & (digits < 1e10)
+    fast &= np.abs(scaled - digits) < 0.5 - 2.0**-16
+    slow = ~fast
+    digits[slow] = 1e9
+    # D as five two-digit numbers, most significant first. D is an integer
+    # below 1e10, so D / 100 rounds to no integer it does not reach and the
+    # floor is exact.
+    pairs = np.empty((digits.shape[0], 5))
+    for k in (4, 3, 2, 1):
+        q = np.floor(digits / 100.0)
+        np.subtract(digits, q * 100.0, out=pairs[:, k])
+        digits = q
+    pairs[:, 0] = digits
+    pairs = pairs.astype(np.intp)
+    # Trailing zeros of D: those of the last pair, plus those of each pair
+    # before it whose later pairs are all 0. D >= 1e9, so at most 9.
+    zeros = trailing_zeros.take(pairs[:, 4])
+    run = pairs[:, 4] == 0
+    for k in (3, 2, 1, 0):
+        zeros += np.where(run, trailing_zeros.take(pairs[:, k]), 0)
+        run &= pairs[:, k] == 0
+    # The mask row of (e, sign, last nonzero digit 10 - zeros).
+    row = (band * 2 + np.signbit(values)) * 10 + (9 - zeros)
+    text = masks.take(row, axis=0)
+    np.minimum(text[:, 6:], two_digits.take(pairs).view(np.uint8), out=text[:, 6:])
+    if slow.any():
+        printed = ["%.10g," % v for v in values[slow].tolist()]
+        text[slow] = np.array(printed, dtype="S26").view(np.uint8).reshape(len(printed), 26)
+    return text
+
+
 @dataclass
 class SimulationTrace:
     """Record of one run on a uniform time grid.
@@ -188,11 +300,6 @@ class SimulationTrace:
             fluxes(rho, v, cap, demand, cap_d[k], drop[k], fd, out=q[k])
         return q
 
-    @property
-    def inflow(self) -> np.ndarray:
-        """Demand admitted into the corridor at each sample (veh/h)."""
-        return self.flows[:, 0]
-
     def vehicle_balance(self) -> dict[str, float]:
         """Cumulative conservation audit over the whole run.
 
@@ -218,11 +325,12 @@ class SimulationTrace:
     def to_csv(self, path, comment: str | None = None) -> None:
         """Write one row per sample; a leading comment line carries provenance.
 
-        The posted speeds and the two flags are held over a stretch of
-        steps, which starts at each limit change and at each flag switch.
-        Each stretch formats that suffix once, into its row format, so a row
-        formats only its time, densities and flows. Blocks of
-        ``CSV_BLOCK_ROWS`` rows stay within one stretch.
+        Every value prints as ``%.10g`` prints it. The time, densities and
+        flows of whole rows, ``CSV_BLOCK_VALUES`` values at a time, go
+        through :func:`_format_g10`. The posted speeds and the two flags are
+        held over a stretch of steps, which starts at each limit change and
+        at each flag switch: that suffix is formatted once per stretch and
+        copied onto each of its rows.
         """
         n = self.geometry.num_sections
         columns = ["t_h", "rho_0"]
@@ -236,8 +344,7 @@ class SimulationTrace:
             # No zone cell: the admitted inflow and q_1 coincide.
             table.append(flows[:, 0])
         table.append(flows)
-        varying = ",".join(["%.10g"] * (len(columns) - n - 3))
-        held = ",".join(["%.10g"] * (n + 1) + ["%d", "%d"])
+        held = ",".join(["%.10g"] * (n + 1) + ["%d", "%d"]) + "\n"
         incident, lc = self.incident_active, self.lc_active
         # A boolean mask, not np.union1d: numpy's set routines import numpy.ma.
         first = np.zeros(self.num_samples, dtype=bool)
@@ -245,18 +352,27 @@ class SimulationTrace:
         first[1:] |= (incident[1:] != incident[:-1]) | (lc[1:] != lc[:-1])
         starts = np.flatnonzero(first)
         posted = np.searchsorted(self.limit_steps, starts, side="right") - 1
-        ends = np.append(starts[1:], self.num_samples)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        # Each stretch's suffix as a row of bytes, zero-padded to the longest.
+        suffixes = np.array(
+            [
+                (held % (*self.limit_rows[i].tolist(), incident[k], lc[k])).encode()
+                for k, i in zip(starts.tolist(), posted.tolist())
+            ]
+        )
+        suffixes = suffixes.view(np.uint8).reshape(starts.size, -1)
+        stretch = np.cumsum(first) - 1
+        # Whole rows per block; the n + 3 held columns are not in the block.
+        rows = max(1, CSV_BLOCK_VALUES // (len(columns) - n - 3))
+        with open(path, "wb") as fh:
             if comment:
-                fh.write(f"# {comment}\n")
-            fh.write(",".join(columns) + "\n")
-            for start, end, i in zip(starts.tolist(), ends.tolist(), posted.tolist()):
-                suffix = held % (*self.limit_rows[i].tolist(), incident[start], lc[start])
-                fmt = f"{varying},{suffix.replace('%', '%%')}\n"
-                for block_start in range(start, end, CSV_BLOCK_ROWS):
-                    block = slice(block_start, min(block_start + CSV_BLOCK_ROWS, end))
-                    values = np.column_stack([col[block] for col in table]).tolist()
-                    fh.write("".join([fmt % tuple(row) for row in values]))
+                fh.write(f"# {comment}\n".encode())
+            fh.write((",".join(columns) + "\n").encode())
+            for start in range(0, self.num_samples, rows):
+                block = slice(start, start + rows)
+                values = np.column_stack([col[block] for col in table])
+                text = _format_g10(values.ravel()).reshape(values.shape[0], -1)
+                text = np.concatenate((text, suffixes.take(stretch[block], axis=0)), axis=1)
+                fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def _check_limits(limits, fd: FundamentalDiagram, width: int) -> np.ndarray:

@@ -243,10 +243,11 @@ def oracle_probes(
     field = speed_field(trace, rho_min).tolist()
     boundaries = trace.geometry.cell_boundaries().tolist()
     times = trace.times.tolist()
+    inflow = trace.flows[:, 0]
     return [
         _advect(k0, times, field, boundaries, dt)
         for k0 in range(0, trace.num_samples - 1, stride)
-        if trace.inflow[k0] > 0.0
+        if inflow[k0] > 0.0
     ]
 
 

@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import sample_fd_observations
 import numpy as np
 
+import vslsim
 from vslsim import high_demand_preset, save_scenario
 from vslsim.cli import cli_dispatch
 
@@ -424,3 +429,47 @@ class TestSweepOutputs:
     def test_workers_below_one_is_usage_error(self, tmp_path, capsys):
         assert cli_dispatch(["sweep", str(tmp_path / "spec.json"), "--workers", "0"]) == 1
         assert "--workers" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: once ``vslsim.cli`` is imported, a ``run`` and a
+# traced serial ``sweep`` import no module, and none of numpy's masked or
+# string-array modules is loaded by any of it.
+OP_IMPORTS = """
+import json, sys
+from dataclasses import replace
+from pathlib import Path
+import vslsim.cli
+from vslsim import DemandProfile, high_demand_preset, save_scenario
+out = Path(sys.argv[1])
+scenario = replace(
+    high_demand_preset(),
+    name="emptying",
+    controller="no_control",
+    demand=DemandProfile((0.0, 20.0 / 60.0), (7000.0, 0.0)),
+)
+save_scenario(scenario, out / "emptying.json")
+spec = {"preset": "high_demand", "variable": "upstream_zone_length", "values": [0, 1.6]}
+(out / "spec.json").write_text(json.dumps(spec))
+before = set(sys.modules)
+assert vslsim.cli.cli_dispatch(["run", str(out / "emptying.json"), "--out", str(out)]) == 0
+sweep = ["sweep", str(out / "spec.json"), "--traces", "--workers", "1", "--out", str(out)]
+assert vslsim.cli.cli_dispatch(sweep) == 0
+loaded = [name for name in ("numpy.ma", "numpy.char", "numpy.strings") if name in sys.modules]
+print(json.dumps({"imported": sorted(set(sys.modules) - before), "loaded": loaded}))
+"""
+
+
+def test_run_and_sweep_import_no_module(tmp_path):
+    src = str(Path(vslsim.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", OP_IMPORTS, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"imported": [], "loaded": []}
+    assert (tmp_path / "emptying_trace.csv").exists()

@@ -1,14 +1,17 @@
 """sha256 of the files refactors claim to leave byte-identical.
 
 Pinned: the trace CSVs of ``vslsim run`` on ``high_demand``, on its
-``rule_based_reactive`` and ``no_control`` variants and on the 25-cell fine
-grid (``helpers.fine_grid_scenario``), the summary CSV of a
+``rule_based_reactive`` and ``no_control`` variants, on a ``no_control``
+variant whose demand stops at 20 min (the road empties: exact zeros and
+values in exponent notation, the formatter's ``%`` fallback) and on the
+25-cell fine grid (``helpers.fine_grid_scenario``), the summary CSV of a
 three-value ``sweep --traces``, a canonical dump of each metrics JSON's
 ``metrics`` and ``events`` blocks, and the full stdout of ``vslsim bound`` on
 four cases: the ``high_demand`` default, a shockwave risk, a vacuous bound
 and a changed zone command. ``vehicle_balance`` is left out: it goes
 through a BLAS dot whose last bits may differ between CPUs. The trace CSV uses
-only elementwise IEEE arithmetic printed at ``%.10g``, so its bytes do not.
+only elementwise IEEE arithmetic printed at ``%.10g``, so its bytes do not;
+its writer's numpy arithmetic is proved to print what ``%`` prints.
 
 A change that is meant to move these outputs updates the hashes here and says
 why in its change notes.
@@ -20,9 +23,15 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import fine_grid_scenario
+from helpers import fine_grid_scenario, oracle_to_csv
 
-from vslsim import high_demand_preset, save_scenario
+from vslsim import (
+    DemandProfile,
+    high_demand_preset,
+    load_scenario,
+    save_scenario,
+    simulate_scenario,
+)
 from vslsim.cli import cli_dispatch
 
 PINNED = {
@@ -43,6 +52,12 @@ PINNED = {
     ),
     "high_demand_no_control_metrics": (
         "875850337cf4ee75bf47c0dba6ac05a57534b4c7ce4bc15193460887da3a33c0"
+    ),
+    "high_demand_emptying_trace.csv": (
+        "d97e438f25098989c8bd5ae6aa507a0772460116a6ee55dc00f243d5832e53e8"
+    ),
+    "high_demand_emptying_metrics": (
+        "4e69c675dbfa1f08f367bcab1ed0ce49ad7b1d7a576d2b9d41cecb478e149bb7"
     ),
     "fine_grid_trace.csv": (
         "5275ad09844daf878b7c0d6b1931a88e8a5e8bb7e5a49d77d3ac6c2a590a2744"
@@ -77,12 +92,23 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def emptying_scenario():
+    """``high_demand`` without control whose demand stops at 20 min."""
+    return replace(
+        high_demand_preset(),
+        name="high_demand_emptying",
+        controller="no_control",
+        demand=DemandProfile((0.0, 20.0 / 60.0), (7000.0, 0.0)),
+    )
+
+
 def test_run_and_sweep_outputs_match_pinned_hashes(tmp_path, capsys):
     base = high_demand_preset()
     variants = (
         base,
         replace(base, name="high_demand_reactive", controller="rule_based_reactive"),
         replace(base, name="high_demand_no_control", controller="no_control"),
+        emptying_scenario(),
         fine_grid_scenario(),
     )
     out = tmp_path / "out"
@@ -113,6 +139,22 @@ def test_run_and_sweep_outputs_match_pinned_hashes(tmp_path, capsys):
     hashes[summary] = _sha256((out / summary).read_bytes())
 
     assert hashes == PINNED
+
+
+def test_emptying_trace_takes_the_fallback_and_matches_oracle(tmp_path, capsys):
+    path = tmp_path / "high_demand_emptying.json"
+    save_scenario(emptying_scenario(), path)
+    assert cli_dispatch(["run", str(path), "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "high_demand_emptying_trace.csv").read_bytes()
+    comment, header, *rows = written.decode().splitlines()
+    oracle_to_csv(simulate_scenario(load_scenario(path)), tmp_path / "oracle.csv", comment[2:])
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    # The case must keep covering the fallback: exponent notation, and flows
+    # that are exactly 0 (the held flags are 0 too, so read the q columns).
+    flows = [i for i, name in enumerate(header.split(",")) if name.startswith("q_")]
+    fields = [row.split(",") for row in rows]
+    assert any("e-" in field for row in fields for field in row)
+    assert any(row[i] == "0" for row in fields for i in flows)
 
 
 @pytest.mark.parametrize("args", PINNED_BOUND, ids="_".join)

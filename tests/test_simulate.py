@@ -428,7 +428,7 @@ class TestTraceCsv:
     @pytest.mark.parametrize("zone", [0.0, 1.2])
     @pytest.mark.parametrize("comment", [None, "scenario=mini hash=abc123"])
     def test_bytes_match_value_by_value_writer(self, fd, tmp_path, zone, comment):
-        # 601 rows: several full blocks and a partial one.
+        # 601 rows of 10 varying values: a full block of 409 rows and a partial one.
         scenario = mini_scenario(fd, geometry=NetworkGeometry(3, 1.6, zone))
         trace = simulate_scenario(scenario)
         trace.to_csv(tmp_path / "blocked.csv", comment=comment)
@@ -477,6 +477,49 @@ class TestTraceCsv:
         assert (tmp_path / "blocked.csv").read_bytes() == (
             tmp_path / "oracle.csv"
         ).read_bytes()
+
+
+def assert_prints_as_g10(values) -> None:
+    """``_format_g10`` gives the bytes of ``'%.10g,' % v`` for each value."""
+    x = np.asarray(values, dtype=float)
+    printed = vslsim.simulate._format_g10(x).tobytes().translate(None, b"\0")
+    assert printed == "".join("%.10g," % v for v in x.tolist()).encode()
+
+
+class TestFormatG10:
+    """The trace CSV's numpy formatter against Python's own ``%.10g``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    def test_any_floats(self, values):
+        assert_prints_as_g10(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_raw_bit_patterns(self, bits):
+        assert_prints_as_g10(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_edge_values(self):
+        tiny = np.finfo(float).tiny
+        values = [0.0, tiny, tiny / 2**10, 5e-324, np.finfo(float).max, np.nan, np.inf]
+        values += [9999999999.5, 999999999.95, 1234567890.5, 0.5, 7000.0]
+        for k in range(-5, 11):
+            p = float(f"1e{k}")
+            values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+        values = np.array(values)
+        assert_prints_as_g10(np.concatenate((values, -values)))
+
+    def test_many_random_values(self):
+        rng = np.random.default_rng(14)
+        n = 50_000
+        sign = rng.choice([-1.0, 1.0], n)
+        assert_prints_as_g10(sign * 10.0 ** rng.uniform(-7.0, 12.0, n))
+        assert_prints_as_g10(rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64))
+        # Decimal halves of the tenth digit: exact ties, and the doubles next to them.
+        halves = (rng.integers(10**9, 10**10, n) + 0.5) * 10.0 ** rng.integers(-13, 1, n)
+        assert_prints_as_g10(sign * halves)
+        # Round numbers: trailing zeros in every pair of digits.
+        assert_prints_as_g10(sign * rng.integers(1, 10**6, n) * 10.0 ** rng.integers(-9, 5, n))
 
 
 class TestOutOfRangeStates:
