@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .simulate import SimulationTrace
+from .simulate import CSV_BLOCK_VALUES, SimulationTrace
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -82,16 +82,27 @@ def emission_rate_from_table(points: Sequence[tuple[float, float]]) -> RateFn:
 
 def speed_field(trace: SimulationTrace, rho_min: float = DENSITY_FLOOR) -> np.ndarray:
     """(T, num_cells) probe speeds for every sample and cell."""
-    return _speeds(trace, trace.flows, rho_min)
+    return _speeds(trace, rho_min)[0]
 
 
-def _speeds(trace: SimulationTrace, flows: np.ndarray, rho_min: float) -> np.ndarray:
-    """:func:`speed_field` from the trace's already derived ``flows``."""
+def _speeds(trace: SimulationTrace, rho_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`speed_field` and the ``(T,)`` admitted inflow, built from the
+    trace's flows a block of samples at a time: no whole-trace flows or
+    limits are held, and each block's posted limits are gathered through
+    the per-sample index of their stretch."""
     rho = trace.densities
-    limits = trace.limits[:, -rho.shape[1] :]  # the zone command only on a zone cell
+    samples, cells = rho.shape
+    posted_limits = trace.limit_rows[:, -cells:]  # the zone command only on a zone cell
+    posted = np.searchsorted(trace.limit_steps, np.arange(samples), side="right") - 1
+    field = np.empty((samples, cells))
+    inflow = np.empty(samples)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rho > 0.0, flows[:, 1:] / np.where(rho > 0.0, rho, 1.0), np.inf)
-    return np.where(rho > rho_min, np.minimum(ratio, limits), limits)
+        for block, q in trace._flow_blocks(max(1, CSV_BLOCK_VALUES // (cells + 1))):
+            r, limits = rho[block], posted_limits.take(posted[block], axis=0)
+            ratio = np.where(r > 0.0, q[:, 1:] / np.where(r > 0.0, r, 1.0), np.inf)
+            field[block] = np.where(r > rho_min, np.minimum(ratio, limits), limits)
+            inflow[block] = q[:, 0]
+    return field, inflow
 
 
 class _Integral:
@@ -166,9 +177,8 @@ def reconstruct_trajectories(
     dt, times = trace.dt, trace.times
     stride = max(1, int(round(seed_interval / dt))) if dt > 0.0 else 1
     seeds = np.arange(0, trace.num_samples - 1, stride)
-    flows = trace.flows  # derived on access: once here
-    seeds = seeds[flows[seeds, 0] > 0.0]
-    field = _speeds(trace, flows, rho_min)
+    field, inflow = _speeds(trace, rho_min)
+    seeds = seeds[inflow[seeds] > 0.0]
     lengths = trace.geometry.cell_lengths()
     crossings = np.full((seeds.shape[0], lengths.shape[0] + 1), np.inf)
     crossings[:, 0] = times[seeds]
@@ -238,12 +248,16 @@ def avg_emission(probes: ProbeSet, rate_fn: RateFn) -> float:
     return grams / (done.shape[0] * float(np.sum(probes.lengths)))
 
 
-def _window_mask(trace: SimulationTrace, t_start: float, t_end: float) -> np.ndarray:
+def _window(trace: SimulationTrace, t_start: float, t_end: float) -> slice:
+    """The samples with ``t_start <= t <= t_end`` (to 1e-12 h): the times
+    are increasing, so the window is a slice."""
     if t_start >= t_end:
         raise ValueError("window must satisfy t_start < t_end")
     if t_start < trace.times[0] - 1e-12 or t_end > trace.times[-1] + 1e-12:
         raise ValueError("window lies outside the trace")
-    return (trace.times >= t_start - 1e-12) & (trace.times <= t_end + 1e-12)
+    lo = np.searchsorted(trace.times, t_start - 1e-12, side="left")
+    hi = np.searchsorted(trace.times, t_end + 1e-12, side="right")
+    return slice(lo, hi)
 
 
 def rrmse_density_pooled(
@@ -261,9 +275,9 @@ def rrmse_density_pooled(
     """
     if rho_star <= 0.0:
         raise ValueError("rho_star must be strictly positive")
-    mask = _window_mask(trace, t_start, t_end)
-    rho = trace.section_densities[mask]
-    return float(np.sqrt(np.mean((rho - rho_star) ** 2))) / rho_star
+    deviation = trace.section_densities[_window(trace, t_start, t_end)] - rho_star
+    deviation *= deviation  # squared in place
+    return float(np.sqrt(np.mean(deviation))) / rho_star
 
 
 @dataclass(frozen=True)

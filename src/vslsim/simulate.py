@@ -18,7 +18,8 @@ and :func:`~vslsim.ctm.fluxes` into a scratch block of one control period;
 controllers read the history's rows and return plain limit arrays. Density
 and flow bounds are checked at each control instant and at the end. The
 trace keeps the densities and the limit changes; its flows and per-sample
-limits are derived on access.
+limits are derived on access, and the CSV, the metrics and the vehicle
+balance derive the flows a block of samples at a time.
 
 The trace CSV prints each value as ``'%.10g' % v`` does. Its varying
 columns go through numpy a block of rows at a time (:func:`_format_g10`),
@@ -31,7 +32,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -48,12 +49,17 @@ from .ctm import (
 if TYPE_CHECKING:
     from .scenario import Scenario
 
-# Values of the trace CSV formatted per numpy pass: a block is this many
-# values' worth of whole rows. The pass's temporaries (one-block arrays, and
-# its text at 26 bytes a value) peak near 0.6 MB, below the 2-4 MB that
-# deriving ``flows`` takes on the fine grid; a whole-trace pass would add
-# tens of megabytes to the peak memory of a run.
+# Values per block of the derived passes: the trace CSV formats this many
+# values' worth of whole rows per numpy pass, and the metrics and the vehicle
+# balance take blocks of this many flows. The CSV pass's temporaries
+# (one-block arrays, and its text at 26 bytes a value) peak near 0.6 MB; a
+# whole-trace pass would add tens of megabytes to the peak memory of a run.
 CSV_BLOCK_VALUES = 4096
+
+# Blocks of ``SimulationTrace._flow_blocks`` derived per ``fluxes`` call. A
+# call costs about 20 us beyond its rows, as much as 100 fine-grid rows take,
+# so one call per block of 4,096 values made the fine-grid CSV 10% slower.
+_FLUX_CALL_BLOCKS = 8
 
 # One value's text in 26 byte slots: the sign, the "0.000" of a negative
 # exponent, ten digit slots (0xFF) with a point slot after each of the first
@@ -284,34 +290,59 @@ class SimulationTrace:
 
     @property
     def flows(self) -> np.ndarray:
-        """(T, C + 1) cell-boundary flows, recomputed from the densities: one
-        :func:`~vslsim.ctm.fluxes` call per stretch of steps under one posted
-        row, so no per-sample limit or cap array is built."""
-        fd = self.fd
+        """(T, C + 1) cell-boundary flows, recomputed from the densities: the
+        one block of :meth:`_flow_blocks` that holds every sample."""
+        ((_, q),) = self._flow_blocks(self.num_samples)
+        return q
+
+    def _flow_blocks(self, rows: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """Consecutive blocks of at most ``rows`` samples, each as its slice
+        of the samples and a view of its ``(rows, C + 1)`` flows.
+
+        The speed caps, the bottleneck cap and drop and the stretch ends
+        are computed once per pass. The flows of ``_FLUX_CALL_BLOCKS``
+        blocks at a time go into one buffer, reused for the next ones, with
+        one :func:`~vslsim.ctm.fluxes` call per stretch of steps under one
+        posted row that they meet; a consumer copies what it keeps."""
+        fd, samples = self.fd, self.num_samples
         caps = speed_caps(self.limit_rows, self.geometry.num_cells, fd)
         cap_d, drop = _bottleneck(
             fd, self.incident_active, self.lc_active, self.lc_residual_drop
         )
-        q = np.empty((self.num_samples, self.geometry.num_cells + 1))
-        ends = np.append(self.limit_steps[1:], self.num_samples)
-        for v, cap, start, end in zip(self.limit_rows, caps, self.limit_steps, ends):
-            k = slice(start, end)
-            rho, demand = self.densities[k], self.demand[k]
-            fluxes(rho, v, cap, demand, cap_d[k], drop[k], fd, out=q[k])
-        return q
+        ends = np.append(self.limit_steps[1:], samples).tolist()
+        span = min(_FLUX_CALL_BLOCKS * rows, samples)
+        buffer = np.empty((span, self.geometry.num_cells + 1))
+        i = 0  # the posted row of sample k
+        for first in range(0, samples, span):
+            last = min(first + span, samples)
+            k = first
+            while k < last:
+                while ends[i] <= k:
+                    i += 1
+                part = slice(k, min(ends[i], last))
+                q = buffer[k - first : part.stop - first]
+                rho, demand = self.densities[part], self.demand[part]
+                fluxes(rho, self.limit_rows[i], caps[i], demand, cap_d[part], drop[part], fd, out=q)
+                k = part.stop
+            for start in range(first, last, rows):
+                stop = min(start + rows, last)
+                yield slice(start, stop), buffer[start - first : stop - first]
 
     def vehicle_balance(self) -> dict[str, float]:
         """Cumulative conservation audit over the whole run.
 
         ``residual`` is (final storage - initial storage) - (entered - exited)
         in vehicles; it should vanish to float precision for a correct flux
-        and update pairing.
+        and update pairing. Only the entrance and exit flows are kept.
         """
         dt = self.dt
-        flows = self.flows
+        width = self.geometry.num_cells + 1
+        ends = np.empty((self.num_samples, 2))
+        for block, q in self._flow_blocks(max(1, CSV_BLOCK_VALUES // width)):
+            ends[block] = q[:, :: width - 1]
         lengths = self.geometry.cell_lengths()
-        entered = float(np.sum(flows[:-1, 0])) * dt
-        exited = float(np.sum(flows[:-1, -1])) * dt
+        entered = float(np.sum(ends[:-1, 0])) * dt
+        exited = float(np.sum(ends[:-1, 1])) * dt
         stored_initial = float(lengths @ self.densities[0])
         stored_final = float(lengths @ self.densities[-1])
         return {
@@ -327,7 +358,8 @@ class SimulationTrace:
 
         Every value prints as ``%.10g`` prints it. The time, densities and
         flows of whole rows, ``CSV_BLOCK_VALUES`` values at a time, go
-        through :func:`_format_g10`. The posted speeds and the two flags are
+        through :func:`_format_g10`; each block's flows come from
+        :meth:`_flow_blocks`. The posted speeds and the two flags are
         held over a stretch of steps, which starts at each limit change and
         at each flag switch: that suffix is formatted once per stretch and
         copied onto each of its rows.
@@ -338,12 +370,7 @@ class SimulationTrace:
         columns += ["q_in"] + [f"q_{i}" for i in range(1, n + 2)]
         columns += [f"v_{i}" for i in range(n + 1)]
         columns += ["incident", "lc"]
-        flows = self.flows
         table = [self.times, self.upstream_densities, self.section_densities]
-        if not self.geometry.has_zone:
-            # No zone cell: the admitted inflow and q_1 coincide.
-            table.append(flows[:, 0])
-        table.append(flows)
         held = ",".join(["%.10g"] * (n + 1) + ["%d", "%d"]) + "\n"
         incident, lc = self.incident_active, self.lc_active
         # A boolean mask, not np.union1d: numpy's set routines import numpy.ma.
@@ -367,9 +394,11 @@ class SimulationTrace:
             if comment:
                 fh.write(f"# {comment}\n".encode())
             fh.write((",".join(columns) + "\n").encode())
-            for start in range(0, self.num_samples, rows):
-                block = slice(start, start + rows)
-                values = np.column_stack([col[block] for col in table])
+            for block, q in self._flow_blocks(rows):
+                parts = [col[block] for col in table]
+                if not self.geometry.has_zone:
+                    parts.append(q[:, 0])  # no zone cell: q_in and q_1 coincide
+                values = np.column_stack(parts + [q])
                 text = _format_g10(values.ravel()).reshape(values.shape[0], -1)
                 text = np.concatenate((text, suffixes.take(stretch[block], axis=0)), axis=1)
                 fh.write(text.tobytes().translate(None, b"\0"))

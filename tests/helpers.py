@@ -7,6 +7,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
@@ -53,9 +54,10 @@ class GivenFlowsTrace(SimulationTrace):
 
     given_flows: np.ndarray | None = None
 
-    @property
-    def flows(self) -> np.ndarray:
-        return self.given_flows
+    def _flow_blocks(self, rows: int) -> Iterator[tuple[slice, np.ndarray]]:
+        for start in range(0, self.num_samples, rows):
+            block = slice(start, start + rows)
+            yield block, self.given_flows[block]
 
 
 def random_triangle(rng: np.random.Generator) -> FundamentalDiagram:

@@ -1,6 +1,7 @@
 """Euler stepping, the run loop, conservation, and trace bookkeeping."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -424,6 +425,55 @@ class TestKernelAgainstStepLoop:
         assert np.array_equal(replay_flows(scenario, trace), trace.flows)
 
 
+def following_density(scenario: Scenario):
+    """A reactive law that posts new limits at almost every control instant:
+    each sign's speed falls with the density of the cell it heads (the zone
+    sign with the first cell's), and every limit lies in (0, v_f]."""
+    fd = scenario.fd
+    n = scenario.geometry.num_sections
+
+    def controller(cells, t):
+        row = np.empty(n + 1)
+        row[0], row[1:] = cells[0], cells[-n:]
+        return fd.free_flow_speed / (1.0 + row / fd.critical_density)
+
+    return controller
+
+
+def assert_blocks_are_flows(trace) -> None:
+    """``trace._flow_blocks`` in blocks of 1, 7, T - 1, T and T + 1 rows
+    tile the samples and concatenate to ``trace.flows`` bit for bit. Limits
+    change at multiples of a 10- or 20-step control period, so blocks of 7
+    rows cut stretches and hold their starts mid-block."""
+    flows, samples = trace.flows, trace.num_samples
+    for rows in (1, 7, samples - 1, samples, samples + 1):
+        blocks = [(block, q.copy()) for block, q in trace._flow_blocks(rows)]
+        starts = list(range(0, samples, rows))
+        stops = starts[1:] + [samples]
+        assert [(b.start, b.stop) for b, _ in blocks] == list(zip(starts, stops)), rows
+        tiled = np.concatenate([q for _, q in blocks])
+        assert tiled.tobytes() == flows.tobytes(), rows
+
+
+class TestFlowBlocks:
+    """The blocks the derived passes consume against the whole flows."""
+
+    @pytest.mark.filterwarnings("ignore:switch time")
+    @settings(max_examples=25, deadline=None)
+    @given(scenario=kernel_scenarios(), chatter=st.booleans())
+    def test_random_scenarios(self, scenario, chatter):
+        controller = following_density(scenario) if chatter else None
+        assert_blocks_are_flows(simulate_scenario(scenario, controller))
+
+    def test_limits_changing_at_every_control_instant(self):
+        scenario = fine_grid_scenario()
+        trace = simulate_scenario(scenario, following_density(scenario))
+        assert trace.limit_steps.size > 500
+        assert any(step % 7 for step in trace.limit_steps.tolist())
+        assert_blocks_are_flows(trace)
+        assert np.array_equal(replay_flows(scenario, trace), trace.flows)
+
+
 class TestTraceCsv:
     @pytest.mark.parametrize("zone", [0.0, 1.2])
     @pytest.mark.parametrize("comment", [None, "scenario=mini hash=abc123"])
@@ -738,3 +788,34 @@ def test_lean_trace_stores_less():
     assert sum(a.nbytes for a in arrays.values()) <= (
         trace.densities.nbytes + 4 * samples * floats
     )
+
+
+def test_derived_passes_allocate_a_block_at_a_time(tmp_path, monkeypatch):
+    # Peak traced memory above entry, in units of the densities' bytes. The
+    # metrics pass keeps its (T, C) speed field; no pass holds the whole
+    # (T, C + 1) flows or (T, N + 1) limits, which took 5.2, 1.9 and 1.9
+    # units when each pass derived them whole.
+    scenario = fine_grid_scenario()
+    trace = simulate_scenario(scenario)
+    passes = {
+        "evaluate_trace": (lambda: evaluate_trace(scenario, trace), 2.0),
+        "to_csv": (lambda: trace.to_csv(tmp_path / "trace.csv"), 1.0),
+        "vehicle_balance": (trace.vehicle_balance, 0.75),
+    }
+
+    def whole(trace):
+        raise AssertionError("a derived pass built a whole-trace array")
+
+    monkeypatch.setattr(SimulationTrace, "flows", property(whole))
+    monkeypatch.setattr(SimulationTrace, "limits", property(whole))
+    peaks = {}
+    for name, (derive, _) in passes.items():
+        derive()  # first calls build caches
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            derive()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - entry) / trace.densities.nbytes
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[name] <= bound for name, (_, bound) in passes.items()), peaks
