@@ -321,8 +321,8 @@ class SimulationTrace:
                     i += 1
                 part = slice(k, min(ends[i], last))
                 q = buffer[k - first : part.stop - first]
-                rho, demand = self.densities[part], self.demand[part]
-                fluxes(rho, self.limit_rows[i], caps[i], demand, cap_d[part], drop[part], fd, out=q)
+                rho, demand, v = self.densities[part], self.demand[part], self.limit_rows[i]
+                fluxes(rho, v, caps[i], demand, cap_d[part], drop[part], fd, out=q)
                 k = part.stop
             for start in range(first, last, rows):
                 stop = min(start + rows, last)
