@@ -16,7 +16,10 @@ integers are rejected with the dotted path of the offending element.
 
 Like every model type, a ``Scenario`` checks itself when it is built:
 ``Scenario(...)`` and ``dataclasses.replace`` raise ``ScenarioValidationError``
-listing every violation, which the loader reports under dotted paths.
+listing every violation, which the loader reports under dotted paths. That
+includes an hour value ``h`` whose file value does not give it back,
+``(h * 60) / 60 != h`` (``unit_violations``), so every scenario that builds
+is written and read back equal. Every value a file gives passes.
 """
 
 from __future__ import annotations
@@ -171,6 +174,7 @@ class Scenario:
             problems.append(
                 "lane_change.residual_drop: must not exceed the capacity drop factor"
             )
+        problems += unit_violations(SCENARIO_SCHEMA, self)
         if problems:
             raise ScenarioValidationError(problems)
 
@@ -397,6 +401,34 @@ def encode(section: Section, obj) -> dict:
     return {f.key: _encode_value(f, getattr(obj, f.attr)) for f in section.fields}
 
 
+def unit_violations(section: Section, obj, path: str = "") -> list[str]:
+    """One violation per finite value of ``obj`` that its file cannot carry:
+    a value held in another unit than the file's (the hours of a minutes
+    field) is written as ``value * unit`` and read back as that ``/ unit``,
+    and for these the result is another float."""
+    problems = []
+    for f in section.fields:
+        value = getattr(obj, f.attr)
+        where = _join(path, f.key)
+        if value is None:
+            continue
+        if isinstance(f.kind, Section):
+            problems += unit_violations(f.kind, value, where)
+        elif f.unit != 1.0:
+            items = [(where, value)] if f.kind is float else [
+                (f"{where}[{i}]", x) for i, x in enumerate(value)
+            ]
+            for at, x in items:
+                written = float(x) * f.unit
+                back = written / f.unit
+                if math.isfinite(x) and back != x:
+                    problems.append(
+                        f"{at}: {x!r} is written to the file as {written!r}, "
+                        f"which reads back as {back!r}"
+                    )
+    return problems
+
+
 SCENARIO_SCHEMA = Section(
     Scenario,
     (
@@ -535,8 +567,9 @@ def load_scenario(source: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    """Write the scenario file, hour-valued fields in minutes: a scenario built in
-    Python can reload one ulp off (another ``content_hash``), a loaded one not."""
+    """Write the scenario file, hour-valued fields in minutes. It reloads as
+    an equal scenario with the same ``content_hash``: building a scenario
+    rejects an hour value that the minutes would not give back."""
     Path(path).write_text(
         json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -15,11 +15,17 @@ The demand and the incident and lane-change flags are computed once per run,
 the bottleneck cap and drop at the steps where a flag switches. Each step
 writes :func:`~vslsim.ctm.euler_update` into a preallocated density history
 and :func:`~vslsim.ctm.fluxes` into a scratch block of one control period;
-controllers read the history's rows and return plain limit arrays. Density
-and flow bounds are checked at each control instant and at the end. The
-trace keeps the densities and the limit changes; its flows and per-sample
-limits are derived on access, and the CSV, the metrics and the vehicle
-balance derive the flows a block of samples at a time.
+controllers read the history's rows and return plain limit arrays. The run
+goes from event to event, the steps at which an input may change: each
+control instant, flag switch and demand step, and the horizon. Between two
+events every step has the same inputs, so when the first step after an
+event leaves every row's state unchanged, bit for bit, each step up to the
+next event repeats it: its densities and flows are filled, not stepped.
+Density and flow bounds are checked, filled steps included, at each control
+instant and at the end. The trace keeps the densities and the limit
+changes; its flows and per-sample limits are derived on access, and the
+CSV, the metrics and the vehicle balance derive the flows a block of
+samples at a time.
 
 The trace CSV prints each value as ``'%.10g' % v`` does. Its varying
 columns go through numpy a block of rows at a time (:func:`_format_g10`),
@@ -521,9 +527,14 @@ def run_batch(
     One :func:`~vslsim.ctm.fluxes` and one :func:`~vslsim.ctm.euler_update`
     call advance every row per step; being elementwise, they give each row
     the bytes it gets on its own. The history is laid out ``(B, T, C)``, so
-    a row's densities are a contiguous ``(T, C)`` view. Flows are written
-    to a scratch block of one control period and checked with the
-    densities at each control instant and at the end. A row whose state
+    a row's densities are a contiguous ``(T, C)`` view. The steps run from
+    event to event: control instants, steps where some row's closure or
+    advisory flag switches or its demand profile enters a new step, and the
+    horizon. If the step at an event leaves the whole state unchanged,
+    compared as bytes (so ``-0.0`` and ``0.0`` differ), the steps up to the
+    next event are copies of it and are filled instead of computed. Flows
+    are written to a scratch block of one control period and checked with
+    the densities at each control instant and at the end. A row whose state
     leaves range, or whose controller raises, fails alone: it is recorded
     and set to an empty road with no demand, which steps without effect.
     A batch of one steps on a ``(C,)`` row.
@@ -588,6 +599,17 @@ def run_batch(
                 except ValueError as exc:
                     fail(b, k, exc)
 
+    # Events: the steps at which an input may change. Some row's demand
+    # moves to its profile's next step (the index DemandProfile.at takes,
+    # not the flow, changes) at the first step at or after its start.
+    # Control instants are events, so a stretch stays inside the scratch block.
+    demand_steps = {
+        min(bisect.bisect_left(times, t), n_steps)
+        for s in scenarios
+        for t in s.demand.times[1:]
+    }
+    events = sorted({*range(0, n_steps, ctrl_every), *switches, *demand_steps, n_steps})
+
     # Per step: a (C,) row and scalars for one scenario, (B, C) and (B,) rows
     # for several; posted and caps change in place, so the views follow.
     single = n_rows == 1
@@ -599,7 +621,7 @@ def run_batch(
         v, cap, dtl = posted, caps, dt_over_length
 
     last = 0  # first step whose state is not yet checked
-    for k, (rho, d_k) in enumerate(zip(steps, step_demand)):
+    for k, stop in zip(events, events[1:] + [n_steps + 1]):
         if k in switches:
             cap_d_k, drop_k = _bottleneck(fd, active[:, k], lc_on[:, k], residual)
             if single:  # Python floats: fluxes' one-state path is float arithmetic
@@ -622,9 +644,19 @@ def run_batch(
                     caps[b] = speed_caps(row, n_cells, fd)
             if None not in failed:
                 break
-        q = fluxes(rho, v, cap, d_k, cap_d_k, drop_k, fd, out=step_flows[k - last])
-        if k < n_steps:
-            euler_update(rho, q, dtl, out=steps[k + 1])
+        d_k = step_demand[k]  # read after a failed row's demand was zeroed
+        for j in range(k, stop):
+            rho = steps[j]
+            q = fluxes(rho, v, cap, d_k, cap_d_k, drop_k, fd, out=step_flows[j - last])
+            if j == n_steps:
+                break
+            euler_update(rho, q, dtl, out=steps[j + 1])
+            # A step that leaves the state as it was repeats up to the next
+            # event. Bytes, not values: a step may turn -0.0 into 0.0.
+            if j == k and j + 1 < stop and steps[j + 1].tobytes() == rho.tobytes():
+                steps[j + 2 : stop + 1] = rho
+                step_flows[j + 1 - last : stop - last] = q
+                break
     else:
         check(n_steps, n_steps + 1)
 

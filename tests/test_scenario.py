@@ -552,6 +552,68 @@ class TestRoundTripProperty:
         assert err.value.violations == [f"{dotted}: unknown key"]
 
 
+@st.composite
+def python_hours(draw):
+    """A random file's scenario and new hour values for it, arbitrary floats
+    as Python code may give them: ``(scenario, changes, hours)``, where
+    ``changes`` is for ``dataclasses.replace`` and ``hours`` lists each new
+    hour value under its file key, in the file's order."""
+    scenario = scenario_from_dict(draw(scenario_documents()))
+    horizon = draw(st.integers(60, 7200)) * scenario.dt / 3600.0
+    n = len(scenario.demand.times) - 1
+    later = st.floats(0.0, 2.0, exclude_min=True)
+    times = sorted(draw(st.lists(later, min_size=n, max_size=n, unique=True)))
+    margin = draw(st.floats(0.0, 1.0))
+    changes = {
+        "demand": replace(scenario.demand, times=(0.0, *times)),
+        "vsl": replace(scenario.vsl, switch_margin=margin),
+        "horizon": horizon,
+    }
+    hours = [(f"demand.times_min[{i}]", t) for i, t in enumerate(changes["demand"].times)]
+    if scenario.incident is not None:
+        start = draw(st.floats(0.0, horizon / 2.0))
+        end = draw(st.floats(start, horizon, exclude_min=True, exclude_max=True))
+        changes["incident"] = replace(scenario.incident, start=start, end=end)
+        hours += [("incident.start_min", start), ("incident.end_min", end)]
+    hours += [("vsl.switch_margin_min", margin), ("horizon_min", horizon)]
+    return scenario, changes, hours
+
+
+class TestHoursTheFileCarries:
+    """A scenario holds hours and its file minutes: building one rejects an
+    hour value that the file's minutes would not give back."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=python_hours())
+    def test_every_built_scenario_reloads_equal(self, drawn, tmp_path_factory):
+        scenario, changes, hours = drawn
+        lost = [(key, h) for key, h in hours if (h * 60.0) / 60.0 != h]
+        if lost:
+            problems = violations(scenario, **changes)
+            assert [p.split(":")[0] for p in problems] == [key for key, _ in lost]
+            for problem, (_, h) in zip(problems, lost):
+                assert problem.endswith(f"reads back as {(h * 60.0) / 60.0!r}")
+            return
+        built = replace(scenario, **changes)
+        path = tmp_path_factory.mktemp("hours") / "scenario.json"
+        save_scenario(built, path)
+        loaded = load_scenario(path)
+        assert loaded == built
+        assert loaded.content_hash() == built.content_hash()
+
+    def test_message_names_field_and_reloaded_value(self):
+        # A closure ending at 608.5 s, given as 608.5 / 3600 h.
+        base = high_demand_preset()
+        end = 608.5 / 3600.0
+        problems = violations(base, incident=IncidentSchedule(start=0.1, end=end))
+        assert problems == [
+            "incident.end_min: 0.16902777777777778 is written to the file as "
+            "10.141666666666666, which reads back as 0.16902777777777775"
+        ]
+        # The same instant as a file gives it builds.
+        replace(base, incident=IncidentSchedule(start=0.1, end=608.5 / 60.0 / 60.0))
+
+
 class TestSweepSpecFile:
     def _write(self, tmp_path, spec):
         path = tmp_path / "spec.json"

@@ -339,6 +339,8 @@ def replay_flows(scenario: Scenario, trace) -> np.ndarray:
 
 
 def assert_matches_oracle(scenario: Scenario, trace) -> None:
+    """Every per-step array equals the step loop's in shape and bytes, so
+    signed zeros and NaN payloads count; the events are equal."""
     ref = oracle_run(scenario)
     for name in (
         "times",
@@ -349,23 +351,43 @@ def assert_matches_oracle(scenario: Scenario, trace) -> None:
         "incident_active",
         "lc_active",
     ):
-        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+        got, want = getattr(trace, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     assert trace.events == ref.events
 
 
+def off_grid_seconds(first: int, last: int):
+    """Whole seconds from ``first`` to ``last`` that fall between the
+    instants of a 10 s control period."""
+    return st.integers(first, last).filter(lambda s: s % 10)
+
+
 @st.composite
-def kernel_scenarios(draw, horizon_min: float = 12.0) -> Scenario:
+def kernel_scenarios(draw, horizon_min: float = 12.0, off_grid: bool = False) -> Scenario:
     """Random triangle, one to four sections, a zone cell or none, up to three
-    demand steps, any controller, advisories on or off; closure 2 to 8 min."""
+    demand steps, any controller, advisories on or off; closure 2 to 8 min.
+    With ``off_grid`` the demand steps and the closure start and end fall on
+    whole seconds between control instants, in hours as a file's minutes
+    give them; the closure starts in the first 5 min and lasts up to 5 min."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sections = draw(st.integers(1, 4))
     section_length = draw(st.floats(0.3, 1.5))
     zone = draw(st.one_of(st.just(0.0), st.floats(0.3, 3.0)))
-    steps = draw(
-        st.lists(st.integers(1, 11), max_size=2, unique=True).map(
-            lambda ts: [0] + sorted(ts)
+    if off_grid:
+        seconds = off_grid_seconds(1, int(horizon_min * 60.0) - 1)
+        steps = [0] + sorted(draw(st.lists(seconds, max_size=2, unique=True)))
+        start = draw(off_grid_seconds(1, 299))
+        end = draw(off_grid_seconds(start + 1, start + 300))
+        times = tuple(s / 60.0 / 60.0 for s in steps[1:])
+        incident = IncidentSchedule(start=start / 60.0 / 60.0, end=end / 60.0 / 60.0)
+    else:
+        steps = draw(
+            st.lists(st.integers(1, 11), max_size=2, unique=True).map(
+                lambda ts: [0] + sorted(ts)
+            )
         )
-    )
+        times = tuple(t / 60.0 for t in steps[1:])
+        incident = IncidentSchedule(start=2.0 / 60.0, end=8.0 / 60.0)
     controller = draw(
         st.sampled_from(["no_control", "rule_based", "rule_based_reactive"])
     )
@@ -382,8 +404,8 @@ def kernel_scenarios(draw, horizon_min: float = 12.0) -> Scenario:
         name="kernel",
         fd=fd,
         geometry=NetworkGeometry(sections, section_length, zone),
-        demand=DemandProfile((0.0,) + tuple(t / 60.0 for t in steps[1:]), flows),
-        incident=IncidentSchedule(start=2.0 / 60.0, end=8.0 / 60.0),
+        demand=DemandProfile((0.0,) + times, flows),
+        incident=incident,
         controller=controller,
         lc=lc,
         horizon=horizon_min / 60.0,
@@ -408,6 +430,25 @@ class TestKernelAgainstStepLoop:
         assert np.all(trace.flows >= 0.0)
         assert np.array_equal(replay_flows(scenario, trace), trace.flows)
 
+    @pytest.mark.filterwarnings("ignore:switch time")
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=kernel_scenarios(off_grid=True))
+    def test_events_between_control_instants(self, scenario):
+        # A demand step or a flag switch between two control instants ends
+        # a stretch of repeated steps there, not at the next instant.
+        assert_matches_oracle(scenario, simulate_scenario(scenario))
+
+    @pytest.mark.parametrize("zone", [0.0, 1.2])
+    def test_signed_zero_demand(self, fd, zone):
+        # A demand of -0.0 warms the road to -0.0, which one step turns into
+        # +0.0: equal values, other bytes. The demand steps up at 5 min.
+        demand = DemandProfile((0.0, 5.0 / 60.0), (-0.0, 7000.0))
+        scenario = mini_scenario(fd, geometry=NetworkGeometry(3, 1.6, zone), demand=demand)
+        trace = simulate_scenario(scenario)
+        assert np.signbit(trace.densities[0]).all()
+        assert not np.signbit(trace.densities[1:]).any()
+        assert_matches_oracle(scenario, trace)
+
     @pytest.mark.parametrize(
         "case", [*HIGH_DEMAND_ZONE_SWEEP, "moderate_demand", "fine_grid"], ids=str
     )
@@ -423,6 +464,50 @@ class TestKernelAgainstStepLoop:
         trace = simulate_scenario(scenario)
         assert_matches_oracle(scenario, trace)
         assert np.array_equal(replay_flows(scenario, trace), trace.flows)
+
+
+def high_demand_zones() -> list[Scenario]:
+    """The high-demand preset at each zone length of its bundled sweep."""
+    base = high_demand_preset()
+    return [
+        replace(base, geometry=replace(base.geometry, upstream_zone_length=zone))
+        for zone in HIGH_DEMAND_ZONE_SWEEP
+    ]
+
+
+class TestEventStepping:
+    """A step that leaves every row's state unchanged, bit for bit, repeats
+    up to the next event (control instant, flag switch, demand step or
+    horizon); those steps are filled, not stepped."""
+
+    @pytest.mark.parametrize(
+        "case, budget",
+        [("high_demand", 4821), ("fine_grid", 9661), ("zone_0", 4154), ("zone_batch", 4821)],
+    )
+    def test_fluxes_calls_within_budget(self, case, budget, monkeypatch):
+        # Stepping every step takes 5,401 calls (10,801 on the fine grid).
+        # The warm-up before the incident is a fixed point, one call per
+        # control period; zone 0's recovered free flow is another, from step
+        # 4,082 to the incident end at step 4,800.
+        zones = high_demand_zones()
+        scenarios = {
+            "high_demand": [high_demand_preset()],
+            "fine_grid": [fine_grid_scenario()],
+            "zone_0": zones[:1],
+            "zone_batch": zones[1:],
+        }[case]
+        real = vslsim.simulate.fluxes
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vslsim.simulate, "fluxes", counting)
+        controllers = [make_controller(s) for s in scenarios]
+        results = vslsim.simulate.run_batch(scenarios, controllers)
+        assert not [r for r in results if isinstance(r, Exception)]
+        assert len(calls) <= budget
 
 
 def following_density(scenario: Scenario):
@@ -495,11 +580,12 @@ class TestTraceCsv:
         # 610 rows, limits posted every 7 s; the closure holds from step 123
         # to step 608, so the flags switch at steps 123 and 609. The limits
         # change first at step 126 and last at step 609, the last sample,
-        # which makes a one-row stretch.
+        # which makes a one-row stretch. The closure times are in hours as a
+        # file's minutes give them.
         scenario = mini_scenario(
             fd,
             geometry=NetworkGeometry(3, 1.6, zone),
-            incident=IncidentSchedule(start=122.5 / 3600.0, end=608.5 / 3600.0),
+            incident=IncidentSchedule(start=122.5 / 60.0 / 60.0, end=608.5 / 60.0 / 60.0),
             controller=controller,
             lc=lc,
             horizon=609.0 / 3600.0,
@@ -579,6 +665,9 @@ class TestOutOfRangeStates:
     def test_oversized_flux_names_step_and_cell(self, fd, monkeypatch):
         real = vslsim.simulate.fluxes
         calls = []
+        # An empty road fills from step 0 on, so no step repeats the one
+        # before it and is skipped: the n-th fluxes call is step n - 1.
+        monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: np.zeros(3))
 
         def leaky(*args, **kwargs):
             q = real(*args, **kwargs)
@@ -617,6 +706,8 @@ class TestOutOfRangeStates:
     def test_nan_flow_mid_run_names_step_and_cell(self, fd, monkeypatch):
         real = vslsim.simulate.fluxes
         calls = []
+        # Filling from an empty road, every step is called (see above).
+        monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: np.zeros(3))
 
         def broken(*args, **kwargs):
             q = real(*args, **kwargs)
