@@ -18,8 +18,8 @@ Like every model type, a ``Scenario`` checks itself when it is built:
 ``Scenario(...)`` and ``dataclasses.replace`` raise ``ScenarioValidationError``
 listing every violation, which the loader reports under dotted paths. That
 includes an hour value ``h`` whose file value does not give it back,
-``(h * 60) / 60 != h`` (``unit_violations``), so every scenario that builds
-is written and read back equal. Every value a file gives passes.
+``(h * 60) / 60 != h``, so every scenario that builds is written and read
+back equal. Every value a file gives passes.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ class Scenario:
             problems.append(
                 "lane_change.residual_drop: must not exceed the capacity drop factor"
             )
-        problems += unit_violations(SCENARIO_SCHEMA, self)
+        problems += _unit_violations(SCENARIO_SCHEMA, self)
         if problems:
             raise ScenarioValidationError(problems)
 
@@ -401,7 +401,7 @@ def encode(section: Section, obj) -> dict:
     return {f.key: _encode_value(f, getattr(obj, f.attr)) for f in section.fields}
 
 
-def unit_violations(section: Section, obj, path: str = "") -> list[str]:
+def _unit_violations(section: Section, obj, path: str = "") -> list[str]:
     """One violation per finite value of ``obj`` that its file cannot carry:
     a value held in another unit than the file's (the hours of a minutes
     field) is written as ``value * unit`` and read back as that ``/ unit``,
@@ -413,11 +413,11 @@ def unit_violations(section: Section, obj, path: str = "") -> list[str]:
         if value is None:
             continue
         if isinstance(f.kind, Section):
-            problems += unit_violations(f.kind, value, where)
+            problems += _unit_violations(f.kind, value, where)
         elif f.unit != 1.0:
-            items = [(where, value)] if f.kind is float else [
-                (f"{where}[{i}]", x) for i, x in enumerate(value)
-            ]
+            items = [(where, value)]
+            if f.kind == NUMBERS:
+                items = [(f"{where}[{i}]", x) for i, x in enumerate(value)]
             for at, x in items:
                 written = float(x) * f.unit
                 back = written / f.unit

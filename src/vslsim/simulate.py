@@ -599,10 +599,10 @@ def run_batch(
                 except ValueError as exc:
                     fail(b, k, exc)
 
-    # Events: the steps at which an input may change. Some row's demand
-    # moves to its profile's next step (the index DemandProfile.at takes,
-    # not the flow, changes) at the first step at or after its start.
-    # Control instants are events, so a stretch stays inside the scratch block.
+    # Events: the steps at which an input may change. A row's demand may
+    # change at the first step at or after each start of a profile step,
+    # whatever the flows: 0.0 to -0.0 is a change. Control instants are
+    # events, so a stretch stays inside the scratch block.
     demand_steps = {
         min(bisect.bisect_left(times, t), n_steps)
         for s in scenarios

@@ -552,6 +552,15 @@ class TestRoundTripProperty:
         assert err.value.violations == [f"{dotted}: unknown key"]
 
 
+def hours_between(lo: float, hi: float):
+    """Floats strictly between ``lo`` and ``hi``: hypothesis's own, which
+    favour round values, or uniform ones, whose low bits are random."""
+    uniform = st.integers(1, 2**53 - 1).map(lambda m: lo + (hi - lo) * (m / 2**53))
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True) | uniform.filter(
+        lambda h: lo < h < hi
+    )
+
+
 @st.composite
 def python_hours(draw):
     """A random file's scenario and new hour values for it, arbitrary floats
@@ -561,9 +570,8 @@ def python_hours(draw):
     scenario = scenario_from_dict(draw(scenario_documents()))
     horizon = draw(st.integers(60, 7200)) * scenario.dt / 3600.0
     n = len(scenario.demand.times) - 1
-    later = st.floats(0.0, 2.0, exclude_min=True)
-    times = sorted(draw(st.lists(later, min_size=n, max_size=n, unique=True)))
-    margin = draw(st.floats(0.0, 1.0))
+    times = sorted(draw(st.lists(hours_between(0.0, 2.0), min_size=n, max_size=n, unique=True)))
+    margin = draw(hours_between(0.0, 1.0))
     changes = {
         "demand": replace(scenario.demand, times=(0.0, *times)),
         "vsl": replace(scenario.vsl, switch_margin=margin),
@@ -571,8 +579,8 @@ def python_hours(draw):
     }
     hours = [(f"demand.times_min[{i}]", t) for i, t in enumerate(changes["demand"].times)]
     if scenario.incident is not None:
-        start = draw(st.floats(0.0, horizon / 2.0))
-        end = draw(st.floats(start, horizon, exclude_min=True, exclude_max=True))
+        start = draw(hours_between(0.0, horizon / 2.0))
+        end = draw(hours_between(start, horizon))
         changes["incident"] = replace(scenario.incident, start=start, end=end)
         hours += [("incident.start_min", start), ("incident.end_min", end)]
     hours += [("vsl.switch_margin_min", margin), ("horizon_min", horizon)]

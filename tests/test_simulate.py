@@ -466,15 +466,6 @@ class TestKernelAgainstStepLoop:
         assert np.array_equal(replay_flows(scenario, trace), trace.flows)
 
 
-def high_demand_zones() -> list[Scenario]:
-    """The high-demand preset at each zone length of its bundled sweep."""
-    base = high_demand_preset()
-    return [
-        replace(base, geometry=replace(base.geometry, upstream_zone_length=zone))
-        for zone in HIGH_DEMAND_ZONE_SWEEP
-    ]
-
-
 class TestEventStepping:
     """A step that leaves every row's state unchanged, bit for bit, repeats
     up to the next event (control instant, flag switch, demand step or
@@ -489,9 +480,13 @@ class TestEventStepping:
         # The warm-up before the incident is a fixed point, one call per
         # control period; zone 0's recovered free flow is another, from step
         # 4,082 to the incident end at step 4,800.
-        zones = high_demand_zones()
+        base = high_demand_preset()
+        zones = [
+            replace(base, geometry=replace(base.geometry, upstream_zone_length=zone))
+            for zone in HIGH_DEMAND_ZONE_SWEEP
+        ]
         scenarios = {
-            "high_demand": [high_demand_preset()],
+            "high_demand": [base],
             "fine_grid": [fine_grid_scenario()],
             "zone_0": zones[:1],
             "zone_batch": zones[1:],
