@@ -19,7 +19,8 @@ Like every model type, a ``Scenario`` checks itself when it is built:
 listing every violation, which the loader reports under dotted paths. That
 includes an hour value ``h`` whose file value does not give it back,
 ``(h * 60) / 60 != h``, so every scenario that builds is written and read
-back equal. Every value a file gives passes.
+back equal. Values read from a file pass (checked, not proven, on 15
+million random minute values).
 """
 
 from __future__ import annotations
