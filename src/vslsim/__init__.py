@@ -63,6 +63,7 @@ from .scenario import (
     save_scenario,
     scenario_from_dict,
     simulate_scenario,
+    trace_events,
 )
 from .simulate import (
     ControllerError,
@@ -70,7 +71,6 @@ from .simulate import (
     IncidentSchedule,
     SimulationTrace,
     cfl_limit,
-    run,
     warm_state,
 )
 from .sweep import SweepRow, SweepSpec, apply_sweep_value, run_sweep, sweep_rows_to_csv

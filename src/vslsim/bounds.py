@@ -90,11 +90,6 @@ class BoundInputs:
             densities=np.full(geometry.num_sections, rho),
         )
 
-    @property
-    def discharge_rate(self) -> float:
-        """Congested bottleneck discharge (veh/h)."""
-        return self.fd.dropped_capacity
-
 
 def v0_feasible(inputs: BoundInputs) -> bool:
     """True when the zone command meters less than the congested discharge.
@@ -104,7 +99,7 @@ def v0_feasible(inputs: BoundInputs) -> bool:
     """
     if inputs.upstream_density == 0.0:
         return True
-    return inputs.zone_limit < inputs.discharge_rate / inputs.upstream_density
+    return inputs.zone_limit < inputs.fd.dropped_capacity / inputs.upstream_density
 
 
 def l0_lower_bound_raw(inputs: BoundInputs) -> float:
@@ -114,11 +109,11 @@ def l0_lower_bound_raw(inputs: BoundInputs) -> float:
             f"zone command {inputs.zone_limit:.6g} km/h meters "
             f"{inputs.zone_limit * inputs.upstream_density:.6g} veh/h into the "
             f"corridor, not below the congested discharge "
-            f"{inputs.discharge_rate:.6g} veh/h; no finite zone length works"
+            f"{inputs.fd.dropped_capacity:.6g} veh/h; no finite zone length works"
         )
     fd = inputs.fd
     v_f = fd.free_flow_speed
-    rate = inputs.discharge_rate
+    rate = fd.dropped_capacity
     stored_flow = v_f * float(np.sum(inputs.densities)) - rate * inputs.num_sections
     numerator = stored_flow * inputs.zone_limit * inputs.section_length
     denominator = (rate - inputs.zone_limit * inputs.upstream_density) * v_f
@@ -144,21 +139,14 @@ def time_to_clear(inputs: BoundInputs, zone_length: float) -> float:
     stored = zone_length * inputs.upstream_density + inputs.section_length * float(
         np.sum(inputs.densities)
     )
-    return stored / inputs.discharge_rate
+    return stored / inputs.fd.dropped_capacity
 
 
-def arrival_time(
-    zone_length: float,
-    zone_limit: float,
-    num_sections: int,
-    section_length: float,
-    free_flow_speed: float,
-) -> float:
+def arrival_time(inputs: BoundInputs, zone_length: float) -> float:
     """Transit time of the first metered vehicle to the bottleneck (h):
     the zone at the zone command, the mainline at free flow speed."""
-    if zone_limit <= 0.0:
-        raise ValueError("zone_limit must be strictly positive")
-    return zone_length / zone_limit + num_sections * section_length / free_flow_speed
+    mainline = inputs.num_sections * inputs.section_length
+    return zone_length / inputs.zone_limit + mainline / inputs.fd.free_flow_speed
 
 
 @dataclass(frozen=True)
@@ -178,13 +166,7 @@ def chasing_verdict(inputs: BoundInputs, zone_length: float) -> ChasingVerdict:
     """Absorbed exactly when the queue clears strictly before the first
     metered vehicle reaches the bottleneck."""
     t_b = time_to_clear(inputs, zone_length)
-    t_y = arrival_time(
-        zone_length,
-        inputs.zone_limit,
-        inputs.num_sections,
-        inputs.section_length,
-        inputs.fd.free_flow_speed,
-    )
+    t_y = arrival_time(inputs, zone_length)
     return ChasingVerdict(absorbed=t_b < t_y, time_to_clear=t_b, arrival_time=t_y)
 
 

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .scenario import (
     load_scenario,
     scenario_fragment,
     simulate_scenario,
+    trace_events,
     write_trace,
 )
 from .simulate import ControllerError
@@ -137,10 +139,10 @@ def _cmd_run(args) -> int:
         # JSON has no NaN: an unavailable metric is written as null.
         "metrics": {
             key: value if math.isfinite(value) else None
-            for key, value in report.to_dict().items()
+            for key, value in asdict(report).items()
         },
         "vehicle_balance": balance,
-        "events": [[t, label] for t, label in trace.events],
+        "events": [[t, label] for t, label in trace_events(scenario, trace)],
     }
     record_path = out / f"{scenario.name}_metrics.json"
     text = json.dumps(record, indent=2, allow_nan=False)

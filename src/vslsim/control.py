@@ -134,7 +134,7 @@ def derated_command(command: float, cfg: VslRuleConfig, fd: FundamentalDiagram) 
     return min(v, fd.free_flow_speed)
 
 
-# ``controller(cells, t) -> limits``; the contract is in :func:`vslsim.simulate.run`.
+# ``controller(cells, t) -> limits``; the contract is in :func:`vslsim.simulate.run_batch`.
 Controller = Callable[[np.ndarray, float], np.ndarray]
 
 

@@ -30,7 +30,7 @@ and window from the scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -289,9 +289,6 @@ class MetricsReport:
     avg_emission_g_per_km: float  # g/veh/km
     rrmse: float  # fraction
     vehicles_counted: int  # completed probes
-
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def evaluate_trace(scenario: Scenario, trace: SimulationTrace) -> MetricsReport:

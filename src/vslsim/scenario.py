@@ -34,6 +34,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import control
 from .bounds import BoundInputs, time_to_clear
 from .control import LcConfig, VslRuleConfig
@@ -49,7 +51,7 @@ from .simulate import (
     IncidentSchedule,
     SimulationTrace,
     cfl_limit,
-    run,
+    run_batch,
 )
 
 CONTROLLER_KINDS = tuple(control.CONTROLLERS)
@@ -242,11 +244,9 @@ class Scenario:
     def to_dict(self) -> dict:
         return encode(SCENARIO_SCHEMA, self)
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 # Schema -------------------------------------------------------------------
@@ -590,10 +590,41 @@ def make_controller(scenario: Scenario) -> control.Controller:
 
 
 def simulate_scenario(scenario: Scenario, controller=None) -> SimulationTrace:
-    """Build the configured controller when none is given, and run."""
+    """Simulate the scenario's horizon from ``warm_state(scenario)`` under
+    ``controller`` (by default the configured one): :func:`run_batch` on a
+    batch of one, whose docstring gives the controller contract. The
+    exception that stops the run is raised: ``ControllerError`` for limits
+    out of range, ``ValueError`` for a state out of range, or whatever the
+    controller raised."""
     if controller is None:
         controller = make_controller(scenario)
-    return run(scenario, controller)
+    (result,) = run_batch([scenario], [controller])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def trace_events(scenario: Scenario, trace: SimulationTrace) -> list[tuple[float, str]]:
+    """The run's events in time order, each at ``k * dt_hours`` for the
+    first step ``k`` it holds: every change of the posted limits after the
+    first posting (labelled with the zone command), each closure start and
+    end, and the lane change advisories that start with a closure. At one
+    instant a limit change comes first."""
+    dt = scenario.dt_hours
+    steps, zone = trace.limit_steps[1:].tolist(), trace.limit_rows[1:, 0].tolist()
+    events = [(k * dt, f"speed_limits zone={v:.6g}") for k, v in zip(steps, zone)]
+    active, lc_on = trace.incident_active, trace.lc_active
+    before = np.concatenate(([False], active[:-1]))
+    for k in np.flatnonzero(active != before).tolist():
+        if not active[k]:
+            events.append((k * dt, "incident_end"))
+            continue
+        events.append((k * dt, "incident_start"))
+        if lc_on[k]:
+            meters = control.lc_distance(scenario.incident.lanes_closed, scenario.lc)
+            events.append((k * dt, f"lane_change_advisories distance_m={meters:.6g}"))
+    events.sort(key=lambda event: event[0])  # stable: limit changes first
+    return events
 
 
 # Bundled presets ----------------------------------------------------------

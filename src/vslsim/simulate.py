@@ -10,7 +10,8 @@ above critical occupancy); outside the incident window the cap reverts to the
 mainline capacity and the drop is inert.
 
 ``run_batch`` steps several scenarios that share a cell count, step, horizon
-and control period as one ``(B, C)`` state, and ``run`` is its batch of one.
+and control period as one ``(B, C)`` state;
+:func:`~vslsim.scenario.simulate_scenario` runs a batch of one.
 The demand and the incident and lane-change flags are computed once per run,
 the bottleneck cap and drop at the steps where a flag switches. Each step
 writes :func:`~vslsim.ctm.euler_update` into a preallocated density history
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .control import Controller, lc_distance
+from .control import Controller
 from .ctm import (
     FundamentalDiagram,
     NetworkGeometry,
@@ -267,7 +268,6 @@ class SimulationTrace:
     limit_steps: np.ndarray
     limit_rows: np.ndarray
     lc_residual_drop: float = 0.0
-    events: list[tuple[float, str]] = field(default_factory=list)
 
     @property
     def num_samples(self) -> int:
@@ -427,25 +427,6 @@ def warm_state(scenario: "Scenario") -> np.ndarray:
     return np.full(scenario.geometry.num_cells, rho)
 
 
-def _incident_events(
-    scenario: "Scenario", active: np.ndarray, lc_on: np.ndarray, dt: float
-) -> list[tuple[float, str]]:
-    """Closure and advisory switches, at the first step each holds."""
-    events: list[tuple[float, str]] = []
-    incident, lc = scenario.incident, scenario.lc
-    before = np.concatenate(([False], active[:-1]))
-    for k in np.flatnonzero(active != before).tolist():
-        t = k * dt
-        if not active[k]:
-            events.append((t, "incident_end"))
-            continue
-        events.append((t, "incident_start"))
-        if lc_on[k]:
-            meters = lc_distance(incident.lanes_closed, lc)
-            events.append((t, f"lane_change_advisories distance_m={meters:.6g}"))
-    return events
-
-
 def _in_range(densities: np.ndarray, flows: np.ndarray, jam_out: float) -> bool:
     """Whether every density is finite and non-negative, every bottleneck
     (last cell) density at most ``jam_out`` and every flow non-negative, over
@@ -522,8 +503,15 @@ def run_batch(
     each under its own controller; the result for each is its trace, or the
     exception that stopped it.
 
-    Every row starts from ``warm_state`` of its scenario, and its
-    controller is consulted at each control instant with that row's densities.
+    Every row starts from ``warm_state`` of its scenario. At each control
+    instant its controller, ``controller(cells, t)``, gets a read-only
+    ``(C,)`` view of the row's densities (a row of ``trace.densities``) and
+    the time in hours, and returns the ``N + 1`` posted limits ``[zone,
+    section 1 .. N]`` (a row of ``trace.limits``), which hold until the next
+    call. Identical inputs give bit-identical traces. Each scenario checked
+    itself when it was built, so its step meets the CFL bound and divides
+    the horizon and the control period into whole steps.
+
     One :func:`~vslsim.ctm.fluxes` and one :func:`~vslsim.ctm.euler_update`
     call advance every row per step; being elementwise, they give each row
     the bytes it gets on its own. The history is laid out ``(B, T, C)``, so
@@ -534,10 +522,14 @@ def run_batch(
     compared as bytes (so ``-0.0`` and ``0.0`` differ), the steps up to the
     next event are copies of it and are filled instead of computed. Flows
     are written to a scratch block of one control period and checked with
-    the densities at each control instant and at the end. A row whose state
-    leaves range, or whose controller raises, fails alone: it is recorded
-    and set to an empty road with no demand, which steps without effect.
-    A batch of one steps on a ``(C,)`` row.
+    the densities at each control instant and at the end.
+
+    A row fails alone: at the controller call that raises, or that returns
+    other than ``N + 1`` limits in (0, ``free_flow_speed``]
+    (``ControllerError``), or by the next control instant once its state
+    leaves range (``ValueError`` naming the first step and cell). The
+    exception is recorded and the row set to an empty road with no demand,
+    which steps without effect. A batch of one steps on a ``(C,)`` row.
     """
     if len({batch_key(s) for s in scenarios}) != 1:
         raise ValueError("a batch needs one or more scenarios with one batch_key")
@@ -665,10 +657,6 @@ def run_batch(
         if failed[b] is not None:
             results.append(failed[b])
             continue
-        # Stable sort: at one instant the controller's event precedes the incident's.
-        row_events = [(k * dt, f"speed_limits zone={v[0]:.6g}") for k, v in changes[b][1:]]
-        row_events += _incident_events(s, active[b], lc_on[b], dt)
-        row_events.sort(key=lambda event: event[0])
         limit_steps, limit_rows = zip(*changes[b])
         results.append(
             SimulationTrace(
@@ -682,29 +670,7 @@ def run_batch(
                 limit_steps=np.array(limit_steps),
                 limit_rows=np.array(limit_rows),
                 lc_residual_drop=float(residual[b]),
-                events=row_events,
             )
         )
     return results
 
-
-def run(scenario: "Scenario", controller: Controller) -> SimulationTrace:
-    """Simulate the scenario horizon under the given controller, starting
-    from ``warm_state(scenario)``: the batch of one of :func:`run_batch`.
-
-    Every actuation period ``controller(cells, t)`` gets a read-only
-    ``(C,)`` view of the cell densities (a row of ``trace.densities``) and
-    the time in hours, and returns the ``N + 1`` posted limits ``[zone,
-    section 1 .. N]`` (a row of ``trace.limits``), which hold until the next
-    call. Identical inputs produce bit-identical traces. The scenario
-    checked itself when it was built, so its step meets the CFL bound and
-    divides the horizon and the control period into whole steps. A density
-    or flow out of range raises ``ValueError`` naming the first step and
-    cell it occurs at, by the next control instant. A controller stops the
-    run at the call that raises or that returns other than N + 1 limits in
-    (0, ``free_flow_speed``], the latter with ``ControllerError``.
-    """
-    (result,) = run_batch([scenario], [controller])
-    if isinstance(result, Exception):
-        raise result
-    return result

@@ -1,4 +1,18 @@
+import warnings
+
 import pytest
+
+# When a test fails, hypothesis imports its patch writer, and with it libcst,
+# whose use of mypy_extensions.TypedDict raises a DeprecationWarning. Under
+# ``-W error`` that warning escapes pytest's report hook as an INTERNALERROR
+# in place of the failure report, so the module is imported once here with
+# that warning ignored. Without libcst there is nothing to import.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from vslsim import FundamentalDiagram, NetworkGeometry
 

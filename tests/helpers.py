@@ -369,10 +369,10 @@ def _oracle_step(rho, q, geometry, dt) -> np.ndarray:
 
 
 def oracle_run(scenario, controller=None) -> SimpleNamespace:
-    """The scenario simulated step by step, as ``vslsim.run`` did before the
-    array kernel; ``controller`` defaults to the scenario's own. Every
-    per-step array, flows and limits included, is stored under the name of
-    the ``SimulationTrace`` attribute it is compared with."""
+    """The scenario simulated step by step, as ``vslsim.simulate_scenario``
+    did before the array kernel; ``controller`` defaults to the scenario's
+    own. Every per-step array, flows and limits included, is stored under
+    the name of the ``SimulationTrace`` attribute it is compared with."""
     if controller is None:
         controller = make_controller(scenario)
     fd = scenario.fd

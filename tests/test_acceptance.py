@@ -296,11 +296,7 @@ def test_c11_first_held_vehicle_arrival(high_run):
     assert np.isfinite(first[-1])
     transit = first[-1] - first[0]
     expected = arrival_time(
-        scenario.geometry.upstream_zone_length,
-        scenario.phase1_zone_limit(),
-        scenario.geometry.num_sections,
-        scenario.geometry.section_length,
-        scenario.fd.free_flow_speed,
+        scenario.bound_inputs(), scenario.geometry.upstream_zone_length
     )
     assert transit == pytest.approx(expected, rel=0.05)
     print(

@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from helpers import random_feasible_bound_inputs
+from hypothesis import given, strategies as st
 
 from vslsim import (
     BoundInputs,
@@ -78,18 +79,18 @@ class TestTimes:
             8.5556, abs=1e-3
         )
 
-    def test_arrival_time_values(self):
-        assert arrival_time(4.8, 20.0, 6, 1.6, 100.0) == pytest.approx(0.336)
-        assert arrival_time(0.0, 20.0, 6, 1.6, 100.0) == pytest.approx(0.096)
-        assert arrival_time(1.8, 20.0, 6, 1.6, 100.0) == pytest.approx(0.186)
+    def test_arrival_time_values(self, fd):
+        # 20 km/h in the zone, six 1.6 km sections at 100 km/h.
+        inputs = BoundInputs(fd, 6, 1.6, 20.0, 0.0, np.zeros(6))
+        assert arrival_time(inputs, 4.8) == pytest.approx(0.336)
+        assert arrival_time(inputs, 0.0) == pytest.approx(0.096)
+        assert arrival_time(inputs, 1.8) == pytest.approx(0.186)
 
     def test_lengths_scale_linearly(self, fd):
         inputs = BoundInputs(fd, 6, 1.6, 20.0, 70.0, np.full(6, 70.0))
         doubled = BoundInputs(fd, 6, 3.2, 20.0, 70.0, np.full(6, 70.0))
         assert time_to_clear(doubled, 9.6) == pytest.approx(2 * time_to_clear(inputs, 4.8))
-        assert arrival_time(9.6, 20.0, 6, 3.2, 100.0) == pytest.approx(
-            2 * arrival_time(4.8, 20.0, 6, 1.6, 100.0)
-        )
+        assert arrival_time(doubled, 9.6) == pytest.approx(2 * arrival_time(inputs, 4.8))
 
 
 class TestFeasibility:
@@ -144,6 +145,16 @@ class TestChasingVerdict:
             raw = l0_lower_bound_raw(inputs)
             zone = float(rng.uniform(0.0, 12.0))
             assert chasing_verdict(inputs, zone).absorbed == (zone > raw)
+
+    @given(seed=st.integers(0, 2**32 - 1), zone=st.floats(0.0, 12.0))
+    def test_verdict_carries_both_times(self, seed, zone):
+        # The race reads the clearing and the arrival time from one set of
+        # inputs, with one signature.
+        inputs = random_feasible_bound_inputs(np.random.default_rng(seed))
+        verdict = chasing_verdict(inputs, zone)
+        t_b, t_y = time_to_clear(inputs, zone), arrival_time(inputs, zone)
+        assert (verdict.time_to_clear, verdict.arrival_time) == (t_b, t_y)
+        assert verdict.absorbed == (t_b < t_y)
 
     def test_report_bundle(self, high_demand_inputs):
         report = zone_bound_report(high_demand_inputs, 4.8)

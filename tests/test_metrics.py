@@ -1,6 +1,6 @@
 """Probe-vehicle reconstruction and the four performance measures."""
 
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -508,5 +508,5 @@ class TestEvaluateTrace:
         scenario = replace(base, metrics=metrics)
         report = evaluate_trace(scenario, trace)
         expected = component_report(scenario, trace)
-        assert report.to_dict() == pytest.approx(expected.to_dict(), rel=1e-12)
+        assert asdict(report) == pytest.approx(asdict(expected), rel=1e-12)
         assert report != evaluate_trace(base, trace)
