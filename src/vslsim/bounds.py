@@ -131,11 +131,15 @@ def l0_lower_bound(inputs: BoundInputs) -> float:
     return max(0.0, l0_lower_bound_raw(inputs))
 
 
+def _check_zone_length(zone_length: float) -> None:
+    if not 0.0 <= zone_length < np.inf:  # NaN fails it too
+        raise BoundInputError("zone_length", "must be finite and non-negative")
+
+
 def time_to_clear(inputs: BoundInputs, zone_length: float) -> float:
     """Time for the bottleneck to discharge every vehicle stored at the
     incident instant (h), assuming congested discharge throughout."""
-    if not 0.0 <= zone_length < np.inf:
-        raise BoundInputError("zone_length", "must be finite and non-negative")
+    _check_zone_length(zone_length)
     stored = zone_length * inputs.upstream_density + inputs.section_length * float(
         np.sum(inputs.densities)
     )
@@ -145,6 +149,7 @@ def time_to_clear(inputs: BoundInputs, zone_length: float) -> float:
 def arrival_time(inputs: BoundInputs, zone_length: float) -> float:
     """Transit time of the first metered vehicle to the bottleneck (h):
     the zone at the zone command, the mainline at free flow speed."""
+    _check_zone_length(zone_length)
     mainline = inputs.num_sections * inputs.section_length
     return zone_length / inputs.zone_limit + mainline / inputs.fd.free_flow_speed
 

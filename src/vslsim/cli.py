@@ -30,7 +30,6 @@ from .scenario import (
     trace_events,
     write_trace,
 )
-from .simulate import ControllerError
 from .sweep import load_sweep_spec, run_sweep, sweep_rows_to_csv
 
 EXIT_OK = 0
@@ -333,7 +332,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ControllerError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ControllerError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

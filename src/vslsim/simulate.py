@@ -12,16 +12,18 @@ mainline capacity and the drop is inert.
 ``run_batch`` steps several scenarios that share a cell count, step, horizon
 and control period as one ``(B, C)`` state;
 :func:`~vslsim.scenario.simulate_scenario` runs a batch of one.
-The demand and the incident and lane-change flags are computed once per run,
-the bottleneck cap and drop at the steps where a flag switches. Each step
-writes :func:`~vslsim.ctm.euler_update` into a preallocated density history
-and :func:`~vslsim.ctm.fluxes` into a scratch block of one control period;
-controllers read the history's rows and return plain limit arrays. The run
-goes from event to event, the steps at which an input may change: each
-control instant, flag switch and demand step, and the horizon. Between two
-events every step has the same inputs, so when the first step after an
-event leaves every row's state unchanged, bit for bit, each step up to the
-next event repeats it: its densities and flows are filled, not stepped.
+The demand and the incident and lane-change flags are computed once per run.
+A row's inputs change only at its input steps: step 0 and the first step at
+or after each time its scenario names, the start of each demand-profile step
+and the closure's start and end. The bottleneck cap and drop are taken at
+these steps. Each step writes :func:`~vslsim.ctm.euler_update` into a
+preallocated density history and :func:`~vslsim.ctm.fluxes` into a scratch
+block of one control period; controllers read the history's rows and return
+plain limit arrays. The run goes from event to event: each control instant,
+input step and the horizon. Between two events every step has the same
+inputs, so when the first step after an event leaves every row's state
+unchanged, bit for bit, each step up to the next event repeats it: its
+densities and flows are filled, not stepped.
 Density and flow bounds are checked, filled steps included, at each control
 instant and at the end. The trace keeps the densities and the limit
 changes; its flows and per-sample limits are derived on access, and the
@@ -515,13 +517,15 @@ def run_batch(
     One :func:`~vslsim.ctm.fluxes` and one :func:`~vslsim.ctm.euler_update`
     call advance every row per step; being elementwise, they give each row
     the bytes it gets on its own. The history is laid out ``(B, T, C)``, so
-    a row's densities are a contiguous ``(T, C)`` view. The steps run from
-    event to event: control instants, steps where some row's closure or
-    advisory flag switches or its demand profile enters a new step, and the
-    horizon. If the step at an event leaves the whole state unchanged,
-    compared as bytes (so ``-0.0`` and ``0.0`` differ), the steps up to the
-    next event are copies of it and are filled instead of computed. Flows
-    are written to a scratch block of one control period and checked with
+    a row's densities are a contiguous ``(T, C)`` view. A row's inputs
+    change only at step 0 and at the first step at or after each time its
+    scenario names: the start of each demand-profile step and the closure's
+    start and end. The bottleneck cap and drop are taken at these input
+    steps. The steps run from event to event: control instants, every row's
+    input steps, and the horizon. If the step at an event leaves the whole
+    state unchanged, compared as bytes (so ``-0.0`` and ``0.0`` differ), the
+    steps up to the next event are copies of it and are filled instead of
+    computed. Flows are written to a scratch block of one control period and checked with
     the densities at each control instant and at the end.
 
     A row fails alone: at the controller call that raises, or that returns
@@ -549,19 +553,19 @@ def run_batch(
     jam_out = fd.outflow_jam_density
 
     # Everything that does not depend on the densities, once per run: (B, T).
+    # The input steps come from the times a row's scenario names, whatever
+    # the flows: a demand step from 0.0 to -0.0 is a change.
     times = np.arange(n_steps + 1) * dt
     demand = np.stack([s.demand.at(times) for s in scenarios])
+    named = [t for s in scenarios for t in s.demand.times]
     active = np.zeros((n_rows, n_steps + 1), dtype=bool)
     for b, s in enumerate(scenarios):
         if s.incident is not None:
             active[b] = s.incident.active(times)
+            named += (s.incident.start, s.incident.end)
     lc_on = active & np.array([[s.lc is not None] for s in scenarios])
     residual = np.array([0.0 if s.lc is None else s.lc.residual_drop for s in scenarios])
-    # The bottleneck cap and drop change only where some row's closure or
-    # advisory flag switches, so they are taken there, not held per step.
-    flags = np.concatenate((active, lc_on))
-    switched = (flags[:, 1:] != flags[:, :-1]).any(axis=0)
-    switches = {0, *(np.flatnonzero(switched) + 1).tolist()}
+    input_steps = {0, *(min(bisect.bisect_left(times, t), n_steps) for t in named)}
 
     densities = np.empty((n_rows, n_steps + 1, n_cells))
     densities[:, 0] = [warm_state(s) for s in scenarios]
@@ -591,16 +595,9 @@ def run_batch(
                 except ValueError as exc:
                     fail(b, k, exc)
 
-    # Events: the steps at which an input may change. A row's demand may
-    # change at the first step at or after each start of a profile step,
-    # whatever the flows: 0.0 to -0.0 is a change. Control instants are
+    # Events: the steps at which an input may change. Control instants are
     # events, so a stretch stays inside the scratch block.
-    demand_steps = {
-        min(bisect.bisect_left(times, t), n_steps)
-        for s in scenarios
-        for t in s.demand.times[1:]
-    }
-    events = sorted({*range(0, n_steps, ctrl_every), *switches, *demand_steps, n_steps})
+    events = sorted({*range(0, n_steps, ctrl_every), *input_steps, n_steps})
 
     # Per step: a (C,) row and scalars for one scenario, (B, C) and (B,) rows
     # for several; posted and caps change in place, so the views follow.
@@ -614,7 +611,7 @@ def run_batch(
 
     last = 0  # first step whose state is not yet checked
     for k, stop in zip(events, events[1:] + [n_steps + 1]):
-        if k in switches:
+        if k in input_steps:
             cap_d_k, drop_k = _bottleneck(fd, active[:, k], lc_on[:, k], residual)
             if single:  # Python floats: fluxes' one-state path is float arithmetic
                 cap_d_k, drop_k = cap_d_k.item(0), drop_k.item(0)

@@ -20,6 +20,7 @@ from vslsim import (
     v0_feasible,
     zone_bound_report,
 )
+from vslsim.bounds import BoundInputError
 
 
 @pytest.fixture
@@ -85,6 +86,13 @@ class TestTimes:
         assert arrival_time(inputs, 4.8) == pytest.approx(0.336)
         assert arrival_time(inputs, 0.0) == pytest.approx(0.096)
         assert arrival_time(inputs, 1.8) == pytest.approx(0.186)
+
+    @pytest.mark.parametrize("time_of", [time_to_clear, arrival_time])
+    @pytest.mark.parametrize("zone", [-5.0, np.inf, np.nan])
+    def test_zone_length_outside_domain_raises(self, high_demand_inputs, time_of, zone):
+        with pytest.raises(BoundInputError, match="zone_length") as info:
+            time_of(high_demand_inputs, zone)
+        assert info.value.field == "zone_length"
 
     def test_lengths_scale_linearly(self, fd):
         inputs = BoundInputs(fd, 6, 1.6, 20.0, 70.0, np.full(6, 70.0))

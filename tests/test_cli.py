@@ -139,6 +139,26 @@ class TestRun:
         assert record["metrics"]["att_min"] is None
         assert record["metrics"]["vehicles_counted"] == 0
 
+    def test_zero_horizon_writes_the_initial_sample(self, tmp_path, capsys):
+        path = write_mini_scenario(
+            tmp_path, name="instant", controller="no_control", incident=None, horizon=0.0
+        )
+        assert cli_dispatch(["run", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "instant_trace.csv").read_text().splitlines()
+        assert len(rows) == 3  # the comment, the header and step 0
+        record = json.loads((tmp_path / "instant_metrics.json").read_text())
+        metrics = record["metrics"]
+        assert metrics.pop("vehicles_counted") == 0
+        assert set(metrics.values()) == {None}
+        assert record["events"] == []
+        assert record["vehicle_balance"]["residual"] == 0.0
+
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli_dispatch(["run", "high_demand", "--out", str(taken)]) == 3
+        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         # An invalid Scenario cannot be built, so the file is edited instead.
         path = write_mini_scenario(tmp_path, name="bad")

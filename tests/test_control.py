@@ -100,6 +100,10 @@ class TestCommandLaw:
         with pytest.raises(ValueError, match="malformed"):
             v0_command(7000.0, 40.0, bad)
 
+    def test_demand_checked(self, fd):
+        with pytest.raises(ValueError, match="demand must be non-negative"):
+            v0_command(-1.0, 40.0, fd)
+
     def test_density_range_checked(self, fd):
         with pytest.raises(ValueError):
             v0_command(7000.0, -1.0, fd)

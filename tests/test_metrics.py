@@ -152,6 +152,10 @@ class TestTrajectories:
                 assert row[-1] - row[0] == pytest.approx(expected, rel=1e-9)
         assert probes.complete.any()
 
+    def test_seed_interval_must_be_positive(self, fd, geometry):
+        with pytest.raises(ValueError, match="seed_interval must be strictly positive"):
+            reconstruct_trajectories(constant_trace(fd, geometry), 0.0)
+
     def test_no_seeding_without_inflow(self, fd, geometry):
         trace = constant_trace(fd, geometry, density=0.0, flow=0.0)
         assert len(reconstruct_trajectories(trace, seed_interval=1.0 / 60.0)) == 0
@@ -242,6 +246,12 @@ class TestStops:
     def test_thresholds_must_be_ordered(self):
         with pytest.raises(ValueError):
             stop_count([10.0], 10.0, 5.0)
+
+    def test_average_thresholds_must_be_ordered(self, fd, geometry):
+        # Free flow takes the shortcut that never calls stop_count.
+        probes = reconstruct_trajectories(constant_trace(fd, geometry), 60.0 / 3600.0)
+        with pytest.raises(ValueError, match="v_stop must be below v_resume"):
+            avg_stops(probes, 10.0, 5.0)
 
     def test_average_over_identical_trajectories(self, fd):
         # Speeds fixed in time vary along the road, so every probe meets the
@@ -338,6 +348,11 @@ class TestRrmse:
         pooled = rrmse_density_pooled(trace, 48.0, 0.0, 0.4)
         assert pooled == pytest.approx(np.sqrt((5 * 8.0**2 + 102.0**2) / 6) / 48.0)
         assert pooled > 4 * cross
+
+    def test_target_must_be_positive(self, fd, geometry):
+        trace = constant_trace(fd, geometry)
+        with pytest.raises(ValueError, match="rho_star must be strictly positive"):
+            rrmse_density_pooled(trace, 0.0, 0.0, 0.4)
 
     def test_window_outside_trace_rejected(self, fd, geometry):
         trace = constant_trace(fd, geometry, duration_h=0.1)

@@ -7,6 +7,7 @@ import pytest
 from dataclasses import asdict, replace
 from hypothesis import given, settings, strategies as st
 
+import vslsim.sweep
 from vslsim import (
     BoundInputs,
     DemandProfile,
@@ -97,6 +98,18 @@ class TestValidation:
         joined = "\n".join(problems)
         for needle in ("dt", "name", "controller", "horizon"):
             assert needle in joined
+
+    @pytest.mark.parametrize(
+        "changes, problem",
+        [
+            (dict(horizon=-1.0), "horizon: must be finite and non-negative"),
+            (dict(horizon=np.nan), "horizon: must be finite and non-negative"),
+            (dict(dt=0.0), "dt: must be finite and strictly positive"),
+        ],
+        ids=["negative_horizon", "nan_horizon", "zero_dt"],
+    )
+    def test_step_and_horizon_ranges(self, changes, problem):
+        assert problem in violations(high_demand_preset(), **changes)
 
     def test_residual_drop_bounded_by_drop_factor(self, fd):
         problems = violations(high_demand_preset(), lc=LcConfig(residual_drop=0.5))
@@ -248,6 +261,10 @@ class TestScenarioAnalytics:
         assert t_s == pytest.approx(0.5)
         assert t_e == pytest.approx(80.0 / 60.0)
 
+    def test_no_switch_without_incident(self):
+        s = replace(high_demand_preset(), controller="no_control", incident=None)
+        assert s.switch_time() is None
+
     def test_bound_inputs_default_free_flow(self):
         inputs = high_demand_preset().bound_inputs()
         assert inputs.zone_limit == pytest.approx(20.0)
@@ -306,6 +323,33 @@ class TestSweep:
         rows = run_sweep(spec)
         assert [r.status for r in rows] == ["ok", "failed"]
         assert "derating" in rows[1].error
+
+    def test_row_failing_after_its_simulation(self, fd, tmp_path, monkeypatch):
+        spec = SweepSpec(
+            base=_mini(fd), variable="upstream_zone_length", values=(1.6, 0.8, 1.2)
+        )
+        clean, faulted = tmp_path / "clean", tmp_path / "faulted"
+        clean.mkdir()
+        faulted.mkdir()
+        sweep_rows_to_csv(run_sweep(spec, trace_dir=clean), clean / "rows.csv")
+
+        real_evaluate = vslsim.sweep.evaluate_trace
+
+        def fails_at_0_8(scenario, trace):
+            if scenario.geometry.upstream_zone_length == 0.8:
+                raise ArithmeticError("metrics failed")
+            return real_evaluate(scenario, trace)
+
+        monkeypatch.setattr(vslsim.sweep, "evaluate_trace", fails_at_0_8)
+        rows = run_sweep(spec, trace_dir=faulted)
+        sweep_rows_to_csv(rows, faulted / "rows.csv")
+        assert [r.status for r in rows] == ["ok", "failed", "ok"]
+        assert (rows[1].error, rows[1].error_type) == ("metrics failed", "ArithmeticError")
+        lines = {d: (d / "rows.csv").read_text().splitlines() for d in (clean, faulted)}
+        for i in (0, 2):
+            assert lines[faulted][1 + i] == lines[clean][1 + i]
+            name = f"{rows[i].name}_trace.csv"
+            assert (faulted / name).read_bytes() == (clean / name).read_bytes()
 
     def test_rows_keep_input_order_and_csv_is_deterministic(self, fd, tmp_path):
         spec = SweepSpec(
@@ -410,6 +454,25 @@ class TestStrictSchema:
         problems = self._violations(doc)
         assert "dt_s: expected a number" in problems
         assert "horizon_min: expected a number" in problems
+
+    @pytest.mark.parametrize(
+        "path, value, problem",
+        [
+            (("name",), 5, "name: expected a string"),
+            (("demand", "flows"), 5, "demand.flows: expected a list"),
+            # Too large for a float: math.isfinite overflows on it.
+            (("horizon_min",), 10**400, "horizon_min: must be a finite number"),
+        ],
+        ids=["name_not_string", "flows_not_list", "int_beyond_float"],
+    )
+    def test_value_of_the_wrong_kind_named(self, path, value, problem):
+        doc = self._doc()
+        *parents, key = path
+        section = doc
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+        assert problem in self._violations(doc)
 
     def test_integral_float_accepted_for_integers(self):
         doc = self._doc()

@@ -303,6 +303,8 @@ class TestProfilesAndTypes:
             DemandProfile(times=(0.0, 0.0), flows=(1.0, 2.0))
         with pytest.raises(ValueError):
             DemandProfile(times=(0.0,), flows=(-1.0,))
+        with pytest.raises(ValueError, match="equal length"):
+            DemandProfile(times=(0.0, 1.0), flows=(1.0,))
 
     def test_incident_validation(self):
         with pytest.raises(ValueError):
@@ -844,6 +846,11 @@ class TestBatch:
             assert after[i] == before[i]
             name = f"{after[i].name}_trace.csv"
             assert (faulted / name).read_bytes() == (clean / name).read_bytes()
+
+    def test_one_batch_key(self, fd):
+        scenarios = [mini_scenario(fd), mini_scenario(fd, dt=2.0)]
+        with pytest.raises(ValueError, match="one batch_key"):
+            vslsim.simulate.run_batch(scenarios, [make_controller(s) for s in scenarios])
 
     @pytest.mark.parametrize("n_scenarios,n_controllers", [(2, 1), (1, 2)])
     def test_one_controller_per_scenario(
