@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctm import FundamentalDiagram, NetworkGeometry
+from .ctm import FundamentalDiagram
 
 
 class InfeasibleSpeedError(ValueError):
@@ -66,29 +66,6 @@ class BoundInputs:
             raise BoundInputError("upstream_density", f"must lie in [0, {hi:.6g}]")
         arr.flags.writeable = False
         object.__setattr__(self, "densities", arr)
-
-    @classmethod
-    def free_flow(
-        cls,
-        fd: FundamentalDiagram,
-        geometry: NetworkGeometry,
-        zone_limit: float,
-        demand: float,
-    ) -> "BoundInputs":
-        """Inputs for a corridor in free flow at the given demand.
-
-        Every density, the entrance included, sits at ``demand / v_f`` (capped
-        at the critical density when demand exceeds capacity).
-        """
-        rho = min(demand, fd.capacity) / fd.free_flow_speed
-        return cls(
-            fd=fd,
-            num_sections=geometry.num_sections,
-            section_length=geometry.section_length,
-            zone_limit=zone_limit,
-            upstream_density=rho,
-            densities=np.full(geometry.num_sections, rho),
-        )
 
 
 def v0_feasible(inputs: BoundInputs) -> bool:

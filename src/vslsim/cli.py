@@ -127,9 +127,9 @@ def _fmt(value: float, digits: int = 4) -> str:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
+    out = _out_dir(args.out)
     trace = simulate_scenario(scenario)
     report = evaluate_trace(scenario, trace)
-    out = _out_dir(args.out)
     trace_path = write_trace(scenario, trace, out)
     balance = trace.vehicle_balance()
     record = {
@@ -231,10 +231,18 @@ def _observed_number(text: str, where: str) -> float:
     return value
 
 
+def _observed_flag(text: str, where: str) -> bool:
+    flag = {"0": False, "1": True, "false": False, "true": True}.get(text.lower())
+    if flag is None:
+        raise CalibrationError(f"{where}: {text!r} is not 0, 1, true or false")
+    return flag
+
+
 def _read_observations(path: str) -> list[FdObservation]:
     """Rows of a CSV whose header names density, flow and incident columns
     (any order, extra columns ignored, fields may be quoted); blank rows are
-    skipped. A bad row is a CalibrationError naming its line and column."""
+    skipped. An incident cell is 0, 1, true or false in any letter case. A
+    bad row is a CalibrationError naming its line and column."""
     obs: list[FdObservation] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -253,16 +261,9 @@ def _read_observations(path: str) -> list[FdObservation]:
                 where = f"{path}: line {reader.line_num}, column {name}"
                 if i >= len(row):
                     raise CalibrationError(f"{where}: missing value")
-                cells[name] = row[i].strip()
-                if name != "incident":
-                    cells[name] = _observed_number(cells[name], where)
-            obs.append(
-                FdObservation(
-                    density=cells["density"],
-                    flow=cells["flow"],
-                    incident=cells["incident"] in ("1", "true", "True"),
-                )
-            )
+                read = _observed_flag if name == "incident" else _observed_number
+                cells[name] = read(row[i].strip(), where)
+            obs.append(FdObservation(**cells))
     return obs
 
 

@@ -16,11 +16,11 @@ integers are rejected with the dotted path of the offending element.
 
 Like every model type, a ``Scenario`` checks itself when it is built:
 ``Scenario(...)`` and ``dataclasses.replace`` raise ``ScenarioValidationError``
-listing every violation, which the loader reports under dotted paths. That
-includes an hour value ``h`` whose file value does not give it back,
-``(h * 60) / 60 != h``, so every scenario that builds is written and read
-back equal. Values read from a file pass (checked, not proven, on 15
-million random minute values).
+listing every violation, which the loader reports under dotted paths. Writing
+a scenario reports every value its file cannot carry, an hour value ``h``
+with ``(h * 60) / 60 != h``, and a scenario writes itself when it is built,
+so every scenario that builds is written and read back equal. Values read
+from a file pass (checked, not proven, on 15 million random minute values).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import json
 import math
 import unicodedata
 import warnings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -177,7 +177,7 @@ class Scenario:
             problems.append(
                 "lane_change.residual_drop: must not exceed the capacity drop factor"
             )
-        problems += _unit_violations(SCENARIO_SCHEMA, self)
+        encode(SCENARIO_SCHEMA, self, "", problems)
         if problems:
             raise ScenarioValidationError(problems)
 
@@ -231,18 +231,24 @@ class Scenario:
         upstream_density: float | None = None,
         densities=None,
     ) -> BoundInputs:
-        """Inputs for the zone-length bound; defaults assume free flow at the
-        demand level of the incident instant and the phase-1 zone command."""
+        """Inputs for the zone-length bound; defaults are the phase-1 zone command
+        and free flow, ``min(demand, capacity) / v_f`` at the incident instant."""
         t0 = self.incident.start if self.incident is not None else 0.0
-        v0 = self.phase1_zone_limit() if zone_limit is None else zone_limit
-        base = BoundInputs.free_flow(self.fd, self.geometry, v0, self.demand.at(t0))
-        given = {"upstream_density": upstream_density, "densities": densities}
-        return replace(base, **{k: v for k, v in given.items() if v is not None})
+        rho = min(self.demand.at(t0), self.fd.capacity) / self.fd.free_flow_speed
+        n = self.geometry.num_sections
+        return BoundInputs(
+            fd=self.fd,
+            num_sections=n,
+            section_length=self.geometry.section_length,
+            zone_limit=self.phase1_zone_limit() if zone_limit is None else zone_limit,
+            upstream_density=rho if upstream_density is None else upstream_density,
+            densities=np.full(n, rho) if densities is None else densities,
+        )
 
     # Serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return encode(SCENARIO_SCHEMA, self)
+        return encode(SCENARIO_SCHEMA, self, "", [])
 
     def content_hash(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -383,51 +389,41 @@ def decode(section: Section, data, path: str, problems: list[str]):
     return None
 
 
-def _encode_value(f: Field, value):
+def _to_file(x, unit: float, path: str, problems: list[str]) -> float:
+    """``x * unit``, the value the file holds; a finite hour value that it
+    does not give back, ``(x * unit) / unit != x``, is a problem."""
+    written = float(x) * unit
+    if unit != 1.0 and math.isfinite(x) and written / unit != x:
+        problems.append(
+            f"{path}: {x!r} is written to the file as {written!r}, "
+            f"which reads back as {written / unit!r}"
+        )
+    return written
+
+
+def _encode_value(f: Field, value, path: str, problems: list[str]):
     if value is None:
         return None
     if isinstance(f.kind, Section):
-        return encode(f.kind, value)
+        return encode(f.kind, value, path, problems)
     if f.kind is float:
-        return float(value) * f.unit
+        return _to_file(value, f.unit, path, problems)
     if f.kind == NUMBERS:
-        return [float(x) * f.unit for x in value]
+        return [
+            _to_file(x, f.unit, f"{path}[{i}]", problems) for i, x in enumerate(value)
+        ]
     if f.kind == PAIRS:
         return [[float(a), float(b)] for a, b in value]
     return value
 
 
-def encode(section: Section, obj) -> dict:
-    """JSON object for a dataclass built by ``section``; inverse of decode."""
-    return {f.key: _encode_value(f, getattr(obj, f.attr)) for f in section.fields}
-
-
-def _unit_violations(section: Section, obj, path: str = "") -> list[str]:
-    """One violation per finite value of ``obj`` that its file cannot carry:
-    a value held in another unit than the file's (the hours of a minutes
-    field) is written as ``value * unit`` and read back as that ``/ unit``,
-    and for these the result is another float."""
-    problems = []
-    for f in section.fields:
-        value = getattr(obj, f.attr)
-        where = _join(path, f.key)
-        if value is None:
-            continue
-        if isinstance(f.kind, Section):
-            problems += _unit_violations(f.kind, value, where)
-        elif f.unit != 1.0:
-            items = [(where, value)]
-            if f.kind == NUMBERS:
-                items = [(f"{where}[{i}]", x) for i, x in enumerate(value)]
-            for at, x in items:
-                written = float(x) * f.unit
-                back = written / f.unit
-                if math.isfinite(x) and back != x:
-                    problems.append(
-                        f"{at}: {x!r} is written to the file as {written!r}, "
-                        f"which reads back as {back!r}"
-                    )
-    return problems
+def encode(section: Section, obj, path: str, problems: list[str]) -> dict:
+    """JSON object for a dataclass built by ``section``; inverse of decode.
+    Each value the file cannot carry is appended to ``problems``."""
+    return {
+        f.key: _encode_value(f, getattr(obj, f.attr), _join(path, f.key), problems)
+        for f in section.fields
+    }
 
 
 SCENARIO_SCHEMA = Section(
@@ -541,7 +537,7 @@ def scenario_fragment(**attrs) -> dict:
     """Scenario-file blocks for the given Scenario attributes only, e.g.
     ``scenario_fragment(fd=fd)`` for a calibrated fundamental diagram."""
     return {
-        f.key: _encode_value(f, attrs[f.attr])
+        f.key: _encode_value(f, attrs[f.attr], f.key, [])
         for f in SCENARIO_SCHEMA.fields
         if f.attr in attrs
     }

@@ -39,22 +39,22 @@ from .scenario import (
 )
 
 
-def _set_lc_residual_drop(base: Scenario, value: float) -> Scenario:
+def _set_lc_residual_drop(base: Scenario, value: float) -> dict:
     if base.lc is None:
         raise ScenarioValidationError(
             ["lane_change: sweep over residual_drop needs lane change config"]
         )
-    return replace(base, lc=replace(base.lc, residual_drop=value))
+    return {"lc": replace(base.lc, residual_drop=value)}
 
 
-# Swept variable -> (tag in the run name, setter on the base scenario).
+# Swept variable -> (tag in the run name, the base fields a value replaces).
 _SWEEPS = {
     "upstream_zone_length": (
         "L0",
-        lambda s, v: replace(s, geometry=replace(s.geometry, upstream_zone_length=v)),
+        lambda s, v: {"geometry": replace(s.geometry, upstream_zone_length=v)},
     ),
-    "demand": ("d", lambda s, v: replace(s, demand=DemandProfile.constant(v))),
-    "derating": ("alpha", lambda s, v: replace(s, vsl=replace(s.vsl, derating=v))),
+    "demand": ("d", lambda s, v: {"demand": DemandProfile.constant(v)}),
+    "derating": ("alpha", lambda s, v: {"vsl": replace(s.vsl, derating=v)}),
     "lc_residual_drop": ("epslc", _set_lc_residual_drop),
 }
 
@@ -103,7 +103,7 @@ def _run_name(base_name: str, variable: str, value: float) -> str:
 def apply_sweep_value(base: Scenario, variable: str, value: float) -> Scenario:
     """Base scenario with one design variable replaced."""
     name = _run_name(base.name, variable, value)
-    return replace(_SWEEPS[variable][1](base, float(value)), name=name)
+    return replace(base, name=name, **_SWEEPS[variable][1](base, float(value)))
 
 
 @dataclass

@@ -24,14 +24,15 @@ from vslsim.bounds import BoundInputError
 
 
 @pytest.fixture
-def high_demand_inputs(fd, geometry):
+def high_demand_inputs(fd):
     # Free flow at 7000 veh/h: every density 70 veh/km, command 20 km/h.
-    return BoundInputs.free_flow(fd, geometry, 20.0, 7000.0)
+    return BoundInputs(fd, 6, 1.6, 20.0, 70.0, np.full(6, 70.0))
 
 
 @pytest.fixture
-def moderate_demand_inputs(fd, geometry):
-    return BoundInputs.free_flow(fd, geometry, 20.0, 5500.0)
+def moderate_demand_inputs(fd):
+    # Free flow at 5500 veh/h: every density 55 veh/km.
+    return BoundInputs(fd, 6, 1.6, 20.0, 55.0, np.full(6, 55.0))
 
 
 class TestLowerBound:
@@ -56,7 +57,7 @@ class TestLowerBound:
             l0_lower_bound(inputs)
 
     def test_monotone_in_command_and_densities(self, fd, geometry):
-        base = BoundInputs.free_flow(fd, geometry, 20.0, 7000.0)
+        base = BoundInputs(fd, 6, 1.6, 20.0, 70.0, np.full(6, 70.0))
         faster = replace(base, zone_limit=25.0)
         assert l0_lower_bound(faster) >= l0_lower_bound(base)
         denser = replace(base, densities=base.densities + 5.0)

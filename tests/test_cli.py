@@ -107,6 +107,18 @@ class TestBound:
         assert captured.out == ""
         assert captured.err.startswith(f"validation error: {flag}: ")
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--v0", "500", "--densities", "1,2"], "--v0"),
+            (["--densities", "1,2", "--upstream-density", "1e9"], "--densities"),
+        ],
+    )
+    def test_two_bad_flags_name_the_first_checked(self, capsys, args, flag):
+        # The inputs are checked in order: zone command, densities, entrance.
+        assert cli_dispatch(["bound", "high_demand", *args]) == 2
+        assert capsys.readouterr().err.startswith(f"validation error: {flag}: ")
+
 
 class TestRun:
     def test_run_writes_trace_and_metrics(self, tmp_path, capsys):
@@ -153,7 +165,11 @@ class TestRun:
         assert record["events"] == []
         assert record["vehicle_balance"]["residual"] == 0.0
 
-    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(scenario):
+            raise AssertionError("simulated before the output directory was made")
+
+        monkeypatch.setattr("vslsim.cli.simulate_scenario", no_simulation)
         taken = tmp_path / "taken"
         taken.write_text("")
         assert cli_dispatch(["run", "high_demand", "--out", str(taken)]) == 3
@@ -165,8 +181,10 @@ class TestRun:
         doc = json.loads(path.read_text())
         doc["dt_s"] = 120.0
         path.write_text(json.dumps(doc))
-        assert cli_dispatch(["run", str(path)]) == 2
+        out = tmp_path / "out"
+        assert cli_dispatch(["run", str(path), "--out", str(out)]) == 2
         assert "CFL" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_garbage_file_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
@@ -260,8 +278,19 @@ class TestCalibrate:
             ('"10.0",1000,0\n', "need at least 30 no-incident observations, got 1"),
             ('10.0,"ten",0\n', "line 2, column flow: 'ten' is not a finite"),
             ("-1,1000,0\n", "line 2, column density: '-1' is not a finite"),
+            ("10.0,1000,yes\n", "line 2, column incident: 'yes' is not 0, 1, true"),
+            ("10.0,1000,\n", "line 2, column incident: '' is not 0, 1, true"),
+            ("10.0,1000,2\n", "line 2, column incident: '2' is not 0, 1, true"),
         ],
-        ids=["short_row", "quoted_number", "not_a_number", "negative"],
+        ids=[
+            "short_row",
+            "quoted_number",
+            "not_a_number",
+            "negative",
+            "incident_yes",
+            "incident_blank",
+            "incident_2",
+        ],
     )
     def test_bad_rows_are_validation_errors(self, tmp_path, capsys, row, message):
         path = tmp_path / "obs.csv"
@@ -278,6 +307,27 @@ class TestCalibrate:
                 writer = csv.writer(fh, quoting=quoting)
                 writer.writerow(["density", "flow", "incident"])
                 writer.writerows((o.density, o.flow, int(o.incident)) for o in obs)
+            assert cli_dispatch(["calibrate", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_incident_words_read_like_digits(self, tmp_path, capsys, fd):
+        obs = sample_fd_observations(fd, np.random.default_rng(3))
+        # No / yes marks, alternating row by row; both sets mark the same rows.
+        marks = {
+            "digits": ("0", "1", "0", "1"),
+            "words": ("false", "TRUE", "False", "true"),
+        }
+        outputs = []
+        for kind, mark in marks.items():
+            path = tmp_path / f"obs_{kind}.csv"
+            path.write_text(
+                "density,flow,incident\n"
+                + "".join(
+                    f"{o.density},{o.flow},{mark[int(o.incident) + 2 * (i % 2)]}\n"
+                    for i, o in enumerate(obs)
+                )
+            )
             assert cli_dispatch(["calibrate", str(path)]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]

@@ -774,6 +774,25 @@ class TestSweepWorkersAndCsv:
         with pytest.raises(ValueError, match="max_workers"):
             run_sweep(spec, 0)
 
+    def test_pooled_sweep_writes_the_serial_bytes(self, fd, tmp_path, monkeypatch):
+        import vslsim.sweep as sweep
+
+        # Two CPUs even on a one-CPU machine, so two workers start a real pool.
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        # 0 km batches apart from the nonzero zones; -1 km fails to build.
+        values = (0.0, 0.8, -1.0, 1.2, 1.6)
+        spec = SweepSpec(base=_mini(fd), variable="upstream_zone_length", values=values)
+        written = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers_{workers}"
+            out.mkdir()
+            rows = run_sweep(spec, workers, trace_dir=out)
+            assert [r.status for r in rows] == ["ok", "ok", "failed", "ok", "ok"]
+            sweep_rows_to_csv(rows, out / "summary.csv")
+            written[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(written[1]) == 5  # the summary and four traces
+        assert written[2] == written[1]
+
     def test_failed_rows_named_like_ok_rows(self, fd):
         spec = SweepSpec(base=_mini(fd), variable="derating", values=(0.8, 1.5))
         rows = run_sweep(spec)
