@@ -162,7 +162,7 @@ def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.spec)
     out = _out_dir(args.out)
     rows = run_sweep(spec, args.workers, trace_dir=out if args.traces else None)
-    summary = out / f"{spec.base.name}_{spec.variable}_sweep.csv"
+    summary = out / spec.summary_file_name
     sweep_rows_to_csv(rows, summary)
     failed = sum(1 for r in rows if r.status != "ok")
     print(f"summary: {summary} ({len(rows)} rows, {failed} failed)")

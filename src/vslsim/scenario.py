@@ -70,6 +70,17 @@ class ScenarioValidationError(ValueError):
         )
 
 
+# A name is the stem of its run's output files, the longest of which is
+# <name>_metrics.json; ext4, XFS and APFS take file names of at most 255 bytes.
+MAX_FILE_NAME_BYTES = 255
+MAX_NAME_BYTES = MAX_FILE_NAME_BYTES - len("_metrics.json")
+
+
+def name_bytes(name: str) -> int:
+    """Length of ``name`` in UTF-8 bytes (a lone surrogate counts three)."""
+    return len(name.encode("utf-8", "surrogatepass"))
+
+
 @dataclass(frozen=True)
 class MetricConfig:
     """Metric evaluation settings carried by the scenario."""
@@ -135,6 +146,11 @@ class Scenario:
             problems.append(
                 f"name: {self.name!r} must be a non-empty file stem without "
                 "'/', '\\' or control characters"
+            )
+        elif (size := name_bytes(self.name)) > MAX_NAME_BYTES:
+            problems.append(
+                f"name: {size} bytes in UTF-8, over the {MAX_NAME_BYTES} that keep "
+                f"<name>_metrics.json within a {MAX_FILE_NAME_BYTES}-byte file name"
             )
         if self.controller not in CONTROLLER_KINDS:
             problems.append(

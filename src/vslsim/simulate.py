@@ -75,6 +75,9 @@ _FLUX_CALL_BLOCKS = 8
 # nine, and the comma.
 _G10_TEMPLATE = b"-0.000" + b".".join([b"\xff"] * 10) + b","
 
+# The bits of 1e20 as an int64: ``_format_g10`` clamps ``|v|`` to it.
+_G10_CLAMP = np.float64(1e20).view(np.int64)
+
 
 class ControllerError(ValueError):
     """A controller produced speed limits outside the admissible range."""
@@ -148,35 +151,73 @@ def _bottleneck(fd: FundamentalDiagram, active, lc_on, residual_drop):
 
 @functools.cache
 def _g10_tables() -> tuple[np.ndarray, ...]:
-    """Tables of :func:`_format_g10`, built on its first call: the lower
-    ends ``1e-4 .. 1e9`` of the decimal exponents it prints; the exact
-    powers ``1e0 .. 1e13``; each two-digit number as the four bytes ``d,
-    0xFF, d, 0xFF`` (one uint32), whose minimum with a digit slot and the
-    slot after it keeps the latter; the trailing zeros of each two-digit
-    number (two for 0); and one mask row per decimal exponent ``e`` in
-    [-4, 9], sign and position of the last nonzero digit, which holds the
-    template's bytes (0xFF for a digit) in the slots such a value prints
-    and 0 in the others."""
+    """Tables of :func:`_format_g10`, built on its first call.
+
+    - ``bands``: the lower ends ``1e-4 .. 1e9`` of the decimal exponents it
+      prints, and ``scales``: the exact power ``10**(9 - e)`` of each
+      ``searchsorted`` band, 1.0 for the bands out of range.
+    - ``high``: each two-digit number ``hi`` as the eight bytes ``0xFF x 4,
+      d, 0xFF, d, 0xFF`` (one uint64), and ``four_digits``: each four-digit
+      number as ``d, 0xFF`` four times. The minimum of a digit byte and a
+      digit slot keeps the digit; that of 0xFF and the point slot after it
+      keeps the slot.
+    - ``two_zeros`` and ``four_zeros``: the trailing zeros of each two- and
+      four-digit number (two and four for 0).
+    - ``masks``: one row per decimal exponent ``e`` in [-4, 9], sign and
+      position of the last nonzero digit, which holds the template's bytes
+      (0xFF for a digit) in the slots such a value prints and 0 in the
+      others, after 20 zero rows for the band below 1e-4.
+    - ``record``: the layout of a value's digit bytes, 26 bytes as in the
+      template: 0xFF, 0xFF, then ``high``, the middle and the low digits.
+
+    The four-digit tables are broadcast from the two-digit ones."""
     bands = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9])
-    powers = np.array([1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13])
-    pairs = [f"{i:02d}" for i in range(100)]
-    two_digits = np.frombuffer(
-        b"".join(f"{p[0]}\xff{p[1]}\xff".encode("latin-1") for p in pairs), np.uint32
+    scales = np.array(
+        [1e0, 1e13, 1e12, 1e11, 1e10, 1e9, 1e8, 1e7, 1e6, 1e5, 1e4, 1e3, 1e2, 1e1, 1e0]
     )
-    trailing_zeros = np.array([2] + [len(p) - len(p.rstrip("0")) for p in pairs[1:]])
-    mask_rows = []
-    for e in range(-4, 10):
-        for negative in (False, True):
-            for last in range(1, 11):
-                keep = {0} if negative else set()
-                keep |= {6 + 2 * j for j in range(max(e + 1, last))} | {25}
-                if e < 0:
-                    keep |= set(range(1, 2 - e))  # "0." and -e - 1 zeros
-                elif last > e + 1:
-                    keep.add(7 + 2 * e)  # the point after the units digit
-                mask_rows.append(bytes(b if i in keep else 0 for i, b in enumerate(_G10_TEMPLATE)))
-    masks = np.frombuffer(b"".join(mask_rows), np.uint8).reshape(len(mask_rows), 26)
-    return bands, powers, two_digits, trailing_zeros, masks
+    pairs = [f"{i:02d}" for i in range(100)]
+    high = np.frombuffer(
+        b"".join(f"\xff\xff\xff\xff{p[0]}\xff{p[1]}\xff".encode("latin-1") for p in pairs),
+        np.uint8,
+    ).reshape(100, 8)
+    two_digits = high[:, 4:].copy().view(np.uint32)  # (100, 1)
+    four_digits = np.empty((100, 100, 2), np.uint32)
+    four_digits[..., 0] = two_digits  # the high pair of four digits
+    four_digits[..., 1] = two_digits.T
+    two_zeros = np.array([2] + [len(p) - len(p.rstrip("0")) for p in pairs[1:]])
+    # The zeros of the low pair, and those of the high pair where the low is 0.
+    four_zeros = two_zeros + (two_zeros == 2) * two_zeros[:, None]
+    # Mask rows over (e, negative, last, slot) for e in [-5, 9]; e = -5
+    # stands for the band below 1e-4, whose values go through %.
+    e = np.arange(-5, 10)[:, None, None, None]
+    negative = np.array([False, True])[:, None, None]
+    last = np.arange(1, 11)[:, None]
+    slot = np.arange(26)
+    digit = np.full(26, 10)
+    digit[6:25:2] = np.arange(10)  # the digit index of each digit slot
+    keep = (digit < e + 1) | (digit < last) | (slot == 25) | ((slot == 0) & negative)
+    keep |= (e < 0) & (1 <= slot) & (slot <= 1 - e)  # "0." and -e - 1 zeros
+    keep |= (e >= 0) & (last > e + 1) & (slot == 7 + 2 * e)  # the units' point
+    keep &= e >= -4
+    masks = np.where(keep, np.frombuffer(_G10_TEMPLATE, np.uint8), 0).reshape(-1, 26)
+    record = np.dtype(
+        {
+            "names": ["prefix", "high", "middle", "low"],
+            "formats": [np.uint16, np.uint64, np.uint64, np.uint64],
+            "offsets": [0, 2, 10, 18],
+            "itemsize": 26,
+        }
+    )
+    return (
+        bands,
+        scales,
+        high.view(np.uint64).ravel(),
+        four_digits.view(np.uint64).ravel(),
+        two_zeros,
+        four_zeros.ravel(),
+        masks,
+        record,
+    )
 
 
 def _format_g10(values: np.ndarray) -> np.ndarray:
@@ -189,10 +230,12 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
     and a bare point, dropped. This builds that text with array arithmetic
     for each value where it can prove ``D`` and ``e``:
 
-    - ``e`` is where ``|v|`` falls among the literals ``1e-4 .. 1e9``, and
-      ``scaled = |v| * 10**(9 - e)`` one correctly rounded product (the
-      power is exact). Where ``scaled < 1e10 < 2**34`` it is within half an
-      ulp, ``2**-20``, of the exact product ``P``.
+    - ``|v|`` is clamped to 1e20 (NaN and inf included), ``e`` is where it
+      falls among the literals ``1e-4 .. 1e9``, and ``scaled = |v| *
+      10**(9 - e)`` one correctly rounded product (the power is exact).
+      Where ``scaled < 1e10 < 2**34`` it is within half an ulp, ``2**-20``,
+      of the exact product ``P``. Below 1e-4 the factor is 1.0, so
+      ``scaled < 1e9``; from 1e10 on ``scaled >= 1e10``.
     - A value is kept where ``scaled >= 1e9``, ``D = rint(scaled) < 1e10``
       and ``|scaled - D| < 1/2 - 2**-16``. Then ``|P - D| < 1/2``: ``D`` is
       ``P`` rounded, and no tie.
@@ -201,45 +244,57 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
       Otherwise ``1e9 - 2**-20 <= P < 1e9``, and ``|v|`` rounds to ten
       digits as ``10**e``: ``D = 1e9`` at ``e`` again.
 
+    ``D`` splits into 2 + 4 + 4 digits by two float floor divisions, by 1e8
+    and by 1e4; each is exact, as ``D`` is an integer below 1e10 and no
+    quotient rounds to an integer it does not reach. Each group's digit
+    bytes come from one table lookup, and its trailing zeros from another.
+    The three groups fill a 26-byte record laid out as the text, which one
+    contiguous ``minimum`` merges into the value's mask row.
+
     Every other value (zero, subnormals, NaN, inf, an exponent outside
     [-4, 9], a fraction near one half, ``D`` at its bounds) is formatted
-    with ``%``, all of them in one list. No floating-point warning is raised.
-    Only numpy kernels that a run already pages in are used (searchsorted,
-    not log10; float floor, not integer division; minimum, not bitwise and),
-    which keeps the op's peak memory where it was.
+    with ``%``, all of them in one list. No floating-point warning is
+    raised: the clamp is an int64 minimum on the bits of ``|v|``, which
+    order as the doubles do and put every NaN above inf, so no float
+    operation sees a NaN, signaling or not. The numpy kernels are abs,
+    minimum (int64, uint8), searchsorted, take, float multiply, divide,
+    subtract, floor and rint, comparisons, float-to-int casts, flatnonzero
+    and small integer sums: searchsorted, not log10; float floor, not
+    integer division; minimum, not bitwise and. A kernel that no op ran
+    before adds its code pages to the op's peak memory.
     """
-    bands, powers, two_digits, trailing_zeros, masks = _g10_tables()
+    bands, scales, high, four_digits, two_zeros, four_zeros, masks, record = _g10_tables()
     magnitude = np.abs(values)
-    # Zeros, NaN, inf and the far exponents become 1e20, which fails D < 1e10.
-    magnitude[~((magnitude >= 1e-4) & (magnitude < 1e10))] = 1e20
-    band = np.searchsorted(bands, magnitude, side="right") - 1  # e + 4
-    scaled = magnitude * powers.take(13 - band)
+    bits = magnitude.view(np.int64)
+    np.minimum(bits, _G10_CLAMP, out=bits)
+    band = np.searchsorted(bands, magnitude, side="right")  # e + 5 from 1e-4 on
+    scaled = magnitude * scales.take(band)
     digits = np.rint(scaled)
     fast = (scaled >= 1e9) & (digits < 1e10)
     fast &= np.abs(scaled - digits) < 0.5 - 2.0**-16
     slow = ~fast
     digits[slow] = 1e9
-    # D as five two-digit numbers, most significant first. D is an integer
-    # below 1e10, so D / 100 rounds to no integer it does not reach and the
-    # floor is exact.
-    pairs = np.empty((digits.shape[0], 5))
-    for k in (4, 3, 2, 1):
-        q = np.floor(digits / 100.0)
-        np.subtract(digits, q * 100.0, out=pairs[:, k])
-        digits = q
-    pairs[:, 0] = digits
-    pairs = pairs.astype(np.intp)
-    # Trailing zeros of D: those of the last pair, plus those of each pair
-    # before it whose later pairs are all 0. D >= 1e9, so at most 9.
-    zeros = trailing_zeros.take(pairs[:, 4])
-    run = pairs[:, 4] == 0
-    for k in (3, 2, 1, 0):
-        zeros += np.where(run, trailing_zeros.take(pairs[:, k]), 0)
-        run &= pairs[:, k] == 0
+    hi = np.floor(digits / 1e8)
+    digits -= hi * 1e8
+    mid = np.floor(digits / 1e4)
+    digits -= mid * 1e4
+    hi, mid, lo = hi.astype(np.intp), mid.astype(np.intp), digits.astype(np.intp)
+    # Trailing zeros of D: those of the low group, plus the middle's where
+    # the low is 0, plus the high's where both are. D >= 1e9, so at most 9.
+    zeros = four_zeros.take(lo)
+    carry = np.flatnonzero(lo == 0)
+    zeros[carry] += four_zeros.take(mid[carry])
+    carry = carry[mid[carry] == 0]
+    zeros[carry] += two_zeros.take(hi[carry])
     # The mask row of (e, sign, last nonzero digit 10 - zeros).
     row = (band * 2 + np.signbit(values)) * 10 + (9 - zeros)
     text = masks.take(row, axis=0)
-    np.minimum(text[:, 6:], two_digits.take(pairs).view(np.uint8), out=text[:, 6:])
+    digit_bytes = np.empty(values.shape[0], record)
+    digit_bytes["prefix"] = 0xFFFF
+    digit_bytes["high"] = high.take(hi)
+    digit_bytes["middle"] = four_digits.take(mid)
+    digit_bytes["low"] = four_digits.take(lo)
+    np.minimum(text, digit_bytes.view(np.uint8).reshape(-1, 26), out=text)
     if slow.any():
         printed = ["%.10g," % v for v in values[slow].tolist()]
         text[slow] = np.array(printed, dtype="S26").view(np.uint8).reshape(len(printed), 26)

@@ -25,6 +25,8 @@ from .control import Controller
 from .metrics import MetricsReport, evaluate_trace
 from .simulate import DemandProfile, SimulationTrace, batch_key, run_batch
 from .scenario import (
+    MAX_FILE_NAME_BYTES,
+    MAX_NAME_BYTES,
     NUMBERS,
     PRESETS,
     SCENARIO_SCHEMA,
@@ -34,6 +36,7 @@ from .scenario import (
     Section,
     decode_or_raise,
     make_controller,
+    name_bytes,
     read_json,
     write_trace,
 )
@@ -74,10 +77,31 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         # Run names key the trace files; naming also rejects an unknown variable.
         names = [_run_name(self.base.name, self.variable, v) for v in self.values]
+        problems = []
+        if (size := name_bytes(self.summary_file_name)) > MAX_FILE_NAME_BYTES:
+            problems.append(
+                f"scenario.name: the summary file name <name>_{self.variable}_sweep.csv "
+                f"has {size} bytes in UTF-8, over {MAX_FILE_NAME_BYTES}"
+            )
         for i, (value, name) in enumerate(zip(self.values, names)):
             if (j := names.index(name)) < i:
-                problem = f"values[{i}]: {value!r} gives the run name {name} of values[{j}]"
-                raise ScenarioValidationError([problem])
+                problems.append(
+                    f"values[{i}]: {value!r} gives the run name {name} of values[{j}]"
+                )
+            elif (size := name_bytes(name)) > MAX_NAME_BYTES:
+                # The row's run is a scenario of that name.
+                problems.append(
+                    f"values[{i}]: {value!r} gives a run name of {size} bytes in UTF-8, "
+                    f"over the {MAX_NAME_BYTES} that keep its output file names within "
+                    f"{MAX_FILE_NAME_BYTES} bytes"
+                )
+        if problems:
+            raise ScenarioValidationError(problems)
+
+    @property
+    def summary_file_name(self) -> str:
+        """File name of the sweep's summary CSV."""
+        return f"{self.base.name}_{self.variable}_sweep.csv"
 
 
 SWEEP_SPEC_SCHEMA = Section(

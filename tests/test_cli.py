@@ -186,6 +186,31 @@ class TestRun:
         assert "CFL" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_name_too_long_for_its_files_fails_before_any_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_simulation(*args):
+            raise AssertionError("simulated a run whose outputs cannot be written")
+
+        monkeypatch.setattr("vslsim.cli.simulate_scenario", no_simulation)
+        monkeypatch.setattr("vslsim.sweep.run_batch", no_simulation)
+        doc = high_demand_preset().to_dict()
+        doc["name"] = "a" * 250  # <name>_metrics.json would take 263 bytes
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_dispatch(["run", str(path), "--out", str(out)]) == 2
+        assert "name: 250 bytes in UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+        doc["name"] = "b" * 230  # <name>_upstream_zone_length_sweep.csv: 261 bytes
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps({"scenario": doc, "variable": "upstream_zone_length", "values": [0, 0.8]})
+        )
+        assert cli_dispatch(["sweep", str(spec), "--traces", "--out", str(out)]) == 2
+        assert "scenario.name: the summary file name" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_garbage_file_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -414,6 +439,22 @@ REJECTED = [
     ),
     ("name_parent_dir", "run", _set(name="../x"), "name: '../x'"),
     ("name_newline", "run", _set(name="a\nb"), "name: 'a\\nb'"),
+    ("name_too_long", "run", _set(name="é" * 122), "name: 244 bytes in UTF-8, over the 242"),
+    (
+        "sweep_summary_name_too_long",
+        "sweep",
+        lambda s: s["scenario"].update(name="b" * 225),
+        "scenario.name: the summary file name <name>_upstream_zone_length_sweep.csv "
+        "has 256 bytes",
+    ),
+    (
+        "sweep_run_name_too_long",
+        "sweep",
+        # The run name <233 bytes>_alpha_0.8 takes 243; the summary fits in 252.
+        lambda s: s["scenario"].update(name="c" * 233)
+        or s.update(variable="derating", values=[0.8]),
+        "values[0]: 0.8 gives a run name of 243 bytes in UTF-8, over the 242",
+    ),
     (
         "nan_sweep_value",
         "sweep",

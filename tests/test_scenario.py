@@ -137,6 +137,18 @@ class TestValidation:
         for field in fields:
             assert any(p.startswith(field) for p in problems), (field, problems)
 
+    def test_name_fits_its_longest_output_file_name(self):
+        # <name>_metrics.json must fit in 255 bytes: 242 bytes of name do,
+        # 243 do not, counted in UTF-8 ("é" takes two).
+        base = high_demand_preset()
+        assert replace(base, name="a" * 242).name == "a" * 242
+        assert replace(base, name="é" * 121).name == "é" * 121
+        for name, size in (("a" * 243, 243), ("a" * 250, 250), ("é" * 122, 244)):
+            assert violations(base, name=name) == [
+                f"name: {size} bytes in UTF-8, over the 242 that keep "
+                "<name>_metrics.json within a 255-byte file name"
+            ]
+
 
 _FD = high_demand_preset().fd
 
@@ -373,6 +385,28 @@ class TestSweep:
             SweepSpec(base=_mini(fd), variable="upstream_zone_length", values=(1.6, 1.6))
         name = f"{_mini(fd).name}_L0_1.6"
         assert err.value.violations == [f"values[1]: 1.6 gives the run name {name} of values[0]"]
+
+    def test_spec_output_file_names_fit(self, fd):
+        # The summary <name>_<variable>_sweep.csv must fit in 255 bytes.
+        base = replace(_mini(fd), name="b" * 224)
+        assert SweepSpec(base=base, variable="upstream_zone_length", values=(1.6,))
+        with pytest.raises(ScenarioValidationError) as err:
+            SweepSpec(
+                base=replace(base, name="b" * 230), variable="upstream_zone_length", values=(1.6,)
+            )
+        assert err.value.violations == [
+            "scenario.name: the summary file name <name>_upstream_zone_length_sweep.csv "
+            "has 261 bytes in UTF-8, over 255"
+        ]
+        # Each row's run name must itself be a scenario name: 236 + len("_d_7000")
+        # = 243 bytes is one too many, though <run name>_trace.csv would fit.
+        base = replace(_mini(fd), name="c" * 236)
+        with pytest.raises(ScenarioValidationError) as err:
+            SweepSpec(base=base, variable="demand", values=(700.0, 7000.0))
+        assert err.value.violations == [
+            "values[1]: 7000.0 gives a run name of 243 bytes in UTF-8, over the 242 "
+            "that keep its output file names within 255 bytes"
+        ]
 
     def test_load_sweep_spec_from_preset(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -614,6 +614,19 @@ class TestTraceCsv:
         ).read_bytes()
 
 
+@pytest.mark.parametrize("preset", [high_demand_preset, fine_grid_scenario])
+def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, preset):
+    # One row per block, blocks that end mid-row and mid-stretch, and one
+    # block for the whole trace all write the default's bytes.
+    trace = simulate_scenario(preset())
+    trace.to_csv(tmp_path / "default.csv")
+    expected = (tmp_path / "default.csv").read_bytes()
+    for values in (1, 37, 4097, 10**7):
+        monkeypatch.setattr(vslsim.simulate, "CSV_BLOCK_VALUES", values)
+        trace.to_csv(tmp_path / "blocked.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == expected, values
+
+
 def assert_prints_as_g10(values) -> None:
     """``_format_g10`` gives the bytes of ``'%.10g,' % v`` for each value."""
     x = np.asarray(values, dtype=float)
@@ -643,6 +656,29 @@ class TestFormatG10:
             values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
         values = np.array(values)
         assert_prints_as_g10(np.concatenate((values, -values)))
+
+    def test_no_floating_point_warning(self):
+        # Under errstate(all="raise") a warning fails the test: the edge
+        # values and raw bit patterns, signaling NaNs among them.
+        rng = np.random.default_rng(20)
+        signaling = np.array([0x7FF0000000000001, 0xFFF4000000000000], dtype=np.uint64)
+        with np.errstate(all="raise"):
+            self.test_edge_values()
+            assert_prints_as_g10(signaling.view(np.float64))
+            assert_prints_as_g10(rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64))
+
+    def test_all_zero_digit_groups(self):
+        # The ten digits split 2 + 4 + 4: zero groups, all-nine groups and a
+        # lone last digit, at every exponent printed in fixed notation.
+        digits = ["1000000000", "1000010000", "1234000000", "1200000001", "9999999999"]
+        values = [
+            float(f"{sign}{d[0]}.{d[1:]}e{e}")
+            for d in digits
+            for e in range(-4, 10)
+            for sign in "+-"
+        ]
+        assert ["%.10g" % abs(v) for v in values[:2]] == ["0.0001", "0.0001"]
+        assert_prints_as_g10(values)
 
     def test_many_random_values(self):
         rng = np.random.default_rng(14)
