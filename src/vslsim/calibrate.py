@@ -104,6 +104,10 @@ def fit_fundamental_diagram(
     ``pinned_free_flow_speed`` overrides the fitted slope in the returned
     diagram; the fitted value stays available in the diagnostics.
     """
+    if pinned_free_flow_speed is not None and not 0.0 < pinned_free_flow_speed < np.inf:
+        raise CalibrationError(
+            f"pinned free-flow speed {pinned_free_flow_speed!r} is not finite and positive"
+        )
     diag = FitDiagnostics(pinned_free_flow_speed=pinned_free_flow_speed)
     base = [o for o in observations if not o.incident]
     incident = [o for o in observations if o.incident]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -243,27 +244,30 @@ def _read_observations(path: str) -> list[FdObservation]:
     (any order, extra columns ignored, fields may be quoted); blank rows are
     skipped. An incident cell is 0, 1, true or false in any letter case. A
     bad row is a CalibrationError naming its line and column."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CalibrationError(f"{path} is not valid UTF-8: {exc}") from exc
     obs: list[FdObservation] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = [name.strip().lower() for name in next(reader, [])]
-        try:
-            columns = {n: header.index(n) for n in ("density", "flow", "incident")}
-        except ValueError as exc:
-            raise CalibrationError(
-                "observation CSV needs density,flow,incident columns"
-            ) from exc
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            cells = {}
-            for name, i in columns.items():
-                where = f"{path}: line {reader.line_num}, column {name}"
-                if i >= len(row):
-                    raise CalibrationError(f"{where}: missing value")
-                read = _observed_flag if name == "incident" else _observed_number
-                cells[name] = read(row[i].strip(), where)
-            obs.append(FdObservation(**cells))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = [name.strip().lower() for name in next(reader, [])]
+    try:
+        columns = {n: header.index(n) for n in ("density", "flow", "incident")}
+    except ValueError as exc:
+        raise CalibrationError(
+            "observation CSV needs density,flow,incident columns"
+        ) from exc
+    for row in reader:
+        if not any(cell.strip() for cell in row):
+            continue
+        cells = {}
+        for name, i in columns.items():
+            where = f"{path}: line {reader.line_num}, column {name}"
+            if i >= len(row):
+                raise CalibrationError(f"{where}: missing value")
+            read = _observed_flag if name == "incident" else _observed_number
+            cells[name] = read(row[i].strip(), where)
+        obs.append(FdObservation(**cells))
     return obs
 
 

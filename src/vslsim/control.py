@@ -129,7 +129,9 @@ def derated_command(command: float, cfg: VslRuleConfig, fd: FundamentalDiagram) 
         return fd.free_flow_speed
     v = cfg.derating * command
     if cfg.quantize_step > 0.0:
-        v = math.floor(v / cfg.quantize_step) * cfg.quantize_step
+        steps = v / cfg.quantize_step
+        if steps < math.inf:  # a grid finer than floats reach leaves v as it is
+            v = math.floor(steps) * cfg.quantize_step
         v = max(v, cfg.quantize_step)
     return min(v, fd.free_flow_speed)
 

@@ -9,7 +9,8 @@ while ``Scenario.dt``, ``Scenario.control_period`` and
 ``MetricConfig.seed_interval`` are in seconds.
 
 One field table per JSON object (``SCENARIO_SCHEMA`` and the sections it
-nests) names every key, the dataclass attribute it fills and its unit.
+nests) names every key, the dataclass attribute it fills and its unit; the
+diagram section's keys are ``FundamentalDiagram``'s field names.
 Reading, checking and writing all go through that table; a missing key takes
 the dataclass default. Unknown keys, non-finite numbers and non-integral
 integers are rejected with the dotted path of the offending element.
@@ -446,21 +447,13 @@ SCENARIO_SCHEMA = Section(
     Scenario,
     (
         Field("name", kind=str),
+        # The diagram's file keys are its field names, in their order.
         Field(
             "fundamental_diagram",
             "fd",
             Section(
                 FundamentalDiagram,
-                (
-                    Field("capacity"),
-                    Field("downstream_capacity"),
-                    Field("free_flow_speed"),
-                    Field("backprop_speed"),
-                    Field("outflow_backprop_speed"),
-                    Field("jam_density"),
-                    Field("outflow_jam_density"),
-                    Field("capacity_drop_factor"),
-                ),
+                tuple(Field(f.name) for f in fields(FundamentalDiagram)),
             ),
         ),
         Field(
@@ -565,6 +558,8 @@ def read_json(path: str | Path):
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioValidationError([f"file: cannot read {path}: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioValidationError([f"file: {path} is not valid UTF-8: {exc}"]) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -156,31 +156,27 @@ def _g10_tables() -> tuple[np.ndarray, ...]:
     - ``bands``: the lower ends ``1e-4 .. 1e9`` of the decimal exponents it
       prints, and ``scales``: the exact power ``10**(9 - e)`` of each
       ``searchsorted`` band, 1.0 for the bands out of range.
-    - ``high``: each two-digit number ``hi`` as the eight bytes ``0xFF x 4,
-      d, 0xFF, d, 0xFF`` (one uint64), and ``four_digits``: each four-digit
-      number as ``d, 0xFF`` four times. The minimum of a digit byte and a
-      digit slot keeps the digit; that of 0xFF and the point slot after it
-      keeps the slot.
-    - ``two_zeros`` and ``four_zeros``: the trailing zeros of each two- and
-      four-digit number (two and four for 0).
+    - ``four_digits``: each four-digit number as ``d, 0xFF`` four times (one
+      uint64), and ``four_zeros``: its trailing zeros (four for 0). The
+      minimum of a digit byte and a digit slot keeps the digit; that of 0xFF
+      and the point slot after it keeps the slot. One table serves all three
+      digit groups: the high one, ``hi`` in [10, 99], reads as ``00hi``, and
+      the mask holds 0, ``'.'`` or ``'0'`` under its leading ``'0', 0xFF``
+      bytes, which the minimum leaves as they were.
     - ``masks``: one row per decimal exponent ``e`` in [-4, 9], sign and
       position of the last nonzero digit, which holds the template's bytes
       (0xFF for a digit) in the slots such a value prints and 0 in the
       others, after 20 zero rows for the band below 1e-4.
     - ``record``: the layout of a value's digit bytes, 26 bytes as in the
-      template: 0xFF, 0xFF, then ``high``, the middle and the low digits.
-
-    The four-digit tables are broadcast from the two-digit ones."""
+      template: 0xFF, 0xFF, then the high, the middle and the low group."""
     bands = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9])
     scales = np.array(
         [1e0, 1e13, 1e12, 1e11, 1e10, 1e9, 1e8, 1e7, 1e6, 1e5, 1e4, 1e3, 1e2, 1e1, 1e0]
     )
     pairs = [f"{i:02d}" for i in range(100)]
-    high = np.frombuffer(
-        b"".join(f"\xff\xff\xff\xff{p[0]}\xff{p[1]}\xff".encode("latin-1") for p in pairs),
-        np.uint8,
-    ).reshape(100, 8)
-    two_digits = high[:, 4:].copy().view(np.uint32)  # (100, 1)
+    two_digits = np.frombuffer(
+        b"".join(f"{p[0]}\xff{p[1]}\xff".encode("latin-1") for p in pairs), np.uint32
+    )[:, None]
     four_digits = np.empty((100, 100, 2), np.uint32)
     four_digits[..., 0] = two_digits  # the high pair of four digits
     four_digits[..., 1] = two_digits.T
@@ -208,16 +204,7 @@ def _g10_tables() -> tuple[np.ndarray, ...]:
             "itemsize": 26,
         }
     )
-    return (
-        bands,
-        scales,
-        high.view(np.uint64).ravel(),
-        four_digits.view(np.uint64).ravel(),
-        two_zeros,
-        four_zeros.ravel(),
-        masks,
-        record,
-    )
+    return bands, scales, four_digits.view(np.uint64).ravel(), four_zeros.ravel(), masks, record
 
 
 def _format_g10(values: np.ndarray) -> np.ndarray:
@@ -246,8 +233,8 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
 
     ``D`` splits into 2 + 4 + 4 digits by two float floor divisions, by 1e8
     and by 1e4; each is exact, as ``D`` is an integer below 1e10 and no
-    quotient rounds to an integer it does not reach. Each group's digit
-    bytes come from one table lookup, and its trailing zeros from another.
+    quotient rounds to an integer it does not reach. One four-digit table
+    gives every group's digit bytes, and another its trailing zeros.
     The three groups fill a 26-byte record laid out as the text, which one
     contiguous ``minimum`` merges into the value's mask row.
 
@@ -263,7 +250,7 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
     integer division; minimum, not bitwise and. A kernel that no op ran
     before adds its code pages to the op's peak memory.
     """
-    bands, scales, high, four_digits, two_zeros, four_zeros, masks, record = _g10_tables()
+    bands, scales, four_digits, four_zeros, masks, record = _g10_tables()
     magnitude = np.abs(values)
     bits = magnitude.view(np.int64)
     np.minimum(bits, _G10_CLAMP, out=bits)
@@ -285,13 +272,13 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
     carry = np.flatnonzero(lo == 0)
     zeros[carry] += four_zeros.take(mid[carry])
     carry = carry[mid[carry] == 0]
-    zeros[carry] += two_zeros.take(hi[carry])
+    zeros[carry] += four_zeros.take(hi[carry])
     # The mask row of (e, sign, last nonzero digit 10 - zeros).
     row = (band * 2 + np.signbit(values)) * 10 + (9 - zeros)
     text = masks.take(row, axis=0)
     digit_bytes = np.empty(values.shape[0], record)
     digit_bytes["prefix"] = 0xFFFF
-    digit_bytes["high"] = high.take(hi)
+    digit_bytes["high"] = four_digits.take(hi)
     digit_bytes["middle"] = four_digits.take(mid)
     digit_bytes["low"] = four_digits.take(lo)
     np.minimum(text, digit_bytes.view(np.uint8).reshape(-1, 26), out=text)

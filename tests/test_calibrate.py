@@ -215,6 +215,13 @@ class TestPinnedSpeed:
         assert np.isfinite(diag.fitted_free_flow_speed)
         assert diag.fitted_free_flow_speed != 100.0  # noisy fit, almost surely
 
+    @pytest.mark.parametrize("speed", [0.0, -5.0, float("nan"), float("inf")])
+    def test_pin_must_be_finite_and_positive(self, fd, speed):
+        obs = sample_fd_observations(fd, np.random.default_rng(10))
+        for observations in (obs, []):  # checked before anything is fitted
+            with pytest.raises(CalibrationError, match="pinned free-flow speed"):
+                fit_fundamental_diagram(observations, pinned_free_flow_speed=speed)
+
 
 class TestDiagnostics:
     def test_split_that_cycles_is_reported(self):

@@ -132,6 +132,11 @@ class TestDerating:
         cfg = VslRuleConfig(derating=0.1, quantize_step=5.0)
         assert derated_command(8.0, cfg, fd) == 5.0
 
+    def test_grid_finer_than_floats_leaves_the_command(self, fd):
+        # 16 / 5e-324 overflows to inf, which math.floor cannot take.
+        cfg = VslRuleConfig(derating=0.5, quantize_step=5e-324)
+        assert derated_command(32.0, cfg, fd) == 16.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             VslRuleConfig(derating=0.0)
