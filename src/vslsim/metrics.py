@@ -89,11 +89,11 @@ def _speeds(trace: SimulationTrace, rho_min: float) -> tuple[np.ndarray, np.ndar
     """:func:`speed_field` and the ``(T,)`` admitted inflow, built from the
     trace's flows a block of samples at a time: no whole-trace flows or
     limits are held, and each block's posted limits are gathered through
-    the per-sample index of their stretch."""
+    the trace's per-sample posted row."""
     rho = trace.densities
     samples, cells = rho.shape
     posted_limits = trace.limit_rows[:, -cells:]  # the zone command only on a zone cell
-    posted = np.searchsorted(trace.limit_steps, np.arange(samples), side="right") - 1
+    posted = trace._posted()
     field = np.empty((samples, cells))
     inflow = np.empty(samples)
     with np.errstate(divide="ignore", invalid="ignore"):

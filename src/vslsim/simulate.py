@@ -33,7 +33,8 @@ samples at a time.
 The trace CSV prints each value as ``'%.10g' % v`` does. Its varying
 columns go through numpy a block of rows at a time (:func:`_format_g10`),
 which proves the ten digits of each value it prints and leaves the rest to
-``%``; the held limits and flags are formatted once per stretch.
+``%``; the held limits and flags are formatted once per posted row and flag
+pair, then looked up for each sample.
 """
 
 from __future__ import annotations
@@ -332,11 +333,14 @@ class SimulationTrace:
     def upstream_densities(self) -> np.ndarray:
         return self.densities[:, 0]
 
+    def _posted(self) -> np.ndarray:
+        """(T,) index into ``limit_rows`` of the posted row at each sample."""
+        return np.searchsorted(self.limit_steps, np.arange(self.num_samples), side="right") - 1
+
     @property
     def limits(self) -> np.ndarray:
         """(T, N + 1) posted speeds at each sample."""
-        counts = np.diff(self.limit_steps, append=self.num_samples)
-        return np.repeat(self.limit_rows, counts, axis=0)
+        return self.limit_rows.take(self._posted(), axis=0)
 
     @property
     def flows(self) -> np.ndarray:
@@ -409,10 +413,9 @@ class SimulationTrace:
         Every value prints as ``%.10g`` prints it. The time, densities and
         flows of whole rows, ``CSV_BLOCK_VALUES`` values at a time, go
         through :func:`_format_g10`; each block's flows come from
-        :meth:`_flow_blocks`. The posted speeds and the two flags are
-        held over a stretch of steps, which starts at each limit change and
-        at each flag switch: that suffix is formatted once per stretch and
-        copied onto each of its rows.
+        :meth:`_flow_blocks`. The posted speeds and the two flags end each
+        row: that suffix is formatted once per posted row and flag pair,
+        then looked up for each sample through :meth:`_posted`.
         """
         n = self.geometry.num_sections
         columns = ["t_h", "rho_0"]
@@ -421,23 +424,15 @@ class SimulationTrace:
         columns += [f"v_{i}" for i in range(n + 1)]
         columns += ["incident", "lc"]
         table = [self.times, self.upstream_densities, self.section_densities]
-        held = ",".join(["%.10g"] * (n + 1) + ["%d", "%d"]) + "\n"
-        incident, lc = self.incident_active, self.lc_active
-        # A boolean mask, not np.union1d: numpy's set routines import numpy.ma.
-        first = np.zeros(self.num_samples, dtype=bool)
-        first[self.limit_steps] = True
-        first[1:] |= (incident[1:] != incident[:-1]) | (lc[1:] != lc[:-1])
-        starts = np.flatnonzero(first)
-        posted = np.searchsorted(self.limit_steps, starts, side="right") - 1
-        # Each stretch's suffix as a row of bytes, zero-padded to the longest.
+        held = ",".join(["%.10g"] * (n + 1))
+        # The suffix of each posted row and flag pair, entry 4 * row + incident
+        # + 2 * lc, as a row of bytes zero-padded to the longest.
+        flags = (",0,0\n", ",1,0\n", ",0,1\n", ",1,1\n")
         suffixes = np.array(
-            [
-                (held % (*self.limit_rows[i].tolist(), incident[k], lc[k])).encode()
-                for k, i in zip(starts.tolist(), posted.tolist())
-            ]
+            [(held % tuple(v) + f).encode() for v in self.limit_rows.tolist() for f in flags]
         )
-        suffixes = suffixes.view(np.uint8).reshape(starts.size, -1)
-        stretch = np.cumsum(first) - 1
+        suffixes = suffixes.view(np.uint8).reshape(len(suffixes), -1)
+        entry = 4 * self._posted() + self.incident_active + 2 * self.lc_active
         # Whole rows per block; the n + 3 held columns are not in the block.
         rows = max(1, CSV_BLOCK_VALUES // (len(columns) - n - 3))
         with open(path, "wb") as fh:
@@ -450,7 +445,7 @@ class SimulationTrace:
                     parts.append(q[:, 0])  # no zone cell: q_in and q_1 coincide
                 values = np.column_stack(parts + [q])
                 text = _format_g10(values.ravel()).reshape(values.shape[0], -1)
-                text = np.concatenate((text, suffixes.take(stretch[block], axis=0)), axis=1)
+                text = np.concatenate((text, suffixes.take(entry[block], axis=0)), axis=1)
                 fh.write(text.tobytes().translate(None, b"\0"))
 
 
