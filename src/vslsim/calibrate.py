@@ -65,8 +65,6 @@ class FitDiagnostics:
     n_incident_free: int = 0
     n_incident_congested: int = 0
     n_outflow_branch: int = 0
-    free_fit_rms: float = float("nan")
-    congested_fit_rms: float = float("nan")
     outflow_wave_fallback: bool = False
     notes: list[str] = field(default_factory=list)
 
@@ -81,15 +79,13 @@ def free_flow_slope(densities: Sequence[float], flows: Sequence[float]) -> float
     return float(rho @ q) / denom
 
 
-def _affine_fit(rho: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
-    """Ordinary least squares q = intercept + slope * rho; returns
-    (slope, intercept, residual rms)."""
+def _affine_fit(rho: np.ndarray, q: np.ndarray) -> float:
+    """Slope of the ordinary least-squares line q = intercept + slope * rho."""
     if rho.shape[0] < 2 or float(np.ptp(rho)) == 0.0:
         raise CalibrationError("affine fit needs at least two distinct densities")
     design = np.column_stack((np.ones_like(rho), rho))
     coeffs, *_ = np.linalg.lstsq(design, q, rcond=None)
-    resid = q - design @ coeffs
-    return float(coeffs[1]), float(coeffs[0]), float(np.sqrt(np.mean(resid**2)))
+    return float(coeffs[1])
 
 
 def fit_fundamental_diagram(
@@ -137,7 +133,7 @@ def fit_fundamental_diagram(
         if fitted_vf <= 0.0:
             raise CalibrationError("free-flow fit produced a non-positive speed")
         v_f = pinned_free_flow_speed if pinned_free_flow_speed is not None else fitted_vf
-        slope, _, cong_rms = _affine_fit(rho[congested], q[congested])
+        slope = _affine_fit(rho[congested], q[congested])
         if slope >= 0.0:
             raise CalibrationError(
                 f"congested branch slope {slope:.4g} is non-negative; "
@@ -145,7 +141,6 @@ def fit_fundamental_diagram(
             )
         w = -slope
         diag.fitted_free_flow_speed = fitted_vf
-        diag.congested_fit_rms = cong_rms
         diag.alternations = rounds
         new_split = capacity / v_f
         if abs(new_split - split) <= 1e-9:
@@ -159,8 +154,6 @@ def fit_fundamental_diagram(
     free = rho <= split * (1.0 + SPLIT_RTOL)
     diag.n_free = int(np.sum(free))
     diag.n_congested = int(np.sum(~free))
-    pred = v_f * rho[free]
-    diag.free_fit_rms = float(np.sqrt(np.mean((q[free] - pred) ** 2)))
 
     if not incident:
         raise CalibrationError(
@@ -202,7 +195,7 @@ def fit_fundamental_diagram(
     diag.n_outflow_branch = int(np.sum(outflow_pts))
     w_out = w / 2.0
     if diag.n_outflow_branch >= MIN_OUTFLOW_POINTS:
-        slope, _, _ = _affine_fit(rho_i[outflow_pts], q_i[outflow_pts])
+        slope = _affine_fit(rho_i[outflow_pts], q_i[outflow_pts])
         if slope < 0.0:
             w_out = -slope
         else:

@@ -120,10 +120,8 @@ def _out_dir(arg: str | None) -> Path:
     return path
 
 
-def _fmt(value: float, digits: int = 4) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "n/a"
-    return f"{value:.{digits}g}"
+def _fmt(value: float) -> str:
+    return "n/a" if math.isnan(value) else f"{value:.4g}"
 
 
 def _cmd_run(args) -> int:
@@ -243,9 +241,12 @@ def _read_observations(path: str) -> list[FdObservation]:
     """Rows of a CSV whose header names density, flow and incident columns
     (any order, extra columns ignored, fields may be quoted); blank rows are
     skipped. An incident cell is 0, 1, true or false in any letter case. A
-    bad row is a CalibrationError naming its line and column."""
+    leading byte-order mark is dropped. A file that cannot be read or a bad
+    row is a CalibrationError naming the file, and the row's line and column."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except OSError as exc:
+        raise CalibrationError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CalibrationError(f"{path} is not valid UTF-8: {exc}") from exc
     obs: list[FdObservation] = []

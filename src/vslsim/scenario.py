@@ -78,8 +78,8 @@ MAX_NAME_BYTES = MAX_FILE_NAME_BYTES - len("_metrics.json")
 
 
 def name_bytes(name: str) -> int:
-    """Length of ``name`` in UTF-8 bytes (a lone surrogate counts three)."""
-    return len(name.encode("utf-8", "surrogatepass"))
+    """Length of ``name`` in UTF-8 bytes."""
+    return len(name.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,12 @@ class Scenario:
     def __post_init__(self) -> None:
         problems: list[str] = []
         if not self.name or any(
-            ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in self.name
+            ch in "/\\" or unicodedata.category(ch) in ("Cc", "Cs") for ch in self.name
         ):
+            # A lone surrogate has no UTF-8 form for the file name or the trace.
             problems.append(
                 f"name: {self.name!r} must be a non-empty file stem without "
-                "'/', '\\' or control characters"
+                "'/', '\\', control characters or lone surrogates"
             )
         elif (size := name_bytes(self.name)) > MAX_NAME_BYTES:
             problems.append(
@@ -553,6 +554,8 @@ def scenario_fragment(**attrs) -> dict:
 
 
 def read_json(path: str | Path):
+    """The JSON document in the UTF-8 file ``path``, after one leading
+    byte-order mark if it has one; a ScenarioValidationError names the file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -561,7 +564,7 @@ def read_json(path: str | Path):
     except UnicodeDecodeError as exc:
         raise ScenarioValidationError([f"file: {path} is not valid UTF-8: {exc}"]) from exc
     try:
-        return json.loads(text)
+        return json.loads(text.removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([f"file: {path} is not valid JSON: {exc}"]) from exc
 

@@ -18,12 +18,12 @@ or after each time its scenario names, the start of each demand-profile step
 and the closure's start and end. The bottleneck cap and drop are taken at
 these steps. Each step writes :func:`~vslsim.ctm.euler_update` into a
 preallocated density history and :func:`~vslsim.ctm.fluxes` into a scratch
-block of one control period; controllers read the history's rows and return
-plain limit arrays. The run goes from event to event: each control instant,
-input step and the horizon. Between two events every step has the same
-inputs, so when the first step after an event leaves every row's state
-unchanged, bit for bit, each step up to the next event repeats it: its
-densities and flows are filled, not stepped.
+block of one control period, or of the run if that is shorter; controllers
+read the history's rows and return plain limit arrays. The run goes from
+event to event: each control instant, input step and the horizon. Between
+two events every step has the same inputs, so when the first step after an
+event leaves every row's state unchanged, bit for bit, each step up to the
+next event repeats it: its densities and flows are filled, not stepped.
 Density and flow bounds are checked, filled steps included, at each control
 instant and at the end. The trace keeps the densities and the limit
 changes; its flows and per-sample limits are derived on access, and the
@@ -562,8 +562,9 @@ def run_batch(
     input steps, and the horizon. If the step at an event leaves the whole
     state unchanged, compared as bytes (so ``-0.0`` and ``0.0`` differ), the
     steps up to the next event are copies of it and are filled instead of
-    computed. Flows are written to a scratch block of one control period and checked with
-    the densities at each control instant and at the end.
+    computed. Flows are written to a scratch block of one control period (at
+    most the run's steps) and checked with the densities at each control
+    instant and at the end.
 
     A row fails alone: at the controller call that raises, or that returns
     other than ``N + 1`` limits in (0, ``free_flow_speed``]
@@ -611,7 +612,7 @@ def run_batch(
     dt_over_length = dt / np.stack([s.geometry.cell_lengths() for s in scenarios])
     posted = np.full((n_rows, n_sections + 1), fd.free_flow_speed)
     caps = speed_caps(posted, n_cells, fd)
-    flows = np.empty((ctrl_every, n_rows, n_cells + 1))
+    flows = np.empty((min(ctrl_every, n_steps + 1), n_rows, n_cells + 1))
     changes: list[list[tuple[int, np.ndarray]]] = [[] for _ in scenarios]
     failed: list[Exception | None] = [None] * n_rows
 

@@ -213,6 +213,22 @@ class TestRun:
         assert "scenario.name: the summary file name" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_name_with_a_lone_surrogate_fails_before_any_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_simulation(*args):
+            raise AssertionError("simulated a run whose outputs cannot be written")
+
+        monkeypatch.setattr("vslsim.cli.simulate_scenario", no_simulation)
+        doc = high_demand_preset().to_dict()
+        doc["name"] = "a\ud800b"  # a JSON escape; no UTF-8 form for the file name
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_dispatch(["run", str(path), "--out", str(out)]) == 2
+        assert "name: 'a\\ud800b' must be a non-empty file stem" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_garbage_file_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -518,6 +534,42 @@ class TestStrictInputs:
         assert f"{path}" in err and "not valid UTF-8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_observations_are_validation_error_naming_them(
+        self, tmp_path, capsys, kind
+    ):
+        path = tmp_path / "obs.csv"
+        if kind == "directory":
+            path.mkdir()
+        assert cli_dispatch(["calibrate", str(path)]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
+
+    def test_observations_with_a_byte_order_mark_read_like_plain_ones(
+        self, tmp_path, capsys, fd
+    ):
+        obs = sample_fd_observations(fd, np.random.default_rng(3))
+        text = "density,flow,incident\n" + "".join(
+            f"{o.density},{o.flow},{int(o.incident)}\n" for o in obs
+        )
+        outputs = []
+        for prefix in ("", "\ufeff"):  # a spreadsheet's UTF-8 export starts with U+FEFF
+            path = tmp_path / "obs.csv"
+            path.write_text(prefix + text, encoding="utf-8")
+            assert cli_dispatch(["calibrate", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_scenario_with_a_byte_order_mark_runs_like_a_plain_one(self, tmp_path, capsys):
+        text = write_mini_scenario(tmp_path).read_text(encoding="utf-8")
+        traces = []
+        for prefix in ("", "\ufeff"):
+            path = tmp_path / "scenario.json"
+            path.write_text(prefix + text, encoding="utf-8")
+            out = tmp_path / f"out{len(prefix)}"
+            assert cli_dispatch(["run", str(path), "--out", str(out)]) == 0
+            traces.append((out / "mini_cli_trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
 
 class TestSweepOutputs:
     def test_traces_match_run_bytes_with_one_simulation_per_value(
@@ -580,8 +632,9 @@ def test_random_valid_scenarios_run_end_to_end(doc, tmp_path_factory):
         raise ValueError(f"{name} is not JSON")
 
     name = doc["name"]
-    record = json.loads((out / f"{name}_metrics.json").read_text(), parse_constant=reject)
-    rows = (out / f"{name}_trace.csv").read_text().splitlines()
+    metrics = (out / f"{name}_metrics.json").read_text(encoding="utf-8")
+    record = json.loads(metrics, parse_constant=reject)
+    rows = (out / f"{name}_trace.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) - 2 == round(doc["horizon_min"] * 60.0 / doc["dt_s"]) + 1
     # Over 300 draws the residual stayed below 1.2e-14 of the vehicles entered.
     balance = record["vehicle_balance"]

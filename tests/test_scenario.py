@@ -518,7 +518,9 @@ class TestStrictSchema:
         doc["metrics"]["emission_table"] = [[50.0, 300.0]]
         assert any("two points" in p for p in self._violations(doc))
 
-    @pytest.mark.parametrize("name", ["", "a/b", "..\\x", "a\x00b", "tab\there"])
+    @pytest.mark.parametrize(
+        "name", ["", "a/b", "..\\x", "a\x00b", "tab\there", "a\ud800b", "\udcff"]
+    )
     def test_unsafe_names_rejected(self, name):
         problems = violations(high_demand_preset(), name=name)
         assert any(p.startswith("name:") for p in problems)
@@ -538,6 +540,11 @@ class TestStrictSchema:
         assert any("control_period" in p for p in violations(base, control_period=0.5))
 
 
+NAME_CHARACTERS = st.characters(
+    categories=("L", "N", "P", "S", "Zs"), exclude_characters="/\\"
+)
+
+
 @st.composite
 def scenario_documents(draw):
     """Random valid scenario files in JSON units."""
@@ -555,6 +562,7 @@ def scenario_documents(draw):
     )
     dt = draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]))
     horizon_min = draw(st.integers(20, 120))
+    steps = round(horizon_min * 60.0 / dt)
     incident = draw(
         st.none()
         | st.builds(
@@ -583,7 +591,8 @@ def scenario_documents(draw):
     )
     zone = draw(st.sampled_from([0.0]) | st.floats(0.3, 5.0))
     return {
-        "name": draw(st.text("abcXYZ019_-. ,", min_size=1, max_size=12)),
+        # Letters, digits, punctuation, symbols and spaces: no line separator.
+        "name": draw(st.text(NAME_CHARACTERS, min_size=1, max_size=12)),
         "fundamental_diagram": {
             f: getattr(fd, f) for f in FundamentalDiagram.__dataclass_fields__
         },
@@ -610,7 +619,8 @@ def scenario_documents(draw):
         ),
         "horizon_min": float(horizon_min),
         "dt_s": dt,
-        "control_period_s": dt * draw(st.integers(1, 60)),
+        # Up to three horizons: a period past the horizon calls the controller once.
+        "control_period_s": dt * draw(st.integers(1, 60) | st.integers(1, 3 * steps)),
         "metrics": {
             "stop_speed": stop,
             "resume_speed": stop + draw(st.floats(0.1, 20.0)),

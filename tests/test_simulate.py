@@ -950,3 +950,19 @@ def test_derived_passes_allocate_a_block_at_a_time(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     assert all(peaks[name] <= bound for name, (_, bound) in passes.items()), peaks
+
+
+def test_control_period_past_the_horizon_allocates_for_the_run():
+    # A period of 1e6 s on the 90-min run is valid: one control call at
+    # step 0. The flow scratch block holds at most the run's steps, not a
+    # period's worth of rows (1e6 of them took 213 units of densities).
+    base = replace(high_demand_preset(), controller="no_control", incident=None)
+    at_horizon = simulate_scenario(replace(base, control_period=5400.0))
+    tracemalloc.start()
+    try:
+        trace = simulate_scenario(replace(base, control_period=1e6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.densities.tobytes() == at_horizon.densities.tobytes()
+    assert peak <= 3.0 * trace.densities.nbytes
