@@ -11,24 +11,19 @@ mainline capacity and the drop is inert.
 
 ``run_batch`` steps several scenarios that share a cell count, step, horizon
 and control period as one ``(B, C)`` state;
-:func:`~vslsim.scenario.simulate_scenario` runs a batch of one.
-The demand and the incident and lane-change flags are computed once per run.
-A row's inputs change only at its input steps: step 0 and the first step at
-or after each time its scenario names, the start of each demand-profile step
-and the closure's start and end. The bottleneck cap and drop are taken at
-these steps. Each step writes :func:`~vslsim.ctm.euler_update` into a
-preallocated density history and :func:`~vslsim.ctm.fluxes` into a scratch
-block of one control period, or of the run if that is shorter; controllers
-read the history's rows and return plain limit arrays. The run goes from
-event to event: each control instant, input step and the horizon. Between
-two events every step has the same inputs, so when the first step after an
-event leaves every row's state unchanged, bit for bit, each step up to the
-next event repeats it: its densities and flows are filled, not stepped.
-Density and flow bounds are checked, filled steps included, at each control
-instant and at the end. The trace keeps the densities and the limit
-changes; its flows and per-sample limits are derived on access, and the
-CSV, the metrics and the vehicle balance derive the flows a block of
-samples at a time.
+:func:`~vslsim.scenario.simulate_scenario` runs a batch of one. The demand
+and the incident and lane-change flags are computed once per run, and the
+bottleneck cap and drop at each row's input steps, where its inputs may
+change. :func:`~vslsim.ctm.fluxes` and :func:`~vslsim.ctm.euler_update` step
+a small block laid out cells-major, the batch axis innermost, which each
+check copies into the ``(B, T, C)`` density history and tests against the
+density and flow bounds; controllers read the history's rows and return
+plain limit arrays. The run goes from event to event (checks, input steps,
+the horizon); when the first step after an event leaves every row's state
+unchanged, bit for bit, the steps up to the next event are filled, not
+stepped. The trace keeps the densities and the limit changes; its flows and
+per-sample limits are derived on access, and the CSV, the metrics and the
+vehicle balance derive the flows a block of samples at a time.
 
 The trace CSV prints each value as ``'%.10g' % v`` does. Its varying
 columns go through numpy a block of rows at a time (:func:`_format_g10`),
@@ -450,9 +445,10 @@ class SimulationTrace:
 
 
 def _check_limits(limits, fd: FundamentalDiagram, width: int) -> np.ndarray:
-    """``limits`` as an array; ControllerError unless ``width`` values in (0, v_f]."""
+    """``limits`` as an array; ControllerError unless ``width`` values in (0, v_f],
+    tested on Python floats (the chained comparison fails NaN)."""
     row = np.asarray(limits, dtype=float)
-    if row.shape == (width,) and row.min() > 0.0 and row.max() <= fd.free_flow_speed:
+    if row.shape == (width,) and all(0.0 < v <= fd.free_flow_speed for v in row.tolist()):
         return row
     raise ControllerError(
         f"controller returned {row.tolist()}; expected {width} limits, each "
@@ -553,25 +549,28 @@ def run_batch(
 
     One :func:`~vslsim.ctm.fluxes` and one :func:`~vslsim.ctm.euler_update`
     call advance every row per step; being elementwise, they give each row
-    the bytes it gets on its own. The history is laid out ``(B, T, C)``, so
-    a row's densities are a contiguous ``(T, C)`` view. A row's inputs
+    the bytes it gets on its own. They write a block of ``span`` + 1 states
+    and ``span`` flow rows laid out cells-major, the batch axis innermost,
+    so each slice along the cell axis is one contiguous block. ``span`` is a
+    control period, but at most ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps.
+    Each check, at every control instant, every ``span`` steps and the end,
+    copies the block into the ``(B, T, C)`` history (a row's densities are a
+    contiguous ``(T, C)`` view) and checks it with the flows. A row's inputs
     change only at step 0 and at the first step at or after each time its
     scenario names: the start of each demand-profile step and the closure's
     start and end. The bottleneck cap and drop are taken at these input
-    steps. The steps run from event to event: control instants, every row's
-    input steps, and the horizon. If the step at an event leaves the whole
-    state unchanged, compared as bytes (so ``-0.0`` and ``0.0`` differ), the
-    steps up to the next event are copies of it and are filled instead of
-    computed. Flows are written to a scratch block of one control period (at
-    most the run's steps) and checked with the densities at each control
-    instant and at the end.
+    steps. The steps run from event to event: checks, every row's input
+    steps, and the horizon. If the step at an event leaves the whole state
+    unchanged, compared as bytes (so ``-0.0`` and ``0.0`` differ), the steps
+    up to the next event are copies of it and are filled instead of
+    computed.
 
     A row fails alone: at the controller call that raises, or that returns
     other than ``N + 1`` limits in (0, ``free_flow_speed``]
-    (``ControllerError``), or by the next control instant once its state
-    leaves range (``ValueError`` naming the first step and cell). The
-    exception is recorded and the row set to an empty road with no demand,
-    which steps without effect. A batch of one steps on a ``(C,)`` row.
+    (``ControllerError``), or by the next check once its state leaves range
+    (``ValueError`` naming the first step and cell). The exception is
+    recorded and the row set to an empty road with no demand, which steps
+    without effect. A batch of one steps on the block's ``(C,)`` rows.
     """
     if len({batch_key(s) for s in scenarios}) != 1:
         raise ValueError("a batch needs one or more scenarios with one batch_key")
@@ -581,14 +580,10 @@ def run_batch(
             f"controllers for {len(scenarios)} scenarios"
         )
     base = scenarios[0]
-    fd = base.fd
-    dt = base.dt_hours
+    fd, dt, geometry = base.fd, base.dt_hours, base.geometry
     n_steps = int(round(base.horizon / dt))
     ctrl_every = int(round(base.control_period_hours / dt))
-    n_sections = base.geometry.num_sections
-    n_cells = base.geometry.num_cells
-    n_rows = len(scenarios)
-    jam_out = fd.outflow_jam_density
+    n_sections, n_cells, n_rows = geometry.num_sections, geometry.num_cells, len(scenarios)
 
     # Everything that does not depend on the densities, once per run: (B, T).
     # The input steps come from the times a row's scenario names, whatever
@@ -606,25 +601,32 @@ def run_batch(
     input_steps = {0, *(min(bisect.bisect_left(times, t), n_steps) for t in named)}
 
     densities = np.empty((n_rows, n_steps + 1, n_cells))
-    densities[:, 0] = [warm_state(s) for s in scenarios]
     cells = densities.view()  # what the controllers see
     cells.flags.writeable = False
-    dt_over_length = dt / np.stack([s.geometry.cell_lengths() for s in scenarios])
-    posted = np.full((n_rows, n_sections + 1), fd.free_flow_speed)
-    caps = speed_caps(posted, n_cells, fd)
-    flows = np.empty((min(ctrl_every, n_steps + 1), n_rows, n_cells + 1))
+    # Steps run on a block of ``span`` + 1 states and ``span`` flow rows,
+    # indexed (step - last, B, C) but laid out cells-major, the batch axis
+    # innermost: each slice along the cell axis is one contiguous block.
+    span = min(ctrl_every, max(1, CSV_BLOCK_VALUES // (n_rows * (n_cells + 1))))
+    state = np.empty((span + 1, n_cells, n_rows)).swapaxes(1, 2)
+    state[0] = [warm_state(s) for s in scenarios]
+    flows = np.empty((span, n_cells + 1, n_rows)).swapaxes(1, 2)
+    dt_over_length = (dt / np.stack([s.geometry.cell_lengths() for s in scenarios], axis=1)).T
+    posted = np.full((n_sections + 1, n_rows), fd.free_flow_speed).T
+    caps = speed_caps(posted, n_cells, fd)  # laid out as posted
     changes: list[list[tuple[int, np.ndarray]]] = [[] for _ in scenarios]
     failed: list[Exception | None] = [None] * n_rows
 
     def fail(b: int, k: int, exc: Exception) -> None:
         failed[b] = exc
-        densities[b, k] = 0.0
+        state[k - last, b] = 0.0  # the next check copies it into the history
         demand[b, k:] = 0.0
 
     def check(k: int, stop: int) -> None:
-        """Densities of steps ``last`` .. ``k``, flows up to ``stop`` - 1."""
+        """Copy the block's steps ``last`` .. ``k`` into the history; check
+        their densities and the flows up to ``stop`` - 1."""
         rho, q = densities[:, last : k + 1], flows[: stop - last]
-        if _in_range(rho, q, jam_out):
+        rho[...] = state[: k + 1 - last].swapaxes(0, 1)
+        if _in_range(rho, q, fd.outflow_jam_density):
             return
         for b in range(n_rows):
             if failed[b] is None:
@@ -633,68 +635,65 @@ def run_batch(
                 except ValueError as exc:
                     fail(b, k, exc)
 
-    # Events: the steps at which an input may change. Control instants are
-    # events, so a stretch stays inside the scratch block.
-    events = sorted({*range(0, n_steps, ctrl_every), *input_steps, n_steps})
+    # Events: the steps at which an input may change. Checks, at control
+    # instants and every ``span`` steps, are events, so a stretch stays
+    # inside the block.
+    checks = {*range(0, n_steps + 1, ctrl_every), *range(0, n_steps + 1, span)}
+    events = sorted({*checks, *input_steps, n_steps})
 
     # Per step: a (C,) row and scalars for one scenario, (B, C) and (B,) rows
     # for several; posted and caps change in place, so the views follow.
-    single = n_rows == 1
-    if single:
-        steps, step_flows, step_demand = densities[0], flows[:, 0], demand[0]
-        v, cap, dtl = posted[0], caps[0], dt_over_length[0]
-    else:
-        steps, step_flows, step_demand = densities.swapaxes(0, 1), flows, demand.T
-        v, cap, dtl = posted, caps, dt_over_length
+    row = 0 if n_rows == 1 else slice(None)
+    steps, step_flows, step_demand = state[:, row], flows[:, row], demand[row].T
+    v, cap, dtl = posted[row], caps[row], dt_over_length[row]
 
-    last = 0  # first step whose state is not yet checked
+    last = 0  # the step in the block's first row
     for k, stop in zip(events, events[1:] + [n_steps + 1]):
         if k in input_steps:
             cap_d_k, drop_k = _bottleneck(fd, active[:, k], lc_on[:, k], residual)
-            if single:  # Python floats: fluxes' one-state path is float arithmetic
+            if n_rows == 1:  # Python floats: fluxes' one-state path is float arithmetic
                 cap_d_k, drop_k = cap_d_k.item(0), drop_k.item(0)
-        if k % ctrl_every == 0:
+        if k in checks:
             check(k, k)
+            state[0] = state[k - last]
             last = k
+        if k % ctrl_every == 0:
             t = k * dt
             for b, controller in enumerate(controllers):
                 if failed[b] is not None:
                     continue
                 try:
-                    row = _check_limits(controller(cells[b, k], t), fd, n_sections + 1)
+                    limits = _check_limits(controller(cells[b, k], t), fd, n_sections + 1)
                 except Exception as exc:  # noqa: BLE001 - fails this row only
                     fail(b, k, exc)
                     continue
-                if not changes[b] or not np.array_equal(row, posted[b]):
-                    posted[b] = row
-                    changes[b].append((k, posted[b].copy()))  # row may be reused
-                    caps[b] = speed_caps(row, n_cells, fd)
-            if None not in failed:
-                break
+                if not changes[b] or limits.tobytes() != posted[b].tobytes():
+                    posted[b] = limits
+                    changes[b].append((k, posted[b].copy()))  # limits may be reused
+                    caps[b] = speed_caps(limits, n_cells, fd)
+        if None not in failed:
+            break
         d_k = step_demand[k]  # read after a failed row's demand was zeroed
-        for j in range(k, stop):
+        for j in range(k - last, stop - last):  # steps relative to last
             rho = steps[j]
-            q = fluxes(rho, v, cap, d_k, cap_d_k, drop_k, fd, out=step_flows[j - last])
-            if j == n_steps:
+            q = fluxes(rho, v, cap, d_k, cap_d_k, drop_k, fd, out=step_flows[j])
+            if j + last == n_steps:
                 break
             euler_update(rho, q, dtl, out=steps[j + 1])
             # A step that leaves the state as it was repeats up to the next
             # event. Bytes, not values: a step may turn -0.0 into 0.0.
-            if j == k and j + 1 < stop and steps[j + 1].tobytes() == rho.tobytes():
-                steps[j + 2 : stop + 1] = rho
-                step_flows[j + 1 - last : stop - last] = q
+            if j == k - last and j + 1 < stop - last and steps[j + 1].tobytes() == rho.tobytes():
+                steps[j + 2 : stop + 1 - last] = rho
+                step_flows[j + 1 : stop - last] = q
                 break
     else:
         check(n_steps, n_steps + 1)
 
-    results: list[SimulationTrace | Exception] = []
+    results: list = list(failed)  # each row's exception, or its trace
     for b, s in enumerate(scenarios):
-        if failed[b] is not None:
-            results.append(failed[b])
-            continue
-        limit_steps, limit_rows = zip(*changes[b])
-        results.append(
-            SimulationTrace(
+        if failed[b] is None:
+            limit_steps, limit_rows = zip(*changes[b])
+            results[b] = SimulationTrace(
                 geometry=s.geometry,
                 fd=fd,
                 times=times,
@@ -706,6 +705,5 @@ def run_batch(
                 limit_rows=np.array(limit_rows),
                 lc_residual_drop=float(residual[b]),
             )
-        )
     return results
 

@@ -883,6 +883,53 @@ class TestBatch:
             name = f"{after[i].name}_trace.csv"
             assert (faulted / name).read_bytes() == (clean / name).read_bytes()
 
+    @pytest.mark.parametrize("period", [30.0, 600.0])
+    def test_row_leaving_range_mid_period_fails_alone(self, period, tmp_path):
+        # Three demands, one block of span steps between checks: the control
+        # period at 30 s, and at 600 s one derived-pass block (170 steps of
+        # 3 x 8 flows), so checks fall between the control instants.
+        base = replace(high_demand_preset(), control_period=period)
+        scenarios = [apply_sweep_value(base, "demand", d) for d in (6500.0, 7000.0, 7400.0)]
+        ctrl_every = int(period)  # 1 s steps
+        span = min(ctrl_every, vslsim.simulate.CSV_BLOCK_VALUES // (3 * 8))
+        assert (span < ctrl_every) == (period == 600.0)
+        clean = [simulate_scenario(s) for s in scenarios]
+        n_steps = clean[1].num_samples - 1
+        checks = sorted({*range(0, n_steps + 1, span), *range(0, n_steps + 1, ctrl_every)})
+
+        # Poison the 7,000 veh/h row from the first step its bottleneck
+        # density sets a record at, when that step is not a check and (on
+        # the long period) the check that finds it is not a control instant.
+        rho_n = clean[1].densities[:, -1]
+        record = np.maximum.accumulate(rho_n)
+        first = next(
+            k
+            for k in range(1, n_steps)
+            if rho_n[k] > record[k - 1]
+            and k not in checks
+            and (span == ctrl_every or min(c for c in checks if c > k) % ctrl_every)
+        )
+        real = vslsim.simulate.fluxes
+
+        def poisoned(rho, v, cap, demand, cap_d, drop, fd, out=None):
+            q = real(rho, v, cap, demand, cap_d, drop, fd, out=out)
+            q[np.equal(demand, 7000.0) & (rho[..., -1] > record[first - 1])] = np.nan
+            return q
+
+        with mock.patch.object(vslsim.simulate, "fluxes", poisoned):
+            with pytest.raises(ValueError) as solo:
+                simulate_scenario(scenarios[1])
+            controllers = [make_controller(s) for s in scenarios]
+            results = vslsim.simulate.run_batch(scenarios, controllers)
+        assert str(solo.value).startswith(f"step {first} ")
+        assert type(results[1]) is type(solo.value)
+        assert str(results[1]) == str(solo.value)
+        for b in (0, 2):
+            assert results[b].densities.tobytes() == clean[b].densities.tobytes()
+            results[b].to_csv(tmp_path / "batch.csv")
+            clean[b].to_csv(tmp_path / "solo.csv")
+            assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+
     def test_one_batch_key(self, fd):
         scenarios = [mini_scenario(fd), mini_scenario(fd, dt=2.0)]
         with pytest.raises(ValueError, match="one batch_key"):
@@ -966,3 +1013,39 @@ def test_control_period_past_the_horizon_allocates_for_the_run():
         tracemalloc.stop()
     assert trace.densities.tobytes() == at_horizon.densities.tobytes()
     assert peak <= 3.0 * trace.densities.nbytes
+
+
+@pytest.mark.parametrize("rows", [1, 11])
+def test_batch_traces_hold_contiguous_densities(rows):
+    # The batch steps on a cells-major block; each trace's densities are
+    # still a C-contiguous (T, C) row of the (B, T, C) history.
+    base = high_demand_preset()
+    zones = [
+        replace(base, geometry=replace(base.geometry, upstream_zone_length=zone))
+        for zone in HIGH_DEMAND_ZONE_SWEEP[1 : rows + 1]
+    ]
+    results = vslsim.simulate.run_batch(zones, [make_controller(s) for s in zones])
+    assert len(results) == rows
+    for trace in results:
+        assert trace.densities.shape == (trace.num_samples, base.geometry.num_cells)
+        assert trace.densities.flags.c_contiguous
+
+
+def test_batch_with_a_period_past_the_horizon_holds_no_period_sized_block():
+    # An 11-row zone batch, one control call at step 0. Traced peak in units
+    # of the batch's densities: 1.23 with a state and flow block of one
+    # derived-pass block (46 steps); a state block of the run adds 1.0 and a
+    # flow block of the run 1.14 (the flow block alone read 2.45).
+    base = replace(high_demand_preset(), control_period=1e6)
+    zones = [
+        replace(base, geometry=replace(base.geometry, upstream_zone_length=zone))
+        for zone in HIGH_DEMAND_ZONE_SWEEP[1:]
+    ]
+    controllers = [make_controller(s) for s in zones]
+    tracemalloc.start()
+    try:
+        results = vslsim.simulate.run_batch(zones, controllers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * sum(trace.densities.nbytes for trace in results)
