@@ -283,14 +283,9 @@ def _cmd_calibrate(args) -> int:
         print(f"parameters: {args.out}")
     else:
         print(text, end="")
-    print(
-        f"fitted v_f {diag.fitted_free_flow_speed:.4g} km/h"
-        + (
-            f" (pinned to {diag.pinned_free_flow_speed:.4g})"
-            if diag.pinned_free_flow_speed is not None
-            else ""
-        )
-    )
+    pinned = diag.pinned_free_flow_speed
+    pinned_note = "" if pinned is None else f" (pinned to {pinned:.4g})"
+    print(f"fitted v_f {diag.fitted_free_flow_speed:.4g} km/h{pinned_note}")
     print(
         f"branches: {diag.n_free} free / {diag.n_congested} congested, "
         f"incident {diag.n_incident_free} free / {diag.n_incident_congested} congested"

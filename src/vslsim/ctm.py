@@ -12,12 +12,12 @@ interface is additionally capped by the bottleneck discharge capacity, which
 shrinks by the capacity-drop factor while the bottleneck operates above its
 critical density.
 
-The law is written once, as array functions over the last (cell) axis:
-:func:`fluxes` gives every cell-boundary flow and :func:`euler_update` the
-next densities, for one state ``(C,)``, a batch ``(B, C)`` or a whole history
-``(T, C)`` alike. A single state takes its bottleneck interface on Python
-floats, with a NaN-propagating minimum, which is cheaper than 0-d numpy
-arithmetic and gives the same bits; every other shape takes it on arrays.
+The law is written once, over the last (cell) axis, in :func:`flux_law` and
+:func:`update_law` on views of the flow row; :func:`fluxes` and
+:func:`euler_update` build the views for a state ``(C,)``, a batch ``(B, C)``
+or a history ``(T, C)`` alike. One state takes its bottleneck interface on
+Python floats, with a NaN-propagating minimum, which is cheaper than 0-d
+numpy arithmetic and gives the same bits; other shapes take it on arrays.
 """
 
 from __future__ import annotations
@@ -249,26 +249,33 @@ def fluxes(
     last interface is computed on Python floats, with the same IEEE
     operations in the same order and a NaN-propagating minimum, so it gives
     the bits of the array path; ``cap_d`` and ``drop`` are cheapest there
-    as Python floats.
+    as Python floats. This builds the views :func:`flux_law` runs on.
     """
     n = rho.shape[-1]
     q = np.empty(rho.shape[:-1] + (n + 1,)) if out is None else out
+    return flux_law(rho, q, q[..., 1:], q[..., :n], v[..., -n:], cap, demand, cap_d, drop, fd)
+
+
+def flux_law(
+    rho, q, sent, head, v_cells, cap, demand, cap_d, drop, fd: FundamentalDiagram
+) -> np.ndarray:
+    """:func:`fluxes` into ``q`` through prepared views: ``sent`` is ``q[..., 1:]``,
+    ``head`` is ``q[..., :C]`` and ``v_cells`` is ``v[..., -C:]``; returns ``q``."""
     q[..., 0] = demand
-    np.multiply(v[..., -n:], rho, out=q[..., 1:])  # v * rho sent by each cell
-    head = q[..., :n]
+    np.multiply(v_cells, rho, out=sent)  # v * rho sent by each cell
     np.minimum(head, cap, out=head)
     supply = np.subtract(fd.jam_density, rho)
     supply *= fd.backprop_speed
     np.maximum(supply, 0.0, out=supply)
     np.minimum(head, supply, out=head)
     if rho.ndim == 1:
-        rho_n, q_n, minimum = rho.item(-1), q.item(n), _minimum
+        rho_n, q_n, minimum = rho.item(-1), q.item(-1), _minimum
     else:
-        rho_n, q_n, minimum = rho[..., -1], q[..., n], np.minimum
+        rho_n, q_n, minimum = rho[..., -1], q[..., -1], np.minimum
     # The drop acts only above the bottleneck's critical density (strictly);
     # drop * True is drop and drop * False is 0, exactly.
     eps = drop * (rho_n > cap_d / fd.free_flow_speed)
-    q[..., n] = minimum(
+    q[..., -1] = minimum(
         minimum(q_n, (1.0 - eps) * cap_d),
         fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
     )
@@ -278,8 +285,13 @@ def fluxes(
 def euler_update(rho, q, dt_over_length, out=None) -> np.ndarray:
     """Densities one step on, ``rho_c + dt / L_c * (q_c - q_{c+1})``, over
     the last axis; ``out``, when given, receives them. The change is one
-    temporary, scaled in place."""
-    change = np.subtract(q[..., :-1], q[..., 1:])
+    temporary, scaled in place (:func:`update_law` on the views of ``q``)."""
+    return update_law(rho, q[..., 1:], q[..., :-1], dt_over_length, out)
+
+
+def update_law(rho, sent, head, dt_over_length, out=None) -> np.ndarray:
+    """:func:`euler_update` on the flow row's views ``sent`` and ``head``."""
+    change = np.subtract(head, sent)
     change *= dt_over_length
     return np.add(rho, change, out=out)
 

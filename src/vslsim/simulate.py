@@ -14,7 +14,7 @@ and control period as one ``(B, C)`` state;
 :func:`~vslsim.scenario.simulate_scenario` runs a batch of one. The demand
 and the incident and lane-change flags are computed once per run, and the
 bottleneck cap and drop at each row's input steps, where its inputs may
-change. :func:`~vslsim.ctm.fluxes` and :func:`~vslsim.ctm.euler_update` step
+change. :func:`~vslsim.ctm.flux_law` and :func:`~vslsim.ctm.update_law` step
 a small block laid out cells-major, the batch axis innermost, which each
 check copies into the ``(B, T, C)`` density history and tests against the
 density and flow bounds; controllers read the history's rows and return
@@ -46,9 +46,10 @@ from .ctm import (
     FundamentalDiagram,
     NetworkGeometry,
     engaged_drop,
-    euler_update,
+    flux_law,
     fluxes,
     speed_caps,
+    update_law,
 )
 
 if TYPE_CHECKING:
@@ -547,12 +548,13 @@ def run_batch(
     itself when it was built, so its step meets the CFL bound and divides
     the horizon and the control period into whole steps.
 
-    One :func:`~vslsim.ctm.fluxes` and one :func:`~vslsim.ctm.euler_update`
+    One :func:`~vslsim.ctm.flux_law` and one :func:`~vslsim.ctm.update_law`
     call advance every row per step; being elementwise, they give each row
     the bytes it gets on its own. They write a block of ``span`` + 1 states
     and ``span`` flow rows laid out cells-major, the batch axis innermost,
-    so each slice along the cell axis is one contiguous block. ``span`` is a
-    control period, but at most ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps.
+    so each slice along the cell axis is one contiguous block, through views
+    of each block row built once per run. ``span`` is a control period, but
+    at most ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps.
     Each check, at every control instant, every ``span`` steps and the end,
     copies the block into the ``(B, T, C)`` history (a row's densities are a
     contiguous ``(T, C)`` view) and checks it with the flows. A row's inputs
@@ -642,16 +644,18 @@ def run_batch(
     events = sorted({*checks, *input_steps, n_steps})
 
     # Per step: a (C,) row and scalars for one scenario, (B, C) and (B,) rows
-    # for several; posted and caps change in place, so the views follow.
+    # for several. The laws' views of each block row are built once per run;
+    # posted and caps change in place, so their views follow.
     row = 0 if n_rows == 1 else slice(None)
-    steps, step_flows, step_demand = state[:, row], flows[:, row], demand[row].T
-    v, cap, dtl = posted[row], caps[row], dt_over_length[row]
+    steps, step_demand = list(state[:, row]), demand[row].T
+    step_flows = [(q, q[..., 1:], q[..., :n_cells]) for q in flows[:, row]]
+    v_cells, cap, dtl = posted[row, -n_cells:], caps[row], dt_over_length[row]
 
     last = 0  # the step in the block's first row
     for k, stop in zip(events, events[1:] + [n_steps + 1]):
         if k in input_steps:
             cap_d_k, drop_k = _bottleneck(fd, active[:, k], lc_on[:, k], residual)
-            if n_rows == 1:  # Python floats: fluxes' one-state path is float arithmetic
+            if n_rows == 1:  # Python floats: the law's one-state path is float arithmetic
                 cap_d_k, drop_k = cap_d_k.item(0), drop_k.item(0)
         if k in checks:
             check(k, k)
@@ -675,16 +679,16 @@ def run_batch(
             break
         d_k = step_demand[k]  # read after a failed row's demand was zeroed
         for j in range(k - last, stop - last):  # steps relative to last
-            rho = steps[j]
-            q = fluxes(rho, v, cap, d_k, cap_d_k, drop_k, fd, out=step_flows[j])
+            rho, (q, sent, head) = steps[j], step_flows[j]
+            flux_law(rho, q, sent, head, v_cells, cap, d_k, cap_d_k, drop_k, fd)
             if j + last == n_steps:
                 break
-            euler_update(rho, q, dtl, out=steps[j + 1])
+            update_law(rho, sent, head, dtl, steps[j + 1])
             # A step that leaves the state as it was repeats up to the next
             # event. Bytes, not values: a step may turn -0.0 into 0.0.
             if j == k - last and j + 1 < stop - last and steps[j + 1].tobytes() == rho.tobytes():
-                steps[j + 2 : stop + 1 - last] = rho
-                step_flows[j + 1 : stop - last] = q
+                state[j + 2 : stop + 1 - last] = rho
+                flows[j + 1 : stop - last] = q
                 break
     else:
         check(n_steps, n_steps + 1)

@@ -148,13 +148,7 @@ class SweepRow:
 
 
 def _failed_row(variable: str, value: float, name: str, exc: Exception) -> SweepRow:
-    return SweepRow(
-        variable=variable,
-        value=value,
-        name=name,
-        error=str(exc),
-        error_type=type(exc).__name__,
-    )
+    return SweepRow(variable, value, name, error=str(exc), error_type=type(exc).__name__)
 
 
 class _Member(NamedTuple):
@@ -184,13 +178,7 @@ def _run_one(
         report = evaluate_trace(scenario, outcome)
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the sweep
         return _failed_row(variable, member.value, scenario.name, exc)
-    return SweepRow(
-        variable=variable,
-        value=member.value,
-        name=scenario.name,
-        metrics=report,
-        bound=member.bound,
-    )
+    return SweepRow(variable, member.value, scenario.name, metrics=report, bound=member.bound)
 
 
 def _run_chunk(job: tuple[str, list[_Member], Path | None]) -> list[tuple[int, SweepRow]]:

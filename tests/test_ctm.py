@@ -10,7 +10,14 @@ from vslsim import (
     equilibrium_density,
     vsl_max_flow,
 )
-from vslsim.ctm import engaged_drop, fluxes, speed_caps
+from vslsim.ctm import (
+    engaged_drop,
+    euler_update,
+    flux_law,
+    fluxes,
+    speed_caps,
+    update_law,
+)
 
 
 def discharge(rho_n, fd, **kwargs):
@@ -272,6 +279,52 @@ class TestOneStatePath:
                 batch = fluxes(rho[None], v[None], cap[None], *rows, fd)
             assert np.array_equal(one, batch[0], equal_nan=True)
             assert np.array_equal(np.signbit(one), np.signbit(batch[0]))
+
+
+class TestPreparedViews:
+    """``flux_law`` and ``update_law`` on views of a block built once, laid
+    out as ``run_batch`` lays out its own (the batch axis innermost), give
+    the bits of ``fluxes`` and ``euler_update`` on fresh arrays, also after
+    the posted limits change in place partway through a run."""
+
+    @pytest.mark.parametrize(
+        "rows, has_zone", [(1, True), (11, True), (1, False)], ids=["row", "block", "no_zone"]
+    )
+    def test_views_follow_the_block(self, rows, has_zone):
+        rng = np.random.default_rng(24)
+        fd = random_triangle(rng)
+        n_sections, steps = 6, 24
+        n_cells = n_sections + has_zone
+        row = 0 if rows == 1 else slice(None)
+        state = np.empty((steps + 1, n_cells, rows)).swapaxes(1, 2)
+        state[0] = rng.uniform(0.0, fd.jam_density, size=(rows, n_cells))
+        state[0, :, 1] = -0.0  # a signed zero, and a bottleneck at the threshold
+        state[0, :, -1] = fd.downstream_capacity / fd.free_flow_speed
+        flows = np.empty((steps, n_cells + 1, rows)).swapaxes(1, 2)
+        posted = np.full((n_sections + 1, rows), fd.free_flow_speed).T
+        caps = speed_caps(posted, n_cells, fd)
+        lengths = rng.uniform(0.3, 3.0, size=(n_cells, rows))
+        dtl = (0.5 * lengths.min() / fd.free_flow_speed / lengths).T[row]
+        # The views, once: as run_batch prepares them.
+        rhos = list(state[:, row])
+        qs = [(q, q[..., 1:], q[..., :n_cells]) for q in flows[:, row]]
+        v_cells, cap = posted[row, -n_cells:], caps[row]
+        demand = rng.uniform(0.0, fd.capacity, size=rows)
+        cap_d = np.full(rows, fd.downstream_capacity)
+        drop = engaged_drop(cap_d, fd, np.arange(rows) % 2 == 0, 0.01)
+        inputs = (demand, cap_d, drop) if rows > 1 else (demand.item(0), cap_d.item(0), drop.item(0))
+        for j in range(steps):
+            if j == steps // 2:  # new limits, written in place as run_batch writes them
+                posted[...] = rng.uniform(1.0, fd.free_flow_speed, size=posted.shape)
+                caps[...] = speed_caps(posted, n_cells, fd)
+            rho, (q, sent, head) = rhos[j], qs[j]
+            fresh = fluxes(rho.copy(), posted[row].copy(), cap.copy(), *inputs, fd)
+            expected = euler_update(rho.copy(), fresh, dtl.copy())
+            flux_law(rho, q, sent, head, v_cells, cap, *inputs, fd)
+            update_law(rho, sent, head, dtl, rhos[j + 1])
+            for got, want in ((q, fresh), (rhos[j + 1], expected)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestValueTypes:
