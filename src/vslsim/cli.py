@@ -188,6 +188,11 @@ def _cmd_bound(args) -> int:
             densities=densities,
         )
         report = zone_bound_report(inputs, zone_length)
+        # JSON has no infinity: a time past the float range is an input error.
+        if not math.isfinite(report.time_to_clear):
+            raise BoundInputError("zone_length", "gives a clearing time past the float range")
+        if not math.isfinite(report.arrival_time):
+            raise BoundInputError("zone_limit", "gives an arrival time past the float range")
     except BoundInputError as exc:
         # Report the input under the flag it was read from.
         raise BoundInputError(_BOUND_FLAGS[exc.field] + ":", str(exc)) from exc
@@ -202,21 +207,18 @@ def _cmd_bound(args) -> int:
     width = max(len(label) for label, _ in rows)
     for label, value in rows:
         print(f"{label:<{width}}  {value}")
-    print(
-        json.dumps(
-            {
-                "zone_limit": inputs.zone_limit,
-                "zone_length": report.zone_length,
-                "lower_bound_km": report.lower_bound,
-                "lower_bound_raw_km": report.lower_bound_raw,
-                "vacuous": report.vacuous,
-                "time_to_clear_h": report.time_to_clear,
-                "arrival_time_h": report.arrival_time,
-                "verdict": report.label,
-                "feasible": report.feasible,
-            }
-        )
-    )
+    record = {
+        "zone_limit": inputs.zone_limit,
+        "zone_length": report.zone_length,
+        "lower_bound_km": report.lower_bound,
+        "lower_bound_raw_km": report.lower_bound_raw,
+        "vacuous": report.vacuous,
+        "time_to_clear_h": report.time_to_clear,
+        "arrival_time_h": report.arrival_time,
+        "verdict": report.label,
+        "feasible": report.feasible,
+    }
+    print(json.dumps(record, allow_nan=False))
     return EXIT_OK
 
 
@@ -333,7 +335,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, OSError) as exc:  # ControllerError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # ControllerError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -15,13 +15,13 @@ and control period as one ``(B, C)`` state;
 and the incident and lane-change flags are computed once per run, and the
 bottleneck cap and drop at each row's input steps, where its inputs may
 change. :func:`~vslsim.ctm.flux_law` and :func:`~vslsim.ctm.update_law` step
-a small block laid out cells-major, the batch axis innermost, which each
-check copies into the ``(B, T, C)`` density history and tests against the
-density and flow bounds; controllers read the history's rows and return
-plain limit arrays. The run goes from event to event (checks, input steps,
-the horizon); when the first step after an event leaves every row's state
-unchanged, bit for bit, the steps up to the next event are filled, not
-stepped. The trace keeps the densities and the limit changes; its flows and
+a small block laid out cells-major, the batch axis innermost; controllers
+read rows of the ``(B, T, C)`` density history and return plain limit
+arrays. The run goes from event to event (control instants, input steps,
+every block's length of steps, the horizon); each copies the block into the
+history, tests it against the density and flow bounds and restarts it. When
+the first step after an event leaves every row's state unchanged, bit for
+bit, the steps up to the next event are filled, not stepped. The trace keeps the densities and the limit changes; its flows and
 per-sample limits are derived on access, and the CSV, the metrics and the
 vehicle balance derive the flows a block of samples at a time.
 
@@ -476,22 +476,15 @@ def _in_range(densities: np.ndarray, flows: np.ndarray, jam_out: float) -> bool:
     )
 
 
-def _check_run(
-    times: np.ndarray,
-    densities: np.ndarray,
-    flows: np.ndarray,
-    fd: FundamentalDiagram,
-    first: int = 0,
-) -> None:
-    """Raise at the first step whose densities or flows leave the model's
-    range: a density that is negative or not finite, a bottleneck density
-    above ``outflow_jam_density``, a negative flow; NaN fails every test.
-    ``densities`` and ``flows`` hold the rows of steps ``first`` on. The
-    message names the step, its time and the cell (for a flow, the cell
-    whose upstream edge it crosses; the last edge is the bottleneck)."""
-    jam_out = fd.outflow_jam_density
-    if _in_range(densities, flows, jam_out):
-        return
+def _range_error(
+    times: np.ndarray, densities: np.ndarray, flows: np.ndarray, jam_out: float, first: int
+) -> ValueError | None:
+    """The first step whose densities or flows leave the model's range, as a
+    ValueError, or None: a density that is negative or not finite, a
+    bottleneck density above ``jam_out``, a negative flow; NaN fails every
+    test. ``densities`` and ``flows`` hold the rows of steps ``first`` on. The
+    message names the step, its time and the cell (for a flow, the cell whose
+    upstream edge it crosses; the last edge is the bottleneck)."""
     n = densities.shape[1] - 1
     found = []
     for values, ok, problem in (
@@ -511,8 +504,10 @@ def _check_run(
         if bad.any():
             k, c = np.unravel_index(np.argmax(bad), bad.shape)
             found.append((first + k, problem.format(c=c, x=values[k, c])))
+    if not found:
+        return None
     k, problem = min(found, key=lambda item: item[0])
-    raise ValueError(
+    return ValueError(
         f"step {k} (t = {times[k] * 60.0:.6g} min): {problem}; "
         "flux computation is inconsistent"
     )
@@ -555,17 +550,17 @@ def run_batch(
     so each slice along the cell axis is one contiguous block, through views
     of each block row built once per run. ``span`` is a control period, but
     at most ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps.
-    Each check, at every control instant, every ``span`` steps and the end,
-    copies the block into the ``(B, T, C)`` history (a row's densities are a
-    contiguous ``(T, C)`` view) and checks it with the flows. A row's inputs
-    change only at step 0 and at the first step at or after each time its
-    scenario names: the start of each demand-profile step and the closure's
-    start and end. The bottleneck cap and drop are taken at these input
-    steps. The steps run from event to event: checks, every row's input
-    steps, and the horizon. If the step at an event leaves the whole state
-    unchanged, compared as bytes (so ``-0.0`` and ``0.0`` differ), the steps
-    up to the next event are copies of it and are filled instead of
-    computed.
+    A row's inputs change only at step 0 and at the first step at or after
+    each time its scenario names: the start of each demand-profile step and
+    the closure's start and end. The bottleneck cap and drop are taken at
+    these input steps. The steps run from event to event: control instants,
+    every ``span`` steps, every row's input steps, and the horizon. Every
+    event copies the block into the ``(B, T, C)`` history (a row's densities
+    are a contiguous ``(T, C)`` view), checks it with the flows, and restarts
+    the block at that step; the end is checked once more with its flows. If
+    the step at an event leaves the whole state unchanged, compared as bytes
+    (so ``-0.0`` and ``0.0`` differ), the steps up to the next event are
+    copies of it and are filled instead of computed.
 
     A row fails alone: at the controller call that raises, or that returns
     other than ``N + 1`` limits in (0, ``free_flow_speed``]
@@ -606,7 +601,7 @@ def run_batch(
     cells = densities.view()  # what the controllers see
     cells.flags.writeable = False
     # Steps run on a block of ``span`` + 1 states and ``span`` flow rows,
-    # indexed (step - last, B, C) but laid out cells-major, the batch axis
+    # indexed (step - event, B, C) but laid out cells-major, the batch axis
     # innermost: each slice along the cell axis is one contiguous block.
     span = min(ctrl_every, max(1, CSV_BLOCK_VALUES // (n_rows * (n_cells + 1))))
     state = np.empty((span + 1, n_cells, n_rows)).swapaxes(1, 2)
@@ -620,28 +615,28 @@ def run_batch(
 
     def fail(b: int, k: int, exc: Exception) -> None:
         failed[b] = exc
-        state[k - last, b] = 0.0  # the next check copies it into the history
+        state[0, b] = 0.0  # the next check copies it into the history
         demand[b, k:] = 0.0
 
-    def check(k: int, stop: int) -> None:
-        """Copy the block's steps ``last`` .. ``k`` into the history; check
-        their densities and the flows up to ``stop`` - 1."""
+    def check(last: int, k: int, stop: int) -> None:
+        """Copy the block's steps ``last`` .. ``k`` into the history, restart
+        the block at ``k``, and check them with the flows up to ``stop`` - 1."""
         rho, q = densities[:, last : k + 1], flows[: stop - last]
         rho[...] = state[: k + 1 - last].swapaxes(0, 1)
+        state[0] = state[k - last]
         if _in_range(rho, q, fd.outflow_jam_density):
             return
         for b in range(n_rows):
             if failed[b] is None:
-                try:
-                    _check_run(times, rho[b], q[:, b], fd, first=last)
-                except ValueError as exc:
+                exc = _range_error(times, rho[b], q[:, b], fd.outflow_jam_density, last)
+                if exc is not None:
                     fail(b, k, exc)
 
-    # Events: the steps at which an input may change. Checks, at control
-    # instants and every ``span`` steps, are events, so a stretch stays
-    # inside the block.
-    checks = {*range(0, n_steps + 1, ctrl_every), *range(0, n_steps + 1, span)}
-    events = sorted({*checks, *input_steps, n_steps})
+    # Events: control instants, input steps, every ``span`` steps (so a
+    # stretch stays inside the block) and the horizon.
+    events = sorted(
+        {*range(0, n_steps + 1, ctrl_every), *range(0, n_steps + 1, span), *input_steps, n_steps}
+    )
 
     # Per step: a (C,) row and scalars for one scenario, (B, C) and (B,) rows
     # for several. The laws' views of each block row are built once per run;
@@ -651,16 +646,13 @@ def run_batch(
     step_flows = [(q, q[..., 1:], q[..., :n_cells]) for q in flows[:, row]]
     v_cells, cap, dtl = posted[row, -n_cells:], caps[row], dt_over_length[row]
 
-    last = 0  # the step in the block's first row
-    for k, stop in zip(events, events[1:] + [n_steps + 1]):
+    # Each event checks the block and restarts it there: block row j is step k + j.
+    for last, k, stop in zip([0, *events], events, [*events[1:], n_steps + 1]):
+        check(last, k, k)
         if k in input_steps:
             cap_d_k, drop_k = _bottleneck(fd, active[:, k], lc_on[:, k], residual)
             if n_rows == 1:  # Python floats: the law's one-state path is float arithmetic
                 cap_d_k, drop_k = cap_d_k.item(0), drop_k.item(0)
-        if k in checks:
-            check(k, k)
-            state[0] = state[k - last]
-            last = k
         if k % ctrl_every == 0:
             t = k * dt
             for b, controller in enumerate(controllers):
@@ -678,20 +670,20 @@ def run_batch(
         if None not in failed:
             break
         d_k = step_demand[k]  # read after a failed row's demand was zeroed
-        for j in range(k - last, stop - last):  # steps relative to last
+        for j in range(stop - k):
             rho, (q, sent, head) = steps[j], step_flows[j]
             flux_law(rho, q, sent, head, v_cells, cap, d_k, cap_d_k, drop_k, fd)
-            if j + last == n_steps:
+            if k + j == n_steps:
                 break
             update_law(rho, sent, head, dtl, steps[j + 1])
             # A step that leaves the state as it was repeats up to the next
             # event. Bytes, not values: a step may turn -0.0 into 0.0.
-            if j == k - last and j + 1 < stop - last and steps[j + 1].tobytes() == rho.tobytes():
-                state[j + 2 : stop + 1 - last] = rho
-                flows[j + 1 : stop - last] = q
+            if j == 0 and steps[1].tobytes() == rho.tobytes():
+                state[2 : stop + 1 - k] = rho
+                flows[1 : stop - k] = q
                 break
     else:
-        check(n_steps, n_steps + 1)
+        check(n_steps, n_steps, n_steps + 1)
 
     results: list = list(failed)  # each row's exception, or its trace
     for b, s in enumerate(scenarios):

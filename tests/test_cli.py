@@ -101,6 +101,8 @@ class TestBound:
             ("--v0", "nan"),
             ("--zone-length", "-1"),
             ("--upstream-density", "inf"),
+            ("--zone-length", "1e308"),  # the clearing time overflows
+            ("--v0", "1e-320"),  # the arrival through the zone overflows
         ],
     )
     def test_out_of_domain_flag_is_validation_error(self, capsys, flag, value):
@@ -176,6 +178,23 @@ class TestRun:
         taken.write_text("")
         assert cli_dispatch(["run", "high_demand", "--out", str(taken)]) == 3
         assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_horizon_too_long_to_allocate_is_runtime_error(self, tmp_path, capsys, command):
+        # 1e13 min of 1 s steps: 4.26 PiB of step times, past any address
+        # space, so the allocation fails without touching memory.
+        path = write_mini_scenario(tmp_path, name="long", controller="no_control", incident=None)
+        doc = json.loads(path.read_text())
+        doc["horizon_min"] = 1e13
+        path.write_text(json.dumps(doc))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"scenario": doc, "variable": "demand", "values": [5e3, 6e3]}))
+        out = tmp_path / "out"
+        args = ["run", str(path)] if command == "run" else ["sweep", str(spec), "--traces"]
+        assert cli_dispatch([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert list(out.iterdir()) == []
 
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         # An invalid Scenario cannot be built, so the file is edited instead.

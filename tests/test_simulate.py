@@ -824,6 +824,7 @@ class TestBatch:
         [
             ("demand", (5500.0, 7000.0, 7400.0)),
             ("upstream_zone_length", (2.4, 0.0, 0.8, 4.8)),
+            ("lc_residual_drop", (0.0, 0.05)),
         ],
     )
     def test_reactive_rows_equal_serial_runs(self, variable, values):
@@ -885,19 +886,32 @@ class TestBatch:
             name = f"{after[i].name}_trace.csv"
             assert (faulted / name).read_bytes() == (clean / name).read_bytes()
 
-    @pytest.mark.parametrize("period", [30.0, 600.0])
-    def test_row_leaving_range_mid_period_fails_alone(self, period, tmp_path):
+    @pytest.mark.parametrize(
+        "period, incident_start",
+        [(30.0, 10.0), (600.0, 10.0), (600.0, 7.5)],
+        ids=["30.0", "600.0", "600.0-incident-at-7.5-min"],
+    )
+    def test_row_leaving_range_mid_period_fails_alone(self, period, incident_start, tmp_path):
         # Three demands, one block of span steps between checks: the control
         # period at 30 s, and at 600 s one derived-pass block (170 steps of
-        # 3 x 8 flows), so checks fall between the control instants.
-        base = replace(high_demand_preset(), control_period=period)
+        # 3 x 8 flows), so checks fall between the control instants. Every
+        # event checks: an incident starting at 7.5 min adds a check at its
+        # input step 450, between the control instants 0 and 600.
+        preset = high_demand_preset()
+        incident = replace(preset.incident, start=incident_start / 60.0)
+        base = replace(preset, control_period=period, incident=incident)
         scenarios = [apply_sweep_value(base, "demand", d) for d in (6500.0, 7000.0, 7400.0)]
         ctrl_every = int(period)  # 1 s steps
         span = min(ctrl_every, vslsim.simulate.CSV_BLOCK_VALUES // (3 * 8))
         assert (span < ctrl_every) == (period == 600.0)
         clean = [simulate_scenario(s) for s in scenarios]
         n_steps = clean[1].num_samples - 1
-        checks = sorted({*range(0, n_steps + 1, span), *range(0, n_steps + 1, ctrl_every)})
+        named = [t for s in scenarios for t in (*s.demand.times, s.incident.start, s.incident.end)]
+        input_steps = np.minimum(np.searchsorted(clean[1].times, named), n_steps).tolist()
+        checks = sorted(
+            {*range(0, n_steps + 1, span), *range(0, n_steps + 1, ctrl_every), *input_steps, n_steps}
+        )
+        assert (450 in checks and 450 % ctrl_every != 0) == (incident_start == 7.5)
 
         # Poison the 7,000 veh/h row from the first step its bottleneck
         # density sets a record at, when that step is not a check and (on
