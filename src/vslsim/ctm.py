@@ -13,11 +13,11 @@ shrinks by the capacity-drop factor while the bottleneck operates above its
 critical density.
 
 The law is written once, over the last (cell) axis, in :func:`flux_law` and
-:func:`update_law` on views of the flow row; :func:`fluxes` and
-:func:`euler_update` build the views for a state ``(C,)``, a batch ``(B, C)``
-or a history ``(T, C)`` alike. One state takes its bottleneck interface on
-Python floats, with a NaN-propagating minimum, which is cheaper than 0-d
-numpy arithmetic and gives the same bits; other shapes take it on arrays.
+:func:`update_law`, on views of the flow row and on the diagram's constants as
+0-d arrays; :func:`fluxes` and :func:`euler_update` build these for a state
+``(C,)``, a batch ``(B, C)`` or a history ``(T, C)`` alike. One state takes its
+bottleneck interface on Python floats, with a NaN-propagating minimum, which is
+cheaper there than 0-d arithmetic and gives the same bits.
 """
 
 from __future__ import annotations
@@ -87,10 +87,7 @@ class FundamentalDiagram:
         checks = (
             ("free-flow", self.free_flow_speed * rho_c),
             ("congested", self.backprop_speed * (self.jam_density - rho_c)),
-            (
-                "outflow",
-                self.outflow_backprop_speed * (self.outflow_jam_density - rho_c),
-            ),
+            ("outflow", self.outflow_backprop_speed * (self.outflow_jam_density - rho_c)),
         )
         for branch, flow in checks:
             if abs(flow - self.capacity) > tol:
@@ -226,9 +223,22 @@ def _minimum(a, b):
     return a if a < b or a != a else b
 
 
-def fluxes(
-    rho, v, cap, demand, cap_d, drop, fd: FundamentalDiagram, out=None
-) -> np.ndarray:
+def law_constants(fd: FundamentalDiagram) -> tuple:
+    """:func:`flux_law`'s constants, built once per run: the jam density, backprop
+    speed, 0.0 and outflow jam density and backprop speed as 0-d float64 arrays (a
+    ufunc takes them faster than Python floats, to the same bits), then the last two as floats."""
+    out = (fd.outflow_jam_density, fd.outflow_backprop_speed)
+    return (*map(np.array, (fd.jam_density, fd.backprop_speed, 0.0, *out)), *out)
+
+
+def bottleneck_operands(cap_d, drop, fd: FundamentalDiagram) -> tuple:
+    """``cap_d``, ``(1 - drop) * cap_d`` and ``cap_d / free_flow_speed``. With a
+    finite drop, the second where ``rho_N`` exceeds the last and ``cap_d`` else
+    are the bits of ``(1 - drop * (rho_N > cap_d / v_f)) * cap_d``."""
+    return cap_d, (1.0 - drop) * cap_d, cap_d / fd.free_flow_speed
+
+
+def fluxes(rho, v, cap, demand, cap_d, drop, fd: FundamentalDiagram, out=None) -> np.ndarray:
     """Every cell-boundary flow ``q_0 .. q_C`` (veh/h), over the last axis.
 
     ``rho`` holds ``(..., C)`` cell densities in simulation order, ``v`` the
@@ -245,40 +255,41 @@ def fluxes(
     exceeds ``cap_d / free_flow_speed`` and 0 otherwise. ``out``, when
     given, receives the flows.
 
-    Each array pass makes at most one temporary. For one ``(C,)`` state the
-    last interface is computed on Python floats, with the same IEEE
-    operations in the same order and a NaN-propagating minimum, so it gives
-    the bits of the array path; ``cap_d`` and ``drop`` are cheapest there
-    as Python floats. This builds the views :func:`flux_law` runs on.
+    Each array pass makes at most one temporary. One ``(C,)`` state takes
+    its last interface on Python floats, to the bits of the array path. This
+    builds per call the views and operands that :func:`flux_law` runs on.
     """
     n = rho.shape[-1]
     q = np.empty(rho.shape[:-1] + (n + 1,)) if out is None else out
-    return flux_law(rho, q, q[..., 1:], q[..., :n], v[..., -n:], cap, demand, cap_d, drop, fd)
+    ends = (q[..., 0], q[..., -1], rho[..., -1])
+    operands = (bottleneck_operands(cap_d, drop, fd), law_constants(fd))
+    return flux_law(rho, q, q[..., 1:], q[..., :n], ends, v[..., -n:], cap, demand, *operands)
 
 
-def flux_law(
-    rho, q, sent, head, v_cells, cap, demand, cap_d, drop, fd: FundamentalDiagram
-) -> np.ndarray:
-    """:func:`fluxes` into ``q`` through prepared views: ``sent`` is ``q[..., 1:]``,
-    ``head`` is ``q[..., :C]`` and ``v_cells`` is ``v[..., -C:]``; returns ``q``."""
-    q[..., 0] = demand
+def flux_law(rho, q, sent, head, ends, v_cells, cap, demand, bottleneck, constants) -> np.ndarray:
+    """:func:`fluxes` into ``q`` on operands prepared once: the views ``sent``
+    = ``q[..., 1:]``, ``head`` = ``q[..., :C]``, ``ends`` = ``(q[..., 0], q[...,
+    -1], rho[..., -1])`` and ``v_cells`` = ``v[..., -C:]``, :func:`bottleneck_operands`
+    and :func:`law_constants`. No array pass takes a Python float; returns ``q``."""
+    q_in, q_out, rho_out = ends
+    (cap_d, dropped, threshold), (jam, w, zero, jam_out, w_out, jam_f, w_f) = bottleneck, constants
+    q_in[...] = demand
     np.multiply(v_cells, rho, out=sent)  # v * rho sent by each cell
     np.minimum(head, cap, out=head)
-    supply = np.subtract(fd.jam_density, rho)
-    supply *= fd.backprop_speed
-    np.maximum(supply, 0.0, out=supply)
+    supply = np.subtract(jam, rho)
+    supply *= w
+    np.maximum(supply, zero, out=supply)
     np.minimum(head, supply, out=head)
-    if rho.ndim == 1:
-        rho_n, q_n, minimum = rho.item(-1), q.item(-1), _minimum
-    else:
-        rho_n, q_n, minimum = rho[..., -1], q[..., -1], np.minimum
-    # The drop acts only above the bottleneck's critical density (strictly);
-    # drop * True is drop and drop * False is 0, exactly.
-    eps = drop * (rho_n > cap_d / fd.free_flow_speed)
-    q[..., -1] = minimum(
-        minimum(q_n, (1.0 - eps) * cap_d),
-        fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
-    )
+    # The drop acts only above the bottleneck's critical density (strictly).
+    if rho.ndim == 1:  # Python floats: cheaper than 0-d arithmetic, the same bits
+        rho_n = rho.item(-1)
+        cap_n = dropped if rho_n > threshold else cap_d
+        q[-1] = _minimum(_minimum(q.item(-1), cap_n), w_f * (jam_f - rho_n))
+    else:  # six passes
+        np.minimum(q_out, np.where(rho_out > threshold, dropped, cap_d), out=q_out)
+        outflow = np.subtract(jam_out, rho_out)
+        outflow *= w_out
+        np.minimum(q_out, outflow, out=q_out)
     return q
 
 

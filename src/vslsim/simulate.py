@@ -13,17 +13,18 @@ mainline capacity and the drop is inert.
 and control period as one ``(B, C)`` state;
 :func:`~vslsim.scenario.simulate_scenario` runs a batch of one. The demand
 and the incident and lane-change flags are computed once per run, and the
-bottleneck cap and drop at each row's input steps, where its inputs may
-change. :func:`~vslsim.ctm.flux_law` and :func:`~vslsim.ctm.update_law` step
-a small block laid out cells-major, the batch axis innermost; controllers
-read rows of the ``(B, T, C)`` density history and return plain limit
-arrays. The run goes from event to event (control instants, input steps,
-every block's length of steps, the horizon); each copies the block into the
-history, tests it against the density and flow bounds and restarts it. When
-the first step after an event leaves every row's state unchanged, bit for
-bit, the steps up to the next event are filled, not stepped. The trace keeps the densities and the limit changes; its flows and
-per-sample limits are derived on access, and the CSV, the metrics and the
-vehicle balance derive the flows a block of samples at a time.
+bottleneck's operands at each row's input steps, where its inputs may change.
+:func:`~vslsim.ctm.flux_law` and :func:`~vslsim.ctm.update_law` step a small
+block laid out cells-major, the batch axis innermost; controllers read rows
+of the ``(B, T, C)`` density history and return plain limit arrays. The run
+goes from event to event (control instants, input steps, every block's length
+of steps, the horizon); each copies the block into the history, tests it
+against the density and flow bounds and restarts it. When the first step
+after an event leaves every row's state unchanged, bit for bit, the steps up
+to the next event are filled, not stepped. The trace keeps the densities and
+the limit changes; its flows and per-sample limits are derived on access,
+and the CSV, the metrics and the vehicle balance derive the flows a block of
+samples at a time.
 
 The trace CSV prints each value as ``'%.10g' % v`` does. Its varying
 columns go through numpy a block of rows at a time (:func:`_format_g10`),
@@ -45,9 +46,11 @@ from .control import Controller
 from .ctm import (
     FundamentalDiagram,
     NetworkGeometry,
+    bottleneck_operands,
     engaged_drop,
     flux_law,
     fluxes,
+    law_constants,
     speed_caps,
     update_law,
 )
@@ -356,9 +359,7 @@ class SimulationTrace:
         posted row that they meet; a consumer copies what it keeps."""
         fd, samples = self.fd, self.num_samples
         caps = speed_caps(self.limit_rows, self.geometry.num_cells, fd)
-        cap_d, drop = _bottleneck(
-            fd, self.incident_active, self.lc_active, self.lc_residual_drop
-        )
+        cap_d, drop = _bottleneck(fd, self.incident_active, self.lc_active, self.lc_residual_drop)
         ends = np.append(self.limit_steps[1:], samples).tolist()
         span = min(_FLUX_CALL_BLOCKS * rows, samples)
         buffer = np.empty((span, self.geometry.num_cells + 1))
@@ -547,20 +548,19 @@ def run_batch(
     call advance every row per step; being elementwise, they give each row
     the bytes it gets on its own. They write a block of ``span`` + 1 states
     and ``span`` flow rows laid out cells-major, the batch axis innermost,
-    so each slice along the cell axis is one contiguous block, through views
-    of each block row built once per run. ``span`` is a control period, but
-    at most ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps.
-    A row's inputs change only at step 0 and at the first step at or after
-    each time its scenario names: the start of each demand-profile step and
-    the closure's start and end. The bottleneck cap and drop are taken at
-    these input steps. The steps run from event to event: control instants,
-    every ``span`` steps, every row's input steps, and the horizon. Every
-    event copies the block into the ``(B, T, C)`` history (a row's densities
-    are a contiguous ``(T, C)`` view), checks it with the flows, and restarts
-    the block at that step; the end is checked once more with its flows. If
-    the step at an event leaves the whole state unchanged, compared as bytes
-    (so ``-0.0`` and ``0.0`` differ), the steps up to the next event are
-    copies of it and are filled instead of computed.
+    through views of each block row and the diagram's constants, all built
+    once per run. ``span`` is a control period, but at most
+    ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps. A row's inputs change only
+    at step 0 and the first step at or after each time its scenario names
+    (each demand step, the closure's start and end); the law's bottleneck
+    operands are taken at these input steps. The steps run from event to
+    event: control instants, every ``span`` steps, every row's input steps
+    and the horizon. Every event copies the block into the ``(B, T, C)``
+    history (a row's densities are a contiguous ``(T, C)`` view), checks it
+    with its flows and restarts the block there; the horizon's flow row is
+    checked at the end. If the step at an event leaves the whole state
+    unchanged as bytes (``-0.0`` and ``0.0`` differ), the steps up to the
+    next event are filled with copies of it instead of computed.
 
     A row fails alone: at the controller call that raises, or that returns
     other than ``N + 1`` limits in (0, ``free_flow_speed``]
@@ -618,17 +618,11 @@ def run_batch(
         state[0, b] = 0.0  # the next check copies it into the history
         demand[b, k:] = 0.0
 
-    def check(last: int, k: int, stop: int) -> None:
-        """Copy the block's steps ``last`` .. ``k`` into the history, restart
-        the block at ``k``, and check them with the flows up to ``stop`` - 1."""
-        rho, q = densities[:, last : k + 1], flows[: stop - last]
-        rho[...] = state[: k + 1 - last].swapaxes(0, 1)
-        state[0] = state[k - last]
-        if _in_range(rho, q, fd.outflow_jam_density):
-            return
+    def check(rho: np.ndarray, q: np.ndarray, first: int, k: int) -> None:
+        """Fail at step ``k`` each live row whose ``rho`` or ``q`` (from ``first``) leave range."""
         for b in range(n_rows):
             if failed[b] is None:
-                exc = _range_error(times, rho[b], q[:, b], fd.outflow_jam_density, last)
+                exc = _range_error(times, rho[b], q[:, b], fd.outflow_jam_density, first)
                 if exc is not None:
                     fail(b, k, exc)
 
@@ -639,20 +633,26 @@ def run_batch(
     )
 
     # Per step: a (C,) row and scalars for one scenario, (B, C) and (B,) rows
-    # for several. The laws' views of each block row are built once per run;
-    # posted and caps change in place, so their views follow.
+    # for several. The laws' views of each block row and their constants are
+    # built once per run; posted and caps change in place, so views follow.
     row = 0 if n_rows == 1 else slice(None)
-    steps, step_demand = list(state[:, row]), demand[row].T
-    step_flows = [(q, q[..., 1:], q[..., :n_cells]) for q in flows[:, row]]
+    steps, step_demand, constants = list(state[:, row]), demand[row].T, law_constants(fd)
+    step_ends = [(q[..., 0], q[..., -1], rho[..., -1]) for q, rho in zip(flows[:, row], steps)]
+    step_flows = [(q, q[..., 1:], q[..., :n_cells], e) for q, e in zip(flows[:, row], step_ends)]
     v_cells, cap, dtl = posted[row, -n_cells:], caps[row], dt_over_length[row]
 
-    # Each event checks the block and restarts it there: block row j is step k + j.
+    # Each event copies the block's steps since the last into the history,
+    # checks them and restarts the block there: block row j is step k + j.
     for last, k, stop in zip([0, *events], events, [*events[1:], n_steps + 1]):
-        check(last, k, k)
+        rho_past, q_past = densities[:, last : k + 1], flows[: k - last]
+        rho_past[...] = state[: k + 1 - last].swapaxes(0, 1)
+        state[0] = state[k - last]
+        if not _in_range(rho_past, q_past, fd.outflow_jam_density):
+            check(rho_past, q_past, last, k)
         if k in input_steps:
-            cap_d_k, drop_k = _bottleneck(fd, active[:, k], lc_on[:, k], residual)
-            if n_rows == 1:  # Python floats: the law's one-state path is float arithmetic
-                cap_d_k, drop_k = cap_d_k.item(0), drop_k.item(0)
+            tail = bottleneck_operands(*_bottleneck(fd, active[:, k], lc_on[:, k], residual), fd)
+            if n_rows == 1:  # Python floats: the law's one-state tail is float arithmetic
+                tail = tuple(x.item(0) for x in tail)
         if k % ctrl_every == 0:
             t = k * dt
             for b, controller in enumerate(controllers):
@@ -671,8 +671,8 @@ def run_batch(
             break
         d_k = step_demand[k]  # read after a failed row's demand was zeroed
         for j in range(stop - k):
-            rho, (q, sent, head) = steps[j], step_flows[j]
-            flux_law(rho, q, sent, head, v_cells, cap, d_k, cap_d_k, drop_k, fd)
+            rho, (q, sent, head, ends) = steps[j], step_flows[j]
+            flux_law(rho, q, sent, head, ends, v_cells, cap, d_k, tail, constants)
             if k + j == n_steps:
                 break
             update_law(rho, sent, head, dtl, steps[j + 1])
@@ -682,8 +682,9 @@ def run_batch(
                 state[2 : stop + 1 - k] = rho
                 flows[1 : stop - k] = q
                 break
-    else:
-        check(n_steps, n_steps, n_steps + 1)
+    else:  # the horizon's flow row; its event checked its densities
+        if not flows[0].min() >= 0.0:
+            check(densities[:, n_steps:], flows[:1], n_steps, n_steps)
 
     results: list = list(failed)  # each row's exception, or its trace
     for b, s in enumerate(scenarios):

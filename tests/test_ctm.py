@@ -1,5 +1,7 @@
 """Fundamental diagram, geometry, and flux laws."""
 
+import itertools
+
 import numpy as np
 import pytest
 from helpers import one_state_flows, oracle_interface_flows, random_triangle
@@ -11,10 +13,12 @@ from vslsim import (
     vsl_max_flow,
 )
 from vslsim.ctm import (
+    bottleneck_operands,
     engaged_drop,
     euler_update,
     flux_law,
     fluxes,
+    law_constants,
     speed_caps,
     update_law,
 )
@@ -282,10 +286,47 @@ class TestOneStatePath:
 
 
 class TestPreparedViews:
-    """``flux_law`` and ``update_law`` on views of a block built once, laid
-    out as ``run_batch`` lays out its own (the batch axis innermost), give
-    the bits of ``fluxes`` and ``euler_update`` on fresh arrays, also after
-    the posted limits change in place partway through a run."""
+    """``flux_law`` and ``update_law`` on views, bottleneck operands and
+    constants prepared once, on a block laid out as ``run_batch`` lays out its
+    own (the batch axis innermost), give the bits of ``fluxes`` and
+    ``euler_update`` on fresh arrays and of the last interface as it was
+    computed before its operands were prepared, also after the posted limits
+    and the bottleneck's inputs change in place partway through a run."""
+
+    RESIDUALS = (-0.0, 0.0, 0.04)
+
+    @staticmethod
+    def unprepared_tail(rho_n, sent_n, cap_d, drop, fd):
+        """The last interface from ``v_N * rho_N``, ``cap_d`` and ``drop``, as
+        the law computed it at every step before its operands were prepared."""
+        rho_n, sent_n, cap_d, drop = (np.asarray(x) for x in (rho_n, sent_n, cap_d, drop))
+        return np.minimum(
+            np.minimum(sent_n, (1.0 - drop * (rho_n > cap_d / fd.free_flow_speed)) * cap_d),
+            fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
+        )
+
+    def draw_inputs(self, rng, fd, rows, i):
+        """Each row's bottleneck cap and drop: with or without the closure
+        (without it there is no bottleneck, so no drop), advisories off or on,
+        each residual. One row takes the ``i``-th combination; more take any."""
+        combos = list(itertools.product((True, False), (False, True), self.RESIDUALS))
+        order = [i % len(combos)] if rows == 1 else rng.permutation(len(combos))[:rows]
+        picked = [combos[k] for k in order]
+        closed, lc, residual = (np.array(column) for column in zip(*picked))
+        cap_d = np.where(closed, fd.downstream_capacity, fd.capacity)
+        return cap_d, engaged_drop(cap_d, fd, lc, residual)
+
+    def draw_state(self, rng, fd, rho, cap_d, j):
+        """Random densities, written in place, with signed zeros anywhere. The
+        bottleneck cell holds a draw, NaN, -0.0 or exactly the drop threshold:
+        in the first row each in turn, in the others one at random."""
+        rho[...] = rng.uniform(0.0, fd.jam_density, size=rho.shape)
+        rho[rng.uniform(size=rho.shape) < 0.15] = -0.0
+        rows = np.atleast_2d(rho)
+        choices = np.broadcast_arrays(rows[:, -1], np.nan, -0.0, cap_d / fd.free_flow_speed)
+        pick = rng.integers(4, size=len(rows))
+        pick[0] = j % 4
+        rows[:, -1] = np.choose(pick, choices)
 
     @pytest.mark.parametrize(
         "rows, has_zone", [(1, True), (11, True), (1, False)], ids=["row", "block", "no_zone"]
@@ -293,38 +334,41 @@ class TestPreparedViews:
     def test_views_follow_the_block(self, rows, has_zone):
         rng = np.random.default_rng(24)
         fd = random_triangle(rng)
-        n_sections, steps = 6, 24
+        n_sections, steps = 6, 48
         n_cells = n_sections + has_zone
         row = 0 if rows == 1 else slice(None)
         state = np.empty((steps + 1, n_cells, rows)).swapaxes(1, 2)
-        state[0] = rng.uniform(0.0, fd.jam_density, size=(rows, n_cells))
-        state[0, :, 1] = -0.0  # a signed zero, and a bottleneck at the threshold
-        state[0, :, -1] = fd.downstream_capacity / fd.free_flow_speed
         flows = np.empty((steps, n_cells + 1, rows)).swapaxes(1, 2)
         posted = np.full((n_sections + 1, rows), fd.free_flow_speed).T
         caps = speed_caps(posted, n_cells, fd)
         lengths = rng.uniform(0.3, 3.0, size=(n_cells, rows))
         dtl = (0.5 * lengths.min() / fd.free_flow_speed / lengths).T[row]
-        # The views, once: as run_batch prepares them.
+        # The views and constants, once: as run_batch prepares them.
         rhos = list(state[:, row])
-        qs = [(q, q[..., 1:], q[..., :n_cells]) for q in flows[:, row]]
-        v_cells, cap = posted[row, -n_cells:], caps[row]
-        demand = rng.uniform(0.0, fd.capacity, size=rows)
-        cap_d = np.full(rows, fd.downstream_capacity)
-        drop = engaged_drop(cap_d, fd, np.arange(rows) % 2 == 0, 0.01)
-        inputs = (demand, cap_d, drop) if rows > 1 else (demand.item(0), cap_d.item(0), drop.item(0))
+        ends = [(q[..., 0], q[..., -1], rho[..., -1]) for q, rho in zip(flows[:, row], rhos)]
+        qs = [(q, q[..., 1:], q[..., :n_cells], e) for q, e in zip(flows[:, row], ends)]
+        v_cells, cap, constants = posted[row, -n_cells:], caps[row], law_constants(fd)
         for j in range(steps):
+            if j % 4 == 0:  # an input step: new bottleneck operands
+                cap_d, drop = self.draw_inputs(rng, fd, rows, j // 4)
+                demand = rng.uniform(0.0, fd.capacity, size=rows)
+                if rows == 1:  # Python floats, as run_batch passes one row's
+                    cap_d, drop, demand = cap_d.item(0), drop.item(0), demand.item(0)
+                tail = bottleneck_operands(cap_d, drop, fd)
             if j == steps // 2:  # new limits, written in place as run_batch writes them
                 posted[...] = rng.uniform(1.0, fd.free_flow_speed, size=posted.shape)
                 caps[...] = speed_caps(posted, n_cells, fd)
-            rho, (q, sent, head) = rhos[j], qs[j]
-            fresh = fluxes(rho.copy(), posted[row].copy(), cap.copy(), *inputs, fd)
+            rho, (q, sent, head, e) = rhos[j], qs[j]
+            self.draw_state(rng, fd, rho, cap_d, j)
+            fresh = fluxes(rho.copy(), posted[row].copy(), cap.copy(), demand, cap_d, drop, fd)
             expected = euler_update(rho.copy(), fresh, dtl.copy())
-            flux_law(rho, q, sent, head, v_cells, cap, *inputs, fd)
+            sent_n = posted[row][..., -1] * rho[..., -1]
+            unprepared = self.unprepared_tail(rho[..., -1], sent_n, cap_d, drop, fd)
+            flux_law(rho, q, sent, head, e, v_cells, cap, demand, tail, constants)
             update_law(rho, sent, head, dtl, rhos[j + 1])
-            for got, want in ((q, fresh), (rhos[j + 1], expected)):
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert q.tobytes() == fresh.tobytes()
+            assert rhos[j + 1].tobytes() == expected.tobytes()
+            assert q[..., -1].tobytes() == unprepared.tobytes()
 
 
 class TestValueTypes:

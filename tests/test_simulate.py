@@ -470,6 +470,22 @@ class TestKernelAgainstStepLoop:
         assert np.array_equal(replay_flows(scenario, trace), trace.flows)
 
 
+def benchmark_batch(case: str) -> list[Scenario]:
+    """The scenarios of one benchmark run: the high_demand preset, the tests'
+    fine grid, the zone sweep's zone 0, or its eleven other zones (one batch)."""
+    base = high_demand_preset()
+    zones = [
+        replace(base, geometry=replace(base.geometry, upstream_zone_length=zone))
+        for zone in HIGH_DEMAND_ZONE_SWEEP
+    ]
+    return {
+        "high_demand": [base],
+        "fine_grid": [fine_grid_scenario()],
+        "zone_0": zones[:1],
+        "zone_batch": zones[1:],
+    }[case]
+
+
 class TestEventStepping:
     """A step that leaves every row's state unchanged, bit for bit, repeats
     up to the next event (control instant, flag switch, demand step or
@@ -484,17 +500,7 @@ class TestEventStepping:
         # The warm-up before the incident is a fixed point, one call per
         # control period; zone 0's recovered free flow is another, from step
         # 4,082 to the incident end at step 4,800.
-        base = high_demand_preset()
-        zones = [
-            replace(base, geometry=replace(base.geometry, upstream_zone_length=zone))
-            for zone in HIGH_DEMAND_ZONE_SWEEP
-        ]
-        scenarios = {
-            "high_demand": [base],
-            "fine_grid": [fine_grid_scenario()],
-            "zone_0": zones[:1],
-            "zone_batch": zones[1:],
-        }[case]
+        scenarios = benchmark_batch(case)
         real = vslsim.simulate.flux_law
         calls = []
 
@@ -509,6 +515,30 @@ class TestEventStepping:
         results = vslsim.simulate.run_batch(scenarios, controllers)
         assert not [r for r in results if isinstance(r, Exception)]
         assert 0 < len(calls) <= budget
+
+    @pytest.mark.parametrize("case", ["high_demand", "zone_batch"])
+    def test_law_operands_prepared_not_rebuilt(self, case, monkeypatch):
+        # The diagram's constants are built once per run, and the bottleneck
+        # operands once per input step, whatever the number of steps.
+        scenarios = benchmark_batch(case)
+        built = {"law_constants": [], "bottleneck_operands": []}
+        for name, calls in built.items():
+            real = getattr(vslsim.simulate, name)
+
+            def counting(*args, real=real, calls=calls):
+                calls.append(None)
+                return real(*args)
+
+            monkeypatch.setattr(vslsim.simulate, name, counting)
+        controllers = [make_controller(s) for s in scenarios]
+        results = vslsim.simulate.run_batch(scenarios, controllers)
+        times = results[0].times
+        n_steps = len(times) - 1
+        named = [t for s in scenarios for t in (*s.demand.times, s.incident.start, s.incident.end)]
+        input_steps = {0, *np.minimum(np.searchsorted(times, named), n_steps).tolist()}
+        assert n_steps == 5400 and len(input_steps) == 3
+        assert len(built["law_constants"]) == 1
+        assert len(built["bottleneck_operands"]) == len(input_steps)
 
 
 def following_density(scenario: Scenario):
@@ -740,6 +770,36 @@ class TestOutOfRangeStates:
         with pytest.raises(ValueError, match=message):
             simulate_scenario(scenario, lambda cells, t: np.full(4, 100.0))
 
+    def test_state_leaving_range_at_the_horizon_fails_before_its_controller(
+        self, fd, monkeypatch
+    ):
+        # The last update writes a NaN into the horizon's state. The horizon
+        # is a control instant: its densities are checked before the
+        # controller reads them, so the run fails with the range error, not
+        # with the controller's.
+        real = vslsim.simulate.update_law
+        calls = []
+        # Filling from an empty road, every step is called (see above).
+        monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: np.zeros(3))
+
+        def leaking(*args):
+            out = real(*args)
+            calls.append(None)
+            if len(calls) == 600:  # step 599 writes the horizon's state
+                out[1] = np.nan
+            return out
+
+        def controller(cells, t):
+            if np.isnan(cells).any():
+                raise RuntimeError("the controller read a NaN density")
+            return np.full(4, 100.0)
+
+        monkeypatch.setattr(vslsim.simulate, "update_law", leaking)
+        message = r"step 600 \(t = 10 min\): cell 1 density nan is negative or not finite"
+        with pytest.raises(ValueError, match=message):
+            simulate_scenario(mini_scenario(fd), controller)
+        assert len(calls) == 600
+
     def test_nan_flow_mid_run_names_step_and_cell(self, fd, monkeypatch):
         real = vslsim.simulate.flux_law
         calls = []
@@ -757,6 +817,26 @@ class TestOutOfRangeStates:
         message = r"step 120 \(t = 2 min\): flow nan into cell 1"
         with pytest.raises(ValueError, match=message):
             simulate_scenario(mini_scenario(fd))
+
+    def test_nan_flow_at_the_horizon_names_step_and_cell(self, fd, monkeypatch):
+        # The horizon's flow row is computed after its event's check; the
+        # end checks it alone.
+        real = vslsim.simulate.flux_law
+        calls = []
+        monkeypatch.setattr(vslsim.simulate, "warm_state", lambda s: np.zeros(3))
+
+        def broken(*args, **kwargs):
+            q = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 601:  # step 600, the horizon
+                q[1] = np.nan
+            return q
+
+        monkeypatch.setattr(vslsim.simulate, "flux_law", broken)
+        message = r"step 600 \(t = 10 min\): flow nan into cell 1"
+        with pytest.raises(ValueError, match=message):
+            simulate_scenario(mini_scenario(fd))
+        assert len(calls) == 601
 
 
 # Swept values per variable, drawn for a base scenario: distinct at the
@@ -927,8 +1007,8 @@ class TestBatch:
         )
         real = vslsim.simulate.flux_law
 
-        def poisoned(rho, q, sent, head, v_cells, cap, demand, cap_d, drop, fd):
-            real(rho, q, sent, head, v_cells, cap, demand, cap_d, drop, fd)
+        def poisoned(rho, q, sent, head, ends, v_cells, cap, demand, bottleneck, constants):
+            real(rho, q, sent, head, ends, v_cells, cap, demand, bottleneck, constants)
             q[np.equal(demand, 7000.0) & (rho[..., -1] > record[first - 1])] = np.nan
             return q
 
