@@ -243,8 +243,9 @@ def _read_observations(path: str) -> list[FdObservation]:
     """Rows of a CSV whose header names density, flow and incident columns
     (any order, extra columns ignored, fields may be quoted); blank rows are
     skipped. An incident cell is 0, 1, true or false in any letter case. A
-    leading byte-order mark is dropped. A file that cannot be read or a bad
-    row is a CalibrationError naming the file, and the row's line and column."""
+    leading byte-order mark is dropped. A file that cannot be read, a header
+    naming one of the three columns twice or a bad row is a CalibrationError
+    naming the file, and the column or the row's line and column."""
     try:
         text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
@@ -254,6 +255,8 @@ def _read_observations(path: str) -> list[FdObservation]:
     obs: list[FdObservation] = []
     reader = csv.reader(io.StringIO(text, newline=""))
     header = [name.strip().lower() for name in next(reader, [])]
+    if twice := [n for n in ("density", "flow", "incident") if header.count(n) > 1]:
+        raise CalibrationError(f"{path}: the header names the {twice[0]} column twice")
     try:
         columns = {n: header.index(n) for n in ("density", "flow", "incident")}
     except ValueError as exc:

@@ -13,11 +13,12 @@ shrinks by the capacity-drop factor while the bottleneck operates above its
 critical density.
 
 The law is written once, over the last (cell) axis, in :func:`flux_law` and
-:func:`update_law`, on views of the flow row and on the diagram's constants as
-0-d arrays; :func:`fluxes` and :func:`euler_update` build these for a state
-``(C,)``, a batch ``(B, C)`` or a history ``(T, C)`` alike. One state takes its
-bottleneck interface on Python floats, with a NaN-propagating minimum, which is
-cheaper there than 0-d arithmetic and gives the same bits.
+:func:`update_law`, on the views of a flow row (:func:`flow_row`), the
+bottleneck's operands (:func:`bottleneck_operands`) and the diagram's constants
+as 0-d arrays (:func:`law_constants`), for a state ``(C,)``, a batch ``(B, C)``
+or a history ``(T, C)`` alike. One state takes its bottleneck interface on
+Python floats, with a NaN-propagating minimum, which is cheaper there than 0-d
+arithmetic and gives the same bits.
 """
 
 from __future__ import annotations
@@ -187,20 +188,6 @@ def vsl_max_flow(speed, fd: FundamentalDiagram):
     return float(flow) if flow.ndim == 0 else flow
 
 
-def engaged_drop(downstream_capacity, fd: FundamentalDiagram, lc_active, lc_residual_drop):
-    """Capacity-drop factor the bottleneck applies once congested (elementwise).
-
-    The drop exists only at a true bottleneck, a discharge cap below the
-    mainline capacity; lane change advisories replace the diagram's factor
-    with the configured residual.
-    """
-    return np.where(
-        downstream_capacity < fd.capacity,
-        np.where(lc_active, lc_residual_drop, fd.capacity_drop_factor),
-        0.0,
-    )
-
-
 def speed_caps(v, n_cells: int, fd: FundamentalDiagram) -> np.ndarray:
     """Speed-limited capacity of interfaces 0 .. C-1 (veh/h), over the last axis.
 
@@ -224,54 +211,47 @@ def _minimum(a, b):
 
 
 def law_constants(fd: FundamentalDiagram) -> tuple:
-    """:func:`flux_law`'s constants, built once per run: the jam density, backprop
+    """:func:`flux_law`'s constants, built once per run or pass: the jam density, backprop
     speed, 0.0 and outflow jam density and backprop speed as 0-d float64 arrays (a
     ufunc takes them faster than Python floats, to the same bits), then the last two as floats."""
     out = (fd.outflow_jam_density, fd.outflow_backprop_speed)
     return (*map(np.array, (fd.jam_density, fd.backprop_speed, 0.0, *out)), *out)
 
 
-def bottleneck_operands(cap_d, drop, fd: FundamentalDiagram) -> tuple:
-    """``cap_d``, ``(1 - drop) * cap_d`` and ``cap_d / free_flow_speed``. With a
-    finite drop, the second where ``rho_N`` exceeds the last and ``cap_d`` else
-    are the bits of ``(1 - drop * (rho_N > cap_d / v_f)) * cap_d``."""
+def bottleneck_operands(fd: FundamentalDiagram, active, lc_on, residual_drop) -> tuple:
+    """The bottleneck's cap ``cap_d``, dropped cap ``(1 - drop) * cap_d`` and drop
+    threshold ``cap_d / free_flow_speed`` (elementwise). ``cap_d`` is the downstream
+    capacity while the closure is ``active``, the mainline capacity otherwise. The
+    drop exists only at a true bottleneck, ``cap_d`` below the mainline capacity;
+    advisories (``lc_on``) replace the diagram's factor with ``residual_drop``."""
+    cap_d = np.where(active, fd.downstream_capacity, fd.capacity)
+    drop = np.where(
+        cap_d < fd.capacity, np.where(lc_on, residual_drop, fd.capacity_drop_factor), 0.0
+    )
     return cap_d, (1.0 - drop) * cap_d, cap_d / fd.free_flow_speed
 
 
-def fluxes(rho, v, cap, demand, cap_d, drop, fd: FundamentalDiagram, out=None) -> np.ndarray:
-    """Every cell-boundary flow ``q_0 .. q_C`` (veh/h), over the last axis.
-
-    ``rho`` holds ``(..., C)`` cell densities in simulation order, ``v`` the
-    ``(..., N + 1)`` posted limits ``[zone, section 1 .. N]`` (C is N + 1
-    with a metering zone cell, N without) and ``cap`` their
-    :func:`speed_caps`. ``demand``, the bottleneck cap ``cap_d`` and its
-    :func:`engaged_drop` factor ``drop`` are scalars or ``(...)`` arrays.
-
-    The entrance admits the demand and each interior interface the sender's
-    ``v * rho``, both capped by the interface's speed cap and by the
-    receiving cell's supply ``w * (jam_density - rho)`` (at least 0). The
-    last interface discharges ``min(v_N * rho_N, (1 - eps) * cap_d,
-    w_out * (jam_out - rho_N))``, with ``eps = drop`` while ``rho_N``
-    exceeds ``cap_d / free_flow_speed`` and 0 otherwise. ``out``, when
-    given, receives the flows.
-
-    Each array pass makes at most one temporary. One ``(C,)`` state takes
-    its last interface on Python floats, to the bits of the array path. This
-    builds per call the views and operands that :func:`flux_law` runs on.
-    """
+def flow_row(q, rho) -> tuple:
+    """The views :func:`flux_law` and :func:`update_law` run on, for flows ``q``
+    ``(..., C + 1)`` of densities ``rho`` ``(..., C)``: ``rho``, ``q``, the
+    senders' ``q[..., 1:]``, the heads ``q[..., :C]``, the entrance ``q[..., 0]``,
+    the bottleneck ``q[..., -1]`` and its density ``rho[..., -1]``."""
     n = rho.shape[-1]
-    q = np.empty(rho.shape[:-1] + (n + 1,)) if out is None else out
-    ends = (q[..., 0], q[..., -1], rho[..., -1])
-    operands = (bottleneck_operands(cap_d, drop, fd), law_constants(fd))
-    return flux_law(rho, q, q[..., 1:], q[..., :n], ends, v[..., -n:], cap, demand, *operands)
+    return rho, q, q[..., 1:], q[..., :n], q[..., 0], q[..., -1], rho[..., -1]
 
 
-def flux_law(rho, q, sent, head, ends, v_cells, cap, demand, bottleneck, constants) -> np.ndarray:
-    """:func:`fluxes` into ``q`` on operands prepared once: the views ``sent``
-    = ``q[..., 1:]``, ``head`` = ``q[..., :C]``, ``ends`` = ``(q[..., 0], q[...,
-    -1], rho[..., -1])`` and ``v_cells`` = ``v[..., -C:]``, :func:`bottleneck_operands`
-    and :func:`law_constants`. No array pass takes a Python float; returns ``q``."""
-    q_in, q_out, rho_out = ends
+def flux_law(row, v_cells, cap, demand, bottleneck, constants) -> np.ndarray:
+    """Every cell-boundary flow ``q_0 .. q_C`` (veh/h) of the :func:`flow_row`
+    ``row`` into its ``q``, which it returns. ``v_cells`` holds the limits on the
+    ``C`` cells (``v[..., -C:]`` of ``[zone, section 1 .. N]``), ``cap`` their
+    :func:`speed_caps`; ``demand`` and the :func:`bottleneck_operands` are
+    scalars or ``(...)`` arrays. The entrance admits the demand and each interior
+    interface the sender's ``v * rho``, both capped by the speed cap and by the
+    receiving cell's supply ``w * (jam_density - rho)`` (at least 0). The last
+    discharges ``min(v_N * rho_N, cap_N, w_out * (jam_out - rho_N))``, ``cap_N``
+    the dropped cap while ``rho_N`` exceeds the threshold and ``cap_d`` else.
+    Each array pass makes at most one temporary and takes no Python float."""
+    rho, q, sent, head, q_in, q_out, rho_out = row
     (cap_d, dropped, threshold), (jam, w, zero, jam_out, w_out, jam_f, w_f) = bottleneck, constants
     q_in[...] = demand
     np.multiply(v_cells, rho, out=sent)  # v * rho sent by each cell
@@ -293,15 +273,11 @@ def flux_law(rho, q, sent, head, ends, v_cells, cap, demand, bottleneck, constan
     return q
 
 
-def euler_update(rho, q, dt_over_length, out=None) -> np.ndarray:
-    """Densities one step on, ``rho_c + dt / L_c * (q_c - q_{c+1})``, over
-    the last axis; ``out``, when given, receives them. The change is one
-    temporary, scaled in place (:func:`update_law` on the views of ``q``)."""
-    return update_law(rho, q[..., 1:], q[..., :-1], dt_over_length, out)
-
-
-def update_law(rho, sent, head, dt_over_length, out=None) -> np.ndarray:
-    """:func:`euler_update` on the flow row's views ``sent`` and ``head``."""
+def update_law(row, dt_over_length, out=None) -> np.ndarray:
+    """Densities one step on, ``rho_c + dt / L_c * (q_c - q_{c+1})``, over the
+    last axis of the :func:`flow_row` ``row``; ``out``, when given, receives
+    them. The change is one temporary, scaled in place."""
+    rho, _, sent, head, _, _, _ = row
     change = np.subtract(head, sent)
     change *= dt_over_length
     return np.add(rho, change, out=out)

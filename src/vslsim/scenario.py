@@ -555,8 +555,16 @@ def scenario_fragment(**attrs) -> dict:
 
 def read_json(path: str | Path):
     """The JSON document in the UTF-8 file ``path``, after one leading
-    byte-order mark if it has one; a ScenarioValidationError names the file."""
+    byte-order mark if it has one; a ScenarioValidationError names the file,
+    and the key when an object names one twice."""
     path = Path(path)
+
+    def unique_keys(pairs: list) -> dict:
+        if len(obj := dict(pairs)) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise ScenarioValidationError([f"file: {path} names the key {key!r} twice"])
+        return obj
+
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -564,7 +572,7 @@ def read_json(path: str | Path):
     except UnicodeDecodeError as exc:
         raise ScenarioValidationError([f"file: {path} is not valid UTF-8: {exc}"]) from exc
     try:
-        return json.loads(text.removeprefix("\ufeff"))
+        return json.loads(text.removeprefix("\ufeff"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([f"file: {path} is not valid JSON: {exc}"]) from exc
 

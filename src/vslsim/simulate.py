@@ -14,17 +14,17 @@ and control period as one ``(B, C)`` state;
 :func:`~vslsim.scenario.simulate_scenario` runs a batch of one. The demand
 and the incident and lane-change flags are computed once per run, and the
 bottleneck's operands at each row's input steps, where its inputs may change.
-:func:`~vslsim.ctm.flux_law` and :func:`~vslsim.ctm.update_law` step a small
-block laid out cells-major, the batch axis innermost; controllers read rows
-of the ``(B, T, C)`` density history and return plain limit arrays. The run
-goes from event to event (control instants, input steps, every block's length
-of steps, the horizon); each copies the block into the history, tests it
-against the density and flow bounds and restarts it. When the first step
-after an event leaves every row's state unchanged, bit for bit, the steps up
-to the next event are filled, not stepped. The trace keeps the densities and
-the limit changes; its flows and per-sample limits are derived on access,
-and the CSV, the metrics and the vehicle balance derive the flows a block of
-samples at a time.
+:func:`~vslsim.ctm.flux_law` and :func:`~vslsim.ctm.update_law` step the flow
+rows of a small block laid out cells-major, the batch axis innermost;
+controllers read rows of the ``(B, T, C)`` density history and return plain
+limit arrays. The run goes from event to event (control instants, input
+steps, every block's length of steps, the horizon); each copies the block into
+the history, tests it against the density and flow bounds and restarts it.
+When the first step after an event leaves every row's state unchanged, bit
+for bit, the steps up to the next event are filled, not stepped. The trace
+keeps the densities and the limit changes; its flows and per-sample limits
+are derived on access, and the CSV, the metrics and the vehicle balance call
+``flux_law`` a block of samples at a time, on operands built once per pass.
 
 The trace CSV prints each value as ``'%.10g' % v`` does. Its varying
 columns go through numpy a block of rows at a time (:func:`_format_g10`),
@@ -47,9 +47,8 @@ from .ctm import (
     FundamentalDiagram,
     NetworkGeometry,
     bottleneck_operands,
-    engaged_drop,
+    flow_row,
     flux_law,
-    fluxes,
     law_constants,
     speed_caps,
     update_law,
@@ -65,7 +64,7 @@ if TYPE_CHECKING:
 # whole-trace pass would add tens of megabytes to the peak memory of a run.
 CSV_BLOCK_VALUES = 4096
 
-# Blocks of ``SimulationTrace._flow_blocks`` derived per ``fluxes`` call. A
+# Blocks of ``SimulationTrace._flow_blocks`` derived per ``flux_law`` call. A
 # call costs about 20 us beyond its rows, as much as 100 fine-grid rows take,
 # so one call per block of 4,096 values made the fine-grid CSV 10% slower.
 _FLUX_CALL_BLOCKS = 8
@@ -139,14 +138,6 @@ def cfl_limit(geometry: NetworkGeometry, fd: FundamentalDiagram) -> float:
     """Largest admissible Euler step (h) for this geometry and diagram."""
     fastest = max(fd.free_flow_speed, fd.backprop_speed, fd.outflow_backprop_speed)
     return float(np.min(geometry.cell_lengths())) / fastest
-
-
-def _bottleneck(fd: FundamentalDiagram, active, lc_on, residual_drop):
-    """Bottleneck cap and engaged drop factor at each step (elementwise): the
-    downstream capacity while the closure holds and the mainline capacity
-    otherwise; advisories replace the diagram's drop with ``residual_drop``."""
-    cap_d = np.where(active, fd.downstream_capacity, fd.capacity)
-    return cap_d, engaged_drop(cap_d, fd, lc_on, residual_drop)
 
 
 @functools.cache
@@ -352,17 +343,17 @@ class SimulationTrace:
         """Consecutive blocks of at most ``rows`` samples, each as its slice
         of the samples and a view of its ``(rows, C + 1)`` flows.
 
-        The speed caps, the bottleneck cap and drop and the stretch ends
-        are computed once per pass. The flows of ``_FLUX_CALL_BLOCKS``
+        The speed caps, the law's constants and bottleneck operands and the
+        stretch ends are computed once per pass. The flows of ``_FLUX_CALL_BLOCKS``
         blocks at a time go into one buffer, reused for the next ones, with
-        one :func:`~vslsim.ctm.fluxes` call per stretch of steps under one
+        one :func:`~vslsim.ctm.flux_law` call per stretch of steps under one
         posted row that they meet; a consumer copies what it keeps."""
-        fd, samples = self.fd, self.num_samples
-        caps = speed_caps(self.limit_rows, self.geometry.num_cells, fd)
-        cap_d, drop = _bottleneck(fd, self.incident_active, self.lc_active, self.lc_residual_drop)
+        fd, samples, n_cells = self.fd, self.num_samples, self.geometry.num_cells
+        caps, constants = speed_caps(self.limit_rows, n_cells, fd), law_constants(fd)
+        tail = bottleneck_operands(fd, self.incident_active, self.lc_active, self.lc_residual_drop)
         ends = np.append(self.limit_steps[1:], samples).tolist()
         span = min(_FLUX_CALL_BLOCKS * rows, samples)
-        buffer = np.empty((span, self.geometry.num_cells + 1))
+        buffer = np.empty((span, n_cells + 1))
         i = 0  # the posted row of sample k
         for first in range(0, samples, span):
             last = min(first + span, samples)
@@ -371,9 +362,9 @@ class SimulationTrace:
                 while ends[i] <= k:
                     i += 1
                 part = slice(k, min(ends[i], last))
-                q = buffer[k - first : part.stop - first]
-                rho, demand, v = self.densities[part], self.demand[part], self.limit_rows[i]
-                fluxes(rho, v, caps[i], demand, cap_d[part], drop[part], fd, out=q)
+                row = flow_row(buffer[k - first : part.stop - first], self.densities[part])
+                v_cells, bottleneck = self.limit_rows[i, -n_cells:], [x[part] for x in tail]
+                flux_law(row, v_cells, caps[i], self.demand[part], bottleneck, constants)
                 k = part.stop
             for start in range(first, last, rows):
                 stop = min(start + rows, last)
@@ -548,8 +539,8 @@ def run_batch(
     call advance every row per step; being elementwise, they give each row
     the bytes it gets on its own. They write a block of ``span`` + 1 states
     and ``span`` flow rows laid out cells-major, the batch axis innermost,
-    through views of each block row and the diagram's constants, all built
-    once per run. ``span`` is a control period, but at most
+    through the :func:`~vslsim.ctm.flow_row` of each block row and the law's
+    constants, all built once per run. ``span`` is a control period, but at most
     ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps. A row's inputs change only
     at step 0 and the first step at or after each time its scenario names
     (each demand step, the closure's start and end); the law's bottleneck
@@ -633,12 +624,11 @@ def run_batch(
     )
 
     # Per step: a (C,) row and scalars for one scenario, (B, C) and (B,) rows
-    # for several. The laws' views of each block row and their constants are
+    # for several. The flow row of each block row and the law's constants are
     # built once per run; posted and caps change in place, so views follow.
     row = 0 if n_rows == 1 else slice(None)
     steps, step_demand, constants = list(state[:, row]), demand[row].T, law_constants(fd)
-    step_ends = [(q[..., 0], q[..., -1], rho[..., -1]) for q, rho in zip(flows[:, row], steps)]
-    step_flows = [(q, q[..., 1:], q[..., :n_cells], e) for q, e in zip(flows[:, row], step_ends)]
+    flow_rows = [flow_row(q, rho) for q, rho in zip(flows[:, row], steps)]
     v_cells, cap, dtl = posted[row, -n_cells:], caps[row], dt_over_length[row]
 
     # Each event copies the block's steps since the last into the history,
@@ -650,7 +640,7 @@ def run_batch(
         if not _in_range(rho_past, q_past, fd.outflow_jam_density):
             check(rho_past, q_past, last, k)
         if k in input_steps:
-            tail = bottleneck_operands(*_bottleneck(fd, active[:, k], lc_on[:, k], residual), fd)
+            tail = bottleneck_operands(fd, active[:, k], lc_on[:, k], residual)
             if n_rows == 1:  # Python floats: the law's one-state tail is float arithmetic
                 tail = tuple(x.item(0) for x in tail)
         if k % ctrl_every == 0:
@@ -671,16 +661,15 @@ def run_batch(
             break
         d_k = step_demand[k]  # read after a failed row's demand was zeroed
         for j in range(stop - k):
-            rho, (q, sent, head, ends) = steps[j], step_flows[j]
-            flux_law(rho, q, sent, head, ends, v_cells, cap, d_k, tail, constants)
+            flux_law(flow_rows[j], v_cells, cap, d_k, tail, constants)
             if k + j == n_steps:
                 break
-            update_law(rho, sent, head, dtl, steps[j + 1])
+            update_law(flow_rows[j], dtl, steps[j + 1])
             # A step that leaves the state as it was repeats up to the next
             # event. Bytes, not values: a step may turn -0.0 into 0.0.
-            if j == 0 and steps[1].tobytes() == rho.tobytes():
-                state[2 : stop + 1 - k] = rho
-                flows[1 : stop - k] = q
+            if j == 0 and steps[1].tobytes() == steps[0].tobytes():
+                state[2 : stop + 1 - k] = state[0]
+                flows[1 : stop - k] = flows[0]
                 break
     else:  # the horizon's flow row; its event checked its densities
         if not flows[0].min() >= 0.0:

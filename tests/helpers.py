@@ -28,7 +28,7 @@ from vslsim import (
     stop_count,
     warm_state,
 )
-from vslsim.ctm import engaged_drop, fluxes, speed_caps
+from vslsim.ctm import bottleneck_operands, flow_row, flux_law, law_constants, speed_caps
 from vslsim.metrics import DENSITY_FLOOR
 
 
@@ -297,17 +297,16 @@ def _oracle_bottleneck_outflow(rho_n, fd, lc_active, lc_residual_drop, cap_d, v_
     )
 
 
-def one_state_flows(
-    rho, v, fd, demand, lc_active=False, lc_residual_drop=0.0, downstream_capacity=None
-):
-    """``vslsim.ctm.fluxes`` on one ``(C,)`` state under posted limits
-    ``v = [zone, section 1 .. N]``; the bottleneck cap defaults to the
-    incident's."""
+def one_state_flows(rho, v, fd, demand, lc_active=False, lc_residual_drop=0.0, closed=True):
+    """``vslsim.ctm.flux_law`` on one ``(C,)`` state under posted limits
+    ``v = [zone, section 1 .. N]``; the bottleneck cap is the incident's while
+    the lane is ``closed``, the mainline capacity otherwise."""
     rho = np.asarray(rho, dtype=float)
     v = np.asarray(v, dtype=float)
-    cap_d = fd.downstream_capacity if downstream_capacity is None else downstream_capacity
-    drop = engaged_drop(cap_d, fd, lc_active, lc_residual_drop)
-    return fluxes(rho, v, speed_caps(v, rho.shape[-1], fd), demand, cap_d, drop, fd)
+    n = rho.shape[-1]
+    row = flow_row(np.empty(rho.shape[:-1] + (n + 1,)), rho)
+    bottleneck = bottleneck_operands(fd, closed, lc_active, lc_residual_drop)
+    return flux_law(row, v[..., -n:], speed_caps(v, n, fd), demand, bottleneck, law_constants(fd))
 
 
 def oracle_interface_flows(

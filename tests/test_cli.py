@@ -542,6 +542,42 @@ class TestStrictInputs:
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_key_named_twice_is_validation_error_naming_it(self, tmp_path, capsys, command):
+        # Neither value may win silently: not a second horizon, nor a second
+        # list of swept values.
+        doc = write_mini_scenario(tmp_path).read_text()
+        if command == "run":
+            text, key = '{"horizon_min": 10.0, ' + doc.lstrip()[1:], "'horizon_min'"
+        else:
+            text = f'{{"scenario": {doc}, "variable": "upstream_zone_length", '
+            text, key = text + '"values": [0.8], "values": [1.2]}', "'values'"
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli_dispatch([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"file: {path} names the key {key} twice" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["density", "flow", "incident"])
+    def test_observation_column_named_twice_is_validation_error(
+        self, tmp_path, capsys, fd, column
+    ):
+        obs = sample_fd_observations(fd, np.random.default_rng(3))
+        rows = [{"density": o.density, "flow": o.flow, "incident": int(o.incident)} for o in obs]
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            f"density,flow,incident,{column}\n"
+            + "".join(f"{r['density']},{r['flow']},{r['incident']},{r[column]}\n" for r in rows)
+        )
+        out = tmp_path / "params.json"
+        assert cli_dispatch(["calibrate", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"{path}: the header names the {column} column twice" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep", "bound", "calibrate"])
     def test_file_not_utf8_is_validation_error_naming_it(self, tmp_path, capsys, command):
         path = tmp_path / "latin1.input"

@@ -14,10 +14,8 @@ from vslsim import (
 )
 from vslsim.ctm import (
     bottleneck_operands,
-    engaged_drop,
-    euler_update,
+    flow_row,
     flux_law,
-    fluxes,
     law_constants,
     speed_caps,
     update_law,
@@ -120,15 +118,19 @@ class TestBottleneckOutflow:
 
     def test_no_drop_when_cap_reverts_to_capacity(self, fd):
         # Incident cleared: cap C, drop inert, outflow limited by its own wave.
-        flow = discharge(100.0, fd, downstream_capacity=fd.capacity)
+        flow = discharge(100.0, fd, closed=False)
         assert flow == pytest.approx(15.0 * (552.0 - 100.0))
 
     def test_lane_change_replaces_drop_factor(self, fd):
         cap_d = fd.downstream_capacity
-        assert engaged_drop(cap_d, fd, False, 0.0) == pytest.approx(0.1)
-        assert engaged_drop(cap_d, fd, True, 0.0) == 0.0
-        assert engaged_drop(cap_d, fd, True, 0.04) == 0.04
-        assert engaged_drop(fd.capacity, fd, False, 0.0) == 0.0  # no bottleneck
+
+        def dropped(closed, lc_active, residual):
+            return bottleneck_operands(fd, closed, lc_active, residual)[1]
+
+        assert dropped(True, False, 0.0) == pytest.approx(0.9 * cap_d)
+        assert dropped(True, True, 0.0) == cap_d
+        assert dropped(True, True, 0.04) == 0.96 * cap_d
+        assert dropped(False, False, 0.0) == fd.capacity  # no bottleneck
         assert discharge(100.0, fd, lc_active=True) == cap_d
         assert discharge(100.0, fd, lc_active=True, lc_residual_drop=0.04) == 0.96 * cap_d
         # The threshold is strict: at cap_d / v_f the full cap still applies.
@@ -229,7 +231,8 @@ class TestInterfaceFlows:
             lc_active = bool(rng.integers(2))
             residual = float(rng.uniform(0.0, fd.capacity_drop_factor))
             cells = np.concatenate(([zone_rho], rho)) if has_zone else rho
-            got = one_state_flows(cells, limits, fd, demand, lc_active, residual, cap_d)
+            closed = cap_d == fd.downstream_capacity
+            got = one_state_flows(cells, limits, fd, demand, lc_active, residual, closed)
             ref = oracle_interface_flows(
                 cells, limits, fd, demand, has_zone, lc_active, residual, cap_d
             )
@@ -237,7 +240,7 @@ class TestInterfaceFlows:
 
 
 class TestOneStatePath:
-    """``fluxes`` takes the last interface of one ``(C,)`` state on Python
+    """``flux_law`` takes the last interface of one ``(C,)`` state on Python
     floats and of a ``(B, C)`` batch on arrays: the two give the same bits."""
 
     SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0)
@@ -249,18 +252,20 @@ class TestOneStatePath:
     def test_one_state_matches_batch_row(self):
         # Random diagrams and states, with the bottleneck exactly at the drop
         # threshold or past outflow_jam_density, NaN, infinities and signed
-        # zeros in the bottleneck cell, another cell, the demand, the cap
-        # and the drop, both caps with advisories on and off, and cap and
-        # drop as Python floats, numpy float64 and 0-d arrays.
+        # zeros in the bottleneck cell, another cell, the demand and each of
+        # the cap, the dropped cap and the threshold, both caps with
+        # advisories on and off, and the three bottleneck operands as Python
+        # floats, numpy float64 and 0-d arrays.
         rng = np.random.default_rng(41)
         for _ in range(3000):
             fd = random_triangle(rng)
             n_sections = int(rng.integers(1, 7))
             n_cells = n_sections + int(rng.integers(2))
-            cap_d = float(rng.choice([fd.downstream_capacity, fd.capacity]))
+            closed = bool(rng.integers(2))
             lc_active = bool(rng.integers(2))
             residual = float(rng.uniform(0.0, fd.capacity_drop_factor))
-            drop = float(engaged_drop(cap_d, fd, lc_active, residual))
+            operands = bottleneck_operands(fd, closed, lc_active, residual)
+            cap_d = float(operands[0])
             rho = rng.uniform(0.0, fd.jam_density, size=n_cells)
             rho[rng.uniform(size=n_cells) < 0.2] = 0.0
             tail = rng.uniform()
@@ -272,49 +277,55 @@ class TestOneStatePath:
             other = int(rng.integers(n_cells))
             rho[other] = self._special(rng, rho[other], 0.2)
             demand = self._special(rng, float(rng.uniform(0.0, 1.2 * fd.capacity)))
-            cap_d = self._special(rng, cap_d, 0.05)
-            drop = self._special(rng, drop, 0.05)
+            operands = [self._special(rng, float(x), 0.05) for x in operands]
             v = rng.uniform(1.0, fd.free_flow_speed, size=n_sections + 1)
             cap = speed_caps(v, n_cells, fd)
-            c, d = (self.SCALARS[rng.integers(3)](x) for x in (cap_d, drop))
-            rows = (np.array([x]) for x in (demand, cap_d, drop))
-            with np.errstate(invalid="ignore"):  # inf * False and inf - inf
-                one = fluxes(rho, v, cap, demand, c, d, fd)
-                batch = fluxes(rho[None], v[None], cap[None], *rows, fd)
+            one_tail = [self.SCALARS[rng.integers(3)](x) for x in operands]
+            rows = [np.array([x]) for x in operands]
+            constants = law_constants(fd)
+            one_row = flow_row(np.empty(n_cells + 1), rho)
+            batch_row = flow_row(np.empty((1, n_cells + 1)), rho[None])
+            one = flux_law(one_row, v[-n_cells:], cap, demand, one_tail, constants)
+            batch = flux_law(
+                batch_row, v[None, -n_cells:], cap[None], np.array([demand]), rows, constants
+            )
             assert np.array_equal(one, batch[0], equal_nan=True)
             assert np.array_equal(np.signbit(one), np.signbit(batch[0]))
 
 
 class TestPreparedViews:
-    """``flux_law`` and ``update_law`` on views, bottleneck operands and
+    """``flux_law`` and ``update_law`` on flow rows, bottleneck operands and
     constants prepared once, on a block laid out as ``run_batch`` lays out its
-    own (the batch axis innermost), give the bits of ``fluxes`` and
-    ``euler_update`` on fresh arrays and of the last interface as it was
-    computed before its operands were prepared, also after the posted limits
-    and the bottleneck's inputs change in place partway through a run."""
+    own (the batch axis innermost), give the bits of the same laws on fresh
+    arrays and of the last interface as it was computed before its operands
+    were prepared, also after the posted limits and the bottleneck's inputs
+    change in place partway through a run."""
 
     RESIDUALS = (-0.0, 0.0, 0.04)
 
     @staticmethod
-    def unprepared_tail(rho_n, sent_n, cap_d, drop, fd):
-        """The last interface from ``v_N * rho_N``, ``cap_d`` and ``drop``, as
-        the law computed it at every step before its operands were prepared."""
-        rho_n, sent_n, cap_d, drop = (np.asarray(x) for x in (rho_n, sent_n, cap_d, drop))
+    def unprepared_tail(rho_n, sent_n, closed, lc, residual, fd):
+        """The last interface from ``v_N * rho_N`` and the bottleneck's inputs,
+        as the law computed it at every step before its operands were
+        prepared: the cap and its engaged drop, then one product."""
+        cap_d = np.where(closed, fd.downstream_capacity, fd.capacity)
+        drop = np.where(
+            cap_d < fd.capacity, np.where(lc, residual, fd.capacity_drop_factor), 0.0
+        )
+        rho_n, sent_n = np.asarray(rho_n), np.asarray(sent_n)
         return np.minimum(
             np.minimum(sent_n, (1.0 - drop * (rho_n > cap_d / fd.free_flow_speed)) * cap_d),
             fd.outflow_backprop_speed * (fd.outflow_jam_density - rho_n),
         )
 
-    def draw_inputs(self, rng, fd, rows, i):
-        """Each row's bottleneck cap and drop: with or without the closure
-        (without it there is no bottleneck, so no drop), advisories off or on,
-        each residual. One row takes the ``i``-th combination; more take any."""
+    def draw_inputs(self, rng, rows, i):
+        """Each row's bottleneck inputs: with or without the closure (without
+        it there is no bottleneck, so no drop), advisories off or on, each
+        residual. One row takes the ``i``-th combination; more take any."""
         combos = list(itertools.product((True, False), (False, True), self.RESIDUALS))
         order = [i % len(combos)] if rows == 1 else rng.permutation(len(combos))[:rows]
         picked = [combos[k] for k in order]
-        closed, lc, residual = (np.array(column) for column in zip(*picked))
-        cap_d = np.where(closed, fd.downstream_capacity, fd.capacity)
-        return cap_d, engaged_drop(cap_d, fd, lc, residual)
+        return tuple(np.array(column) for column in zip(*picked))
 
     def draw_state(self, rng, fd, rho, cap_d, j):
         """Random densities, written in place, with signed zeros anywhere. The
@@ -343,29 +354,31 @@ class TestPreparedViews:
         caps = speed_caps(posted, n_cells, fd)
         lengths = rng.uniform(0.3, 3.0, size=(n_cells, rows))
         dtl = (0.5 * lengths.min() / fd.free_flow_speed / lengths).T[row]
-        # The views and constants, once: as run_batch prepares them.
+        # The flow rows and constants, once: as run_batch prepares them.
         rhos = list(state[:, row])
-        ends = [(q[..., 0], q[..., -1], rho[..., -1]) for q, rho in zip(flows[:, row], rhos)]
-        qs = [(q, q[..., 1:], q[..., :n_cells], e) for q, e in zip(flows[:, row], ends)]
+        flow_rows = [flow_row(q, rho) for q, rho in zip(flows[:, row], rhos)]
         v_cells, cap, constants = posted[row, -n_cells:], caps[row], law_constants(fd)
         for j in range(steps):
             if j % 4 == 0:  # an input step: new bottleneck operands
-                cap_d, drop = self.draw_inputs(rng, fd, rows, j // 4)
+                inputs = self.draw_inputs(rng, rows, j // 4)
                 demand = rng.uniform(0.0, fd.capacity, size=rows)
+                tail = bottleneck_operands(fd, *inputs)
                 if rows == 1:  # Python floats, as run_batch passes one row's
-                    cap_d, drop, demand = cap_d.item(0), drop.item(0), demand.item(0)
-                tail = bottleneck_operands(cap_d, drop, fd)
+                    inputs = tuple(x.item(0) for x in inputs)
+                    tail = tuple(x.item(0) for x in tail)
+                    demand = demand.item(0)
             if j == steps // 2:  # new limits, written in place as run_batch writes them
                 posted[...] = rng.uniform(1.0, fd.free_flow_speed, size=posted.shape)
                 caps[...] = speed_caps(posted, n_cells, fd)
-            rho, (q, sent, head, e) = rhos[j], qs[j]
-            self.draw_state(rng, fd, rho, cap_d, j)
-            fresh = fluxes(rho.copy(), posted[row].copy(), cap.copy(), demand, cap_d, drop, fd)
-            expected = euler_update(rho.copy(), fresh, dtl.copy())
+            rho, q = flow_rows[j][:2]
+            self.draw_state(rng, fd, rho, tail[0], j)
+            fresh_row = flow_row(np.empty(q.shape), rho.copy())
+            fresh = flux_law(fresh_row, v_cells.copy(), cap.copy(), demand, tail, constants)
+            expected = update_law(fresh_row, dtl.copy())
             sent_n = posted[row][..., -1] * rho[..., -1]
-            unprepared = self.unprepared_tail(rho[..., -1], sent_n, cap_d, drop, fd)
-            flux_law(rho, q, sent, head, e, v_cells, cap, demand, tail, constants)
-            update_law(rho, sent, head, dtl, rhos[j + 1])
+            unprepared = self.unprepared_tail(rho[..., -1], sent_n, *inputs, fd)
+            flux_law(flow_rows[j], v_cells, cap, demand, tail, constants)
+            update_law(flow_rows[j], dtl, rhos[j + 1])
             assert q.tobytes() == fresh.tobytes()
             assert rhos[j + 1].tobytes() == expected.tobytes()
             assert q[..., -1].tobytes() == unprepared.tobytes()

@@ -42,7 +42,14 @@ from vslsim import (
     warm_state,
     zone_bound_report,
 )
-from vslsim.ctm import engaged_drop, euler_update, fluxes, speed_caps
+from vslsim.ctm import (
+    bottleneck_operands,
+    flow_row,
+    flux_law,
+    law_constants,
+    speed_caps,
+    update_law,
+)
 from vslsim.scenario import HIGH_DEMAND_ZONE_SWEEP
 from vslsim.sweep import SWEEP_VARIABLES
 
@@ -70,7 +77,7 @@ def free_flow_step(fd, geometry, rho, demand) -> np.ndarray:
     """Densities one 1 s step on, all limits at free flow, incident active."""
     v = np.full(geometry.num_sections + 1, fd.free_flow_speed)
     q = one_state_flows(rho, v, fd, demand)
-    return euler_update(rho, q, (1.0 / 3600.0) / geometry.cell_lengths())
+    return update_law(flow_row(q, rho), (1.0 / 3600.0) / geometry.cell_lengths())
 
 
 class TestStep:
@@ -78,7 +85,7 @@ class TestStep:
         # rho' = 10 + (1/3600/1.6) * (3744 - 1000)
         geometry = NetworkGeometry(1, 1.6, 0.0)
         q = np.array([3744.0, 1000.0])
-        out = euler_update(np.array([10.0]), q, (1.0 / 3600.0) / geometry.cell_lengths())
+        out = update_law(flow_row(q, np.array([10.0])), (1.0 / 3600.0) / geometry.cell_lengths())
         assert out[0] == pytest.approx(10.4763888889, rel=1e-9)
 
     def test_equilibrium_is_fixed_point(self, fd, geometry):
@@ -333,13 +340,13 @@ class TestProfilesAndTypes:
 
 
 def replay_flows(scenario: Scenario, trace) -> np.ndarray:
-    """``fluxes`` applied to the whole (T, C) density history at once."""
-    fd = trace.fd
-    cap_d = np.where(trace.incident_active, fd.downstream_capacity, fd.capacity)
+    """``flux_law`` applied to the whole (T, C) density history at once."""
+    fd, n = trace.fd, trace.geometry.num_cells
     residual = scenario.lc.residual_drop if scenario.lc is not None else 0.0
-    drop = engaged_drop(cap_d, fd, trace.lc_active, residual)
-    caps = speed_caps(trace.limits, trace.geometry.num_cells, fd)
-    return fluxes(trace.densities, trace.limits, caps, trace.demand, cap_d, drop, fd)
+    bottleneck = bottleneck_operands(fd, trace.incident_active, trace.lc_active, residual)
+    caps = speed_caps(trace.limits, n, fd)
+    row = flow_row(np.empty((trace.num_samples, n + 1)), trace.densities)
+    return flux_law(row, trace.limits[:, -n:], caps, trace.demand, bottleneck, law_constants(fd))
 
 
 def assert_matches_oracle(scenario: Scenario, trace) -> None:
@@ -516,11 +523,10 @@ class TestEventStepping:
         assert not [r for r in results if isinstance(r, Exception)]
         assert 0 < len(calls) <= budget
 
-    @pytest.mark.parametrize("case", ["high_demand", "zone_batch"])
-    def test_law_operands_prepared_not_rebuilt(self, case, monkeypatch):
-        # The diagram's constants are built once per run, and the bottleneck
-        # operands once per input step, whatever the number of steps.
-        scenarios = benchmark_batch(case)
+    @staticmethod
+    def count_operand_builds(monkeypatch) -> dict[str, list]:
+        """Calls of ``law_constants`` and ``bottleneck_operands`` through their
+        names in ``vslsim.simulate``, recorded from now on."""
         built = {"law_constants": [], "bottleneck_operands": []}
         for name, calls in built.items():
             real = getattr(vslsim.simulate, name)
@@ -530,6 +536,14 @@ class TestEventStepping:
                 return real(*args)
 
             monkeypatch.setattr(vslsim.simulate, name, counting)
+        return built
+
+    @pytest.mark.parametrize("case", ["high_demand", "zone_batch"])
+    def test_law_operands_prepared_not_rebuilt(self, case, monkeypatch):
+        # The diagram's constants are built once per run, and the bottleneck
+        # operands once per input step, whatever the number of steps.
+        scenarios = benchmark_batch(case)
+        built = self.count_operand_builds(monkeypatch)
         controllers = [make_controller(s) for s in scenarios]
         results = vslsim.simulate.run_batch(scenarios, controllers)
         times = results[0].times
@@ -539,6 +553,17 @@ class TestEventStepping:
         assert n_steps == 5400 and len(input_steps) == 3
         assert len(built["law_constants"]) == 1
         assert len(built["bottleneck_operands"]) == len(input_steps)
+
+    def test_derived_pass_prepares_operands_once(self, monkeypatch):
+        # A derived pass (trace CSV, metrics, balance) builds the constants
+        # and the bottleneck operands once, whatever its blocks and stretches.
+        trace = simulate_scenario(high_demand_preset())
+        built = self.count_operand_builds(monkeypatch)
+        blocks = list(trace._flow_blocks(7))
+        assert len(blocks) == -(-trace.num_samples // 7)
+        assert len(trace.limit_steps) > 1  # several stretches under posted rows
+        assert len(built["law_constants"]) == 1
+        assert len(built["bottleneck_operands"]) == 1
 
 
 def following_density(scenario: Scenario):
@@ -1007,8 +1032,9 @@ class TestBatch:
         )
         real = vslsim.simulate.flux_law
 
-        def poisoned(rho, q, sent, head, ends, v_cells, cap, demand, bottleneck, constants):
-            real(rho, q, sent, head, ends, v_cells, cap, demand, bottleneck, constants)
+        def poisoned(row, v_cells, cap, demand, bottleneck, constants):
+            rho, q = row[:2]
+            real(row, v_cells, cap, demand, bottleneck, constants)
             q[np.equal(demand, 7000.0) & (rho[..., -1] > record[first - 1])] = np.nan
             return q
 
