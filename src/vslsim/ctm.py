@@ -223,11 +223,16 @@ def bottleneck_operands(fd: FundamentalDiagram, active, lc_on, residual_drop) ->
     threshold ``cap_d / free_flow_speed`` (elementwise). ``cap_d`` is the downstream
     capacity while the closure is ``active``, the mainline capacity otherwise. The
     drop exists only at a true bottleneck, ``cap_d`` below the mainline capacity;
-    advisories (``lc_on``) replace the diagram's factor with ``residual_drop``."""
+    advisories (``lc_on``) replace the diagram's factor with ``residual_drop``.
+    With no drop engaged (each 0.0 or -0.0: no closure, or advisories at residual
+    0) the dropped cap is ``cap_d`` itself, which ``(1 - 0.0) * cap_d`` equals, and
+    the threshold inf."""
     cap_d = np.where(active, fd.downstream_capacity, fd.capacity)
     drop = np.where(
         cap_d < fd.capacity, np.where(lc_on, residual_drop, fd.capacity_drop_factor), 0.0
     )
+    if not drop.any():
+        return cap_d, cap_d, np.float64(np.inf)
     return cap_d, (1.0 - drop) * cap_d, cap_d / fd.free_flow_speed
 
 
@@ -249,7 +254,9 @@ def flux_law(row, v_cells, cap, demand, bottleneck, constants) -> np.ndarray:
     interface the sender's ``v * rho``, both capped by the speed cap and by the
     receiving cell's supply ``w * (jam_density - rho)`` (at least 0). The last
     discharges ``min(v_N * rho_N, cap_N, w_out * (jam_out - rho_N))``, ``cap_N``
-    the dropped cap while ``rho_N`` exceeds the threshold and ``cap_d`` else.
+    the dropped cap while ``rho_N`` exceeds the threshold and ``cap_d`` else; where
+    the dropped cap is ``cap_d`` itself (no drop engaged), an array tail takes
+    ``cap_d`` without selecting, two passes fewer and the same bits.
     Each array pass makes at most one temporary and takes no Python float."""
     rho, q, sent, head, q_in, q_out, rho_out = row
     (cap_d, dropped, threshold), (jam, w, zero, jam_out, w_out, jam_f, w_f) = bottleneck, constants
@@ -265,8 +272,9 @@ def flux_law(row, v_cells, cap, demand, bottleneck, constants) -> np.ndarray:
         rho_n = rho.item(-1)
         cap_n = dropped if rho_n > threshold else cap_d
         q[-1] = _minimum(_minimum(q.item(-1), cap_n), w_f * (jam_f - rho_n))
-    else:  # six passes
-        np.minimum(q_out, np.where(rho_out > threshold, dropped, cap_d), out=q_out)
+    else:  # four passes, six with a drop engaged
+        cap_n = cap_d if dropped is cap_d else np.where(rho_out > threshold, dropped, cap_d)
+        np.minimum(q_out, cap_n, out=q_out)
         outflow = np.subtract(jam_out, rho_out)
         outflow *= w_out
         np.minimum(q_out, outflow, out=q_out)

@@ -144,9 +144,13 @@ def cfl_limit(geometry: NetworkGeometry, fd: FundamentalDiagram) -> float:
 def _g10_tables() -> tuple[np.ndarray, ...]:
     """Tables of :func:`_format_g10`, built on its first call.
 
-    - ``bands``: the lower ends ``1e-4 .. 1e9`` of the decimal exponents it
-      prints, and ``scales``: the exact power ``10**(9 - e)`` of each
-      ``searchsorted`` band, 1.0 for the bands out of range.
+    - ``low_bands`` and ``edges``, per biased exponent E (2,048 entries): how
+      many of the literals ``1e-4 .. 1e9`` (the lower ends of the printed
+      exponents) are at or below the binade's low end, and the literal inside
+      the binade or inf (NaN at E = 2047, which the clamp keeps out). A binade
+      spans a factor of 2, so ``low_bands[E] + (|v| >= edges[E])`` is the
+      ``searchsorted`` band. ``scales``: the exact power ``10**(9 - e)`` of
+      each band, 1.0 for the bands out of range.
     - ``four_digits``: each four-digit number as ``d, 0xFF`` four times (one
       uint64), and ``four_zeros``: its trailing zeros (four for 0). The
       minimum of a digit byte and a digit slot keeps the digit; that of 0xFF
@@ -161,6 +165,10 @@ def _g10_tables() -> tuple[np.ndarray, ...]:
     - ``record``: the layout of a value's digit bytes, 26 bytes as in the
       template: 0xFF, 0xFF, then the high, the middle and the low group."""
     bands = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9])
+    exponents = np.arange(2048)
+    low_bands = np.searchsorted(bands, (exponents << 52).view(np.float64), side="right")
+    edges = np.append(bands, np.nan).take(low_bands)  # the next literal, NaN past 1e9
+    edges[edges.view(np.int64) >> 52 != exponents] = np.inf  # outside the binade
     scales = np.array(
         [1e0, 1e13, 1e12, 1e11, 1e10, 1e9, 1e8, 1e7, 1e6, 1e5, 1e4, 1e3, 1e2, 1e1, 1e0]
     )
@@ -173,7 +181,7 @@ def _g10_tables() -> tuple[np.ndarray, ...]:
     four_digits[..., 1] = two_digits.T
     two_zeros = np.array([2] + [len(p) - len(p.rstrip("0")) for p in pairs[1:]])
     # The zeros of the low pair, and those of the high pair where the low is 0.
-    four_zeros = two_zeros + (two_zeros == 2) * two_zeros[:, None]
+    four_zeros = (two_zeros + (two_zeros == 2) * two_zeros[:, None]).ravel()
     # Mask rows over (e, negative, last, slot) for e in [-5, 9]; e = -5
     # stands for the band below 1e-4, whose values go through %.
     e = np.arange(-5, 10)[:, None, None, None]
@@ -195,7 +203,7 @@ def _g10_tables() -> tuple[np.ndarray, ...]:
             "itemsize": 26,
         }
     )
-    return bands, scales, four_digits.view(np.uint64).ravel(), four_zeros.ravel(), masks, record
+    return low_bands, edges, scales, four_digits.view(np.uint64).ravel(), four_zeros, masks, record
 
 
 def _format_g10(values: np.ndarray) -> np.ndarray:
@@ -209,8 +217,9 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
     for each value where it can prove ``D`` and ``e``:
 
     - ``|v|`` is clamped to 1e20 (NaN and inf included), ``e`` is where it
-      falls among the literals ``1e-4 .. 1e9``, and ``scaled = |v| *
-      10**(9 - e)`` one correctly rounded product (the power is exact).
+      falls among the literals ``1e-4 .. 1e9`` (two :func:`_g10_tables`
+      entries at its biased exponent and one comparison), and ``scaled = |v|
+      * 10**(9 - e)`` one correctly rounded product (the power is exact).
       Where ``scaled < 1e10 < 2**34`` it is within half an ulp, ``2**-20``,
       of the exact product ``P``. Below 1e-4 the factor is 1.0, so
       ``scaled < 1e9``; from 1e10 on ``scaled >= 1e10``.
@@ -235,17 +244,19 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
     raised: the clamp is an int64 minimum on the bits of ``|v|``, which
     order as the doubles do and put every NaN above inf, so no float
     operation sees a NaN, signaling or not. The numpy kernels are abs,
-    minimum (int64, uint8), searchsorted, take, float multiply, divide,
-    subtract, floor and rint, comparisons, float-to-int casts, flatnonzero
-    and small integer sums: searchsorted, not log10; float floor, not
-    integer division; minimum, not bitwise and. A kernel that no op ran
-    before adds its code pages to the op's peak memory.
+    minimum (int64, uint8), an int64 right shift, take, float multiply,
+    divide, subtract, floor and rint, comparisons, float-to-int casts,
+    flatnonzero and small integer sums: exponent tables, not searchsorted or
+    log10; float floor, not integer division; minimum, not bitwise and. A
+    kernel that no op ran before adds its code pages to the op's peak memory.
     """
-    bands, scales, four_digits, four_zeros, masks, record = _g10_tables()
+    low_bands, edges, scales, four_digits, four_zeros, masks, record = _g10_tables()
     magnitude = np.abs(values)
     bits = magnitude.view(np.int64)
     np.minimum(bits, _G10_CLAMP, out=bits)
-    band = np.searchsorted(bands, magnitude, side="right")  # e + 5 from 1e-4 on
+    exponent = bits >> 52  # biased: the sign bit of |v| is 0
+    band = low_bands.take(exponent)  # e + 5 from 1e-4 on
+    band += magnitude >= edges.take(exponent)
     scaled = magnitude * scales.take(band)
     digits = np.rint(scaled)
     fast = (scaled >= 1e9) & (digits < 1e10)
@@ -343,14 +354,16 @@ class SimulationTrace:
         """Consecutive blocks of at most ``rows`` samples, each as its slice
         of the samples and a view of its ``(rows, C + 1)`` flows.
 
-        The speed caps, the law's constants and bottleneck operands and the
-        stretch ends are computed once per pass. The flows of ``_FLUX_CALL_BLOCKS``
-        blocks at a time go into one buffer, reused for the next ones, with
-        one :func:`~vslsim.ctm.flux_law` call per stretch of steps under one
-        posted row that they meet; a consumer copies what it keeps."""
+        The speed caps, the law's constants and bottleneck operands (``cap_d``
+        alone where no drop engages) and the stretch ends are computed once per
+        pass. The flows of ``_FLUX_CALL_BLOCKS`` blocks at a time go into one
+        buffer, reused for the next ones, with one :func:`~vslsim.ctm.flux_law`
+        call per stretch of steps under one posted row that they meet; a
+        consumer copies what it keeps."""
         fd, samples, n_cells = self.fd, self.num_samples, self.geometry.num_cells
         caps, constants = speed_caps(self.limit_rows, n_cells, fd), law_constants(fd)
         tail = bottleneck_operands(fd, self.incident_active, self.lc_active, self.lc_residual_drop)
+        cap_d, dropped, threshold = tail
         ends = np.append(self.limit_steps[1:], samples).tolist()
         span = min(_FLUX_CALL_BLOCKS * rows, samples)
         buffer = np.empty((span, n_cells + 1))
@@ -363,8 +376,9 @@ class SimulationTrace:
                     i += 1
                 part = slice(k, min(ends[i], last))
                 row = flow_row(buffer[k - first : part.stop - first], self.densities[part])
-                v_cells, bottleneck = self.limit_rows[i, -n_cells:], [x[part] for x in tail]
-                flux_law(row, v_cells, caps[i], self.demand[part], bottleneck, constants)
+                v_cells, cap = self.limit_rows[i, -n_cells:], cap_d[part]
+                rest = (cap, threshold) if dropped is cap_d else (dropped[part], threshold[part])
+                flux_law(row, v_cells, caps[i], self.demand[part], (cap, *rest), constants)
                 k = part.stop
             for start in range(first, last, rows):
                 stop = min(start + rows, last)
@@ -544,14 +558,15 @@ def run_batch(
     ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps. A row's inputs change only
     at step 0 and the first step at or after each time its scenario names
     (each demand step, the closure's start and end); the law's bottleneck
-    operands are taken at these input steps. The steps run from event to
-    event: control instants, every ``span`` steps, every row's input steps
-    and the horizon. Every event copies the block into the ``(B, T, C)``
-    history (a row's densities are a contiguous ``(T, C)`` view), checks it
-    with its flows and restarts the block there; the horizon's flow row is
-    checked at the end. If the step at an event leaves the whole state
-    unchanged as bytes (``-0.0`` and ``0.0`` differ), the steps up to the
-    next event are filled with copies of it instead of computed.
+    operands are taken at these input steps (the cap alone where no row's
+    drop engages). The steps run from event to event: control instants,
+    every ``span`` steps, every row's input steps and the horizon. Every
+    event copies the block into the ``(B, T, C)`` history (a row's densities
+    are a contiguous ``(T, C)`` view), checks it with its flows and restarts
+    the block there; the horizon's flow row is checked at the end. If the
+    step at an event leaves the whole state unchanged as bytes (``-0.0`` and
+    ``0.0`` differ), the steps up to the next event are filled with copies of
+    it instead of computed.
 
     A row fails alone: at the controller call that raises, or that returns
     other than ``N + 1`` limits in (0, ``free_flow_speed``]

@@ -384,6 +384,64 @@ class TestPreparedViews:
             assert q[..., -1].tobytes() == unprepared.tobytes()
 
 
+class TestDropFreeTail:
+    """Where no row has a drop engaged, ``bottleneck_operands`` gives ``cap_d``
+    itself as the dropped cap and ``flux_law``'s array tail takes it without
+    selecting; where one row has, the tail selects. Either way each row of a
+    batch gets the bytes of its own one-state run and of the selection path
+    written out in ``TestPreparedViews.unprepared_tail``."""
+
+    # The bottleneck cell of each input: a draw, -0.0, NaN, exactly cap_d / v_f
+    # and just past it (above the threshold).
+    CELLS = ("draw", -0.0, np.nan, "threshold", "past")
+
+    def batch(self, inputs):
+        """One row per (closed, lc, residual) input and bottleneck cell, laid
+        out as ``run_batch`` lays out a block row; the operands and the flows."""
+        rng = np.random.default_rng(28)
+        fd = random_triangle(rng)
+        combos = list(itertools.product(inputs, self.CELLS))
+        closed, lc, residual = (np.array(x) for x in zip(*(c for c, _ in combos)))
+        tail = bottleneck_operands(fd, closed, lc, residual)
+        n_sections, n_cells, rows = 6, 7, len(combos)
+        rho = np.empty((n_cells, rows)).T
+        rho[...] = rng.uniform(0.0, fd.jam_density, size=rho.shape)
+        threshold = tail[0] / fd.free_flow_speed
+        picks = {"draw": rho[:, -1], "threshold": threshold, "past": 1.05 * threshold}
+        rho[:, -1] = [picks[c][b] if c in picks else c for b, (_, c) in enumerate(combos)]
+        v = rng.uniform(1.0, fd.free_flow_speed, size=(rows, n_sections + 1))
+        v[:, -1] = fd.free_flow_speed  # the bottleneck cell sends past its cap
+        cap, demand = speed_caps(v, n_cells, fd), rng.uniform(0.0, fd.capacity, size=rows)
+        row = flow_row(np.empty((n_cells + 1, rows)).T, rho)
+        q = flux_law(row, v[:, -n_cells:], cap, demand, tail, law_constants(fd))
+        for b in range(rows):
+            one_tail = [float(x) for x in bottleneck_operands(fd, closed[b], lc[b], residual[b])]
+            one_row = flow_row(np.empty(n_cells + 1), rho[b].copy())
+            one = flux_law(
+                one_row, v[b, -n_cells:], cap[b], demand.item(b), one_tail, law_constants(fd)
+            )
+            assert q[b].tobytes() == one.tobytes()
+        unprepared = TestPreparedViews.unprepared_tail(
+            rho[:, -1], v[:, -1] * rho[:, -1], closed, lc, residual, fd
+        )
+        assert q[:, -1].tobytes() == unprepared.tobytes()
+        return fd, tail, q
+
+    def test_drop_free_rows_skip_the_select(self):
+        # No closure (with or without advisories), or advisories with residual 0.
+        inputs = [(False, False, 0.0), (False, True, 0.04), (True, True, 0.0), (True, True, -0.0)]
+        _, (cap_d, dropped, threshold), _ = self.batch(inputs)
+        assert dropped is cap_d
+        assert threshold == np.inf
+
+    def test_one_engaged_drop_keeps_the_select(self):
+        fd, (cap_d, dropped, _), q = self.batch([(True, True, 0.0), (True, True, 0.04)])
+        assert dropped is not cap_d
+        # Past the threshold the 0.04 rows discharge their dropped cap.
+        past = len(self.CELLS) + self.CELLS.index("past")
+        assert q[past, -1] == (1.0 - 0.04) * fd.downstream_capacity
+
+
 class TestValueTypes:
     def test_geometry_properties(self, geometry):
         assert geometry.has_zone

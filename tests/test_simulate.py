@@ -705,14 +705,40 @@ class TestFormatG10:
         assert_prints_as_g10(np.array(bits, dtype=np.uint64).view(np.float64))
 
     def test_edge_values(self):
+        # The smallest normal and the largest subnormal bound the exponent
+        # tables' first binade; -max is among the negatives below.
         tiny = np.finfo(float).tiny
-        values = [0.0, tiny, tiny / 2**10, 5e-324, np.finfo(float).max, np.nan, np.inf]
+        values = [0.0, tiny, float.fromhex("0x0.fffffffffffffp-1022"), tiny / 2**10, 5e-324]
+        values += [np.finfo(float).max, np.nan, np.inf]
         values += [9999999999.5, 999999999.95, 1234567890.5, 0.5, 7000.0]
         for k in range(-5, 11):
             p = float(f"1e{k}")
             values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
         values = np.array(values)
         assert_prints_as_g10(np.concatenate((values, -values)))
+
+    def test_band_tables_match_searchsorted(self):
+        # At every biased exponent E: the binade's low end and last double, and
+        # each power of ten with its two neighbours. The band of the low end,
+        # plus one at or above the binade's edge, is the count of the literals
+        # 1e-4 .. 1e9 at or below the value. (E = 2047 holds inf and NaN.)
+        low_bands, edges = vslsim.simulate._g10_tables()[:2]
+        assert low_bands.shape == edges.shape == (2048,)
+        bands = np.array([float(f"1e{k}") for k in range(-4, 10)])
+        exponents = np.arange(2048, dtype=np.int64)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate(
+            (
+                (exponents << 52).view(np.float64),
+                ((exponents << 52) | (2**52 - 1)).view(np.float64),
+                powers,
+                np.nextafter(powers, 0.0),
+                np.nextafter(powers, np.inf),
+            )
+        )
+        e = values.view(np.int64) >> 52
+        band = low_bands[e] + (values >= edges[e])
+        assert np.array_equal(band, np.searchsorted(bands, values, side="right"))
 
     def test_no_floating_point_warning(self):
         # Under errstate(all="raise") a warning fails the test: the edge
