@@ -99,8 +99,7 @@ def _speeds(trace: SimulationTrace, rho_min: float) -> tuple[np.ndarray, np.ndar
     with np.errstate(divide="ignore", invalid="ignore"):
         for block, q in trace._flow_blocks(max(1, CSV_BLOCK_VALUES // (cells + 1))):
             r, limits = rho[block], posted_limits.take(posted[block], axis=0)
-            ratio = np.where(r > 0.0, q[:, 1:] / np.where(r > 0.0, r, 1.0), np.inf)
-            field[block] = np.where(r > rho_min, np.minimum(ratio, limits), limits)
+            field[block] = np.where(r > max(rho_min, 0.0), np.minimum(q[:, 1:] / r, limits), limits)
             inflow[block] = q[:, 0]
     return field, inflow
 

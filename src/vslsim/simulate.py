@@ -9,11 +9,12 @@ interface is capped by the downstream capacity (with the capacity drop engaged
 above critical occupancy); outside the incident window the cap reverts to the
 mainline capacity and the drop is inert.
 
-``run_batch`` steps several scenarios that share a cell count, step, horizon
-and control period as one ``(B, C)`` state;
-:func:`~vslsim.scenario.simulate_scenario` runs a batch of one. The demand
-and the incident and lane-change flags are computed once per run, and the
-bottleneck's operands at each row's input steps, where its inputs may change.
+``run_batch`` steps several scenarios that share sections, a step, horizon
+and control period as one ``(B, C)`` state, a row without a zone cell behind
+a pass-through cell; :func:`~vslsim.scenario.simulate_scenario` runs a batch
+of one. The demand and the incident and lane-change flags are computed once
+per run, and the bottleneck's operands at each row's input steps, where its
+inputs may change.
 :func:`~vslsim.ctm.flux_law` and :func:`~vslsim.ctm.update_law` step the flow
 rows of a small block laid out cells-major, the batch axis innermost;
 controllers read rows of the ``(B, T, C)`` density history and return plain
@@ -521,12 +522,11 @@ def _range_error(
 
 def batch_key(scenario: "Scenario") -> tuple:
     """Scenarios with equal keys step together in :func:`run_batch`: the same
-    fundamental diagram, sections, zone presence (hence cell count), step,
-    horizon and control period."""
+    fundamental diagram, sections, step, horizon and control period. Rows
+    with and without a zone cell share a key."""
     return (
         scenario.fd,
         scenario.geometry.num_sections,
-        scenario.geometry.has_zone,
         scenario.dt_hours,
         scenario.horizon,
         scenario.control_period_hours,
@@ -537,17 +537,25 @@ def run_batch(
     scenarios: Sequence["Scenario"], controllers: Sequence[Controller]
 ) -> list[SimulationTrace | Exception]:
     """Simulate scenarios of one :func:`batch_key` as one ``(B, C)`` state,
-    each under its own controller; the result for each is its trace, or the
-    exception that stopped it.
+    ``C`` the largest cell count, each under its own controller; the result
+    for each is its trace, or the exception that stopped it.
+
+    A row without a zone cell in a batch with one is right-aligned: its cell
+    0 passes its demand through, with density 1.0, ``dt / L`` 0.0 and the
+    demand as its speed (set at each input step), so it sends ``demand *
+    1.0``, the demand bit for bit (``-0.0`` too; a ``-0.0`` density would
+    turn to 0.0 in one step). The row's own entrance then applies its speed
+    cap and supply to that flow, as its own run does. A batch of equal cell
+    counts has no pass-through cell.
 
     Every row starts from ``warm_state`` of its scenario. At each control
-    instant its controller, ``controller(cells, t)``, gets a read-only
-    ``(C,)`` view of the row's densities (a row of ``trace.densities``) and
-    the time in hours, and returns the ``N + 1`` posted limits ``[zone,
-    section 1 .. N]`` (a row of ``trace.limits``), which hold until the next
-    call. Identical inputs give bit-identical traces. Each scenario checked
-    itself when it was built, so its step meets the CFL bound and divides
-    the horizon and the control period into whole steps.
+    instant its controller, ``controller(cells, t)``, gets a read-only view
+    of the row's own cells (a row of ``trace.densities``) and the time in
+    hours, and returns the ``N + 1`` posted limits ``[zone, section 1 ..
+    N]`` (a row of ``trace.limits``), which hold until the next call.
+    Identical inputs give bit-identical traces. Each scenario checked itself
+    when it was built, so its step meets the CFL bound and divides the
+    horizon and the control period into whole steps.
 
     One :func:`~vslsim.ctm.flux_law` and one :func:`~vslsim.ctm.update_law`
     call advance every row per step; being elementwise, they give each row
@@ -561,12 +569,12 @@ def run_batch(
     operands are taken at these input steps (the cap alone where no row's
     drop engages). The steps run from event to event: control instants,
     every ``span`` steps, every row's input steps and the horizon. Every
-    event copies the block into the ``(B, T, C)`` history (a row's densities
-    are a contiguous ``(T, C)`` view), checks it with its flows and restarts
-    the block there; the horizon's flow row is checked at the end. If the
-    step at an event leaves the whole state unchanged as bytes (``-0.0`` and
-    ``0.0`` differ), the steps up to the next event are filled with copies of
-    it instead of computed.
+    event copies the block into the ``(B, T, C)`` history (a trace views its
+    row's own columns), checks each row's own columns and restarts the
+    block there; the horizon's flow row is checked at the end.
+    If the step at an event leaves the whole state unchanged as bytes
+    (``-0.0`` and ``0.0`` differ), the steps up to the next event are filled
+    with copies of it instead of computed.
 
     A row fails alone: at the controller call that raises, or that returns
     other than ``N + 1`` limits in (0, ``free_flow_speed``]
@@ -583,10 +591,13 @@ def run_batch(
             f"controllers for {len(scenarios)} scenarios"
         )
     base = scenarios[0]
-    fd, dt, geometry = base.fd, base.dt_hours, base.geometry
+    fd, dt, n_sections = base.fd, base.dt_hours, base.geometry.num_sections
     n_steps = int(round(base.horizon / dt))
     ctrl_every = int(round(base.control_period_hours / dt))
-    n_sections, n_cells, n_rows = geometry.num_sections, geometry.num_cells, len(scenarios)
+    n_cells, n_rows = max(s.geometry.num_cells for s in scenarios), len(scenarios)
+    # Each row's first own cell: 1 behind a pass-through cell, else 0.
+    first = [n_cells - s.geometry.num_cells for s in scenarios]
+    through = [b for b, f in enumerate(first) if f]
 
     # Everything that does not depend on the densities, once per run: (B, T).
     # The input steps come from the times a row's scenario names, whatever
@@ -611,11 +622,14 @@ def run_batch(
     # innermost: each slice along the cell axis is one contiguous block.
     span = min(ctrl_every, max(1, CSV_BLOCK_VALUES // (n_rows * (n_cells + 1))))
     state = np.empty((span + 1, n_cells, n_rows)).swapaxes(1, 2)
-    state[0] = [warm_state(s) for s in scenarios]
+    state[0] = [np.r_[[1.0] * f, warm_state(s)] for f, s in zip(first, scenarios)]
     flows = np.empty((span, n_cells + 1, n_rows)).swapaxes(1, 2)
-    dt_over_length = (dt / np.stack([s.geometry.cell_lengths() for s in scenarios], axis=1)).T
-    posted = np.full((n_sections + 1, n_rows), fd.free_flow_speed).T
-    caps = speed_caps(posted, n_cells, fd)  # laid out as posted
+    lengths = [np.r_[[np.inf] * f, s.geometry.cell_lengths()] for f, s in zip(first, scenarios)]
+    dt_over_length = (dt / np.stack(lengths, axis=1)).T  # dt / inf: 0.0
+    # The law's speeds and caps, laid out as the block; a pass-through
+    # interface keeps the capacity as its cap.
+    speeds = np.full((n_cells, n_rows), fd.free_flow_speed).T
+    caps = np.full((n_cells, n_rows), fd.capacity).T
     changes: list[list[tuple[int, np.ndarray]]] = [[] for _ in scenarios]
     failed: list[Exception | None] = [None] * n_rows
 
@@ -624,11 +638,12 @@ def run_batch(
         state[0, b] = 0.0  # the next check copies it into the history
         demand[b, k:] = 0.0
 
-    def check(rho: np.ndarray, q: np.ndarray, first: int, k: int) -> None:
-        """Fail at step ``k`` each live row whose ``rho`` or ``q`` (from ``first``) leave range."""
-        for b in range(n_rows):
-            if failed[b] is None:
-                exc = _range_error(times, rho[b], q[:, b], fd.outflow_jam_density, first)
+    def check(rho: np.ndarray, q: np.ndarray, start: int, k: int) -> None:
+        """Fail at step ``k`` each live row whose ``rho`` or ``q`` (from ``start``) leave range."""
+        jam_out = fd.outflow_jam_density
+        for b, f in enumerate(first):
+            if failed[b] is None:  # the row's own columns
+                exc = _range_error(times, rho[b, :, f:], q[:, b, f:], jam_out, start)
                 if exc is not None:
                     fail(b, k, exc)
 
@@ -640,11 +655,11 @@ def run_batch(
 
     # Per step: a (C,) row and scalars for one scenario, (B, C) and (B,) rows
     # for several. The flow row of each block row and the law's constants are
-    # built once per run; posted and caps change in place, so views follow.
+    # built once per run; speeds and caps change in place, so views follow.
     row = 0 if n_rows == 1 else slice(None)
     steps, step_demand, constants = list(state[:, row]), demand[row].T, law_constants(fd)
     flow_rows = [flow_row(q, rho) for q, rho in zip(flows[:, row], steps)]
-    v_cells, cap, dtl = posted[row, -n_cells:], caps[row], dt_over_length[row]
+    v_cells, cap, dtl = speeds[row], caps[row], dt_over_length[row]
 
     # Each event copies the block's steps since the last into the history,
     # checks them and restarts the block there: block row j is step k + j.
@@ -658,20 +673,21 @@ def run_batch(
             tail = bottleneck_operands(fd, active[:, k], lc_on[:, k], residual)
             if n_rows == 1:  # Python floats: the law's one-state tail is float arithmetic
                 tail = tuple(x.item(0) for x in tail)
+            speeds[through, 0] = demand[through, k]
         if k % ctrl_every == 0:
             t = k * dt
-            for b, controller in enumerate(controllers):
+            for b, (controller, f) in enumerate(zip(controllers, first)):
                 if failed[b] is not None:
                     continue
                 try:
-                    limits = _check_limits(controller(cells[b, k], t), fd, n_sections + 1)
+                    limits = _check_limits(controller(cells[b, k, f:], t), fd, n_sections + 1)
                 except Exception as exc:  # noqa: BLE001 - fails this row only
                     fail(b, k, exc)
                     continue
-                if not changes[b] or limits.tobytes() != posted[b].tobytes():
-                    posted[b] = limits
-                    changes[b].append((k, posted[b].copy()))  # limits may be reused
-                    caps[b] = speed_caps(limits, n_cells, fd)
+                if not changes[b] or limits.tobytes() != changes[b][-1][1].tobytes():
+                    changes[b].append((k, limits.copy()))  # limits may be reused
+                    speeds[b, f:] = limits[f - n_cells :]
+                    caps[b, f:] = speed_caps(limits, n_cells - f, fd)
         if None not in failed:
             break
         d_k = step_demand[k]  # read after a failed row's demand was zeroed
@@ -698,7 +714,7 @@ def run_batch(
                 geometry=s.geometry,
                 fd=fd,
                 times=times,
-                densities=densities[b],
+                densities=densities[b, :, first[b] :],
                 demand=demand[b],
                 incident_active=active[b],
                 lc_active=lc_on[b],

@@ -3,12 +3,12 @@
 Each swept value yields one summary row holding the metric report plus the
 analytic zone-bound quantities for that scenario. Rows keep the input order;
 failures are recorded in place without aborting the sweep. Values whose
-scenarios can step together (the same cell count, step, horizon and
-control period) are simulated as one batch, one ``(B, C)`` state through
-the flux law per step, and a row that fails in a batch fails alone. With
-several workers each batch group is split into at most one chunk per
-worker, and the chunks run concurrently; collation stays ordered either
-way, and the bytes do not depend on the split.
+scenarios can step together (the same sections, step, horizon and control
+period, with or without a zone cell) are simulated as one batch, one ``(B,
+C)`` state through the flux law per step, and a row that fails in a batch
+fails alone. With several workers each batch group is split into at most
+one chunk per worker, and the chunks run concurrently; collation stays
+ordered either way, and the bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ def run_sweep(
     """Evaluate every swept value; row order always matches the value order.
 
     Values whose scenarios share a :func:`~vslsim.simulate.batch_key` (for a
-    zone sweep, every nonzero zone length) are simulated as one batch, which
-    gives each row the bytes of its own run. The pool never exceeds the
+    zone sweep, every zone length, 0 included) are simulated as one batch,
+    which gives each row the bytes of its own run. The pool never exceeds the
     number of values or of CPUs; it maps over at most that many chunks of
     each batch group. With ``trace_dir`` each run writes its trace CSV there.
     """

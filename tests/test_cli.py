@@ -635,7 +635,7 @@ class TestSweepOutputs:
 
         scenario_path = write_mini_scenario(tmp_path)
         spec_path = tmp_path / "spec.json"
-        values = [0.8, 1.6]
+        values = [0.0, 0.8, 1.6]
         spec_path.write_text(
             json.dumps(
                 {
@@ -649,14 +649,15 @@ class TestSweepOutputs:
         calls = []
 
         def counting_run_batch(scenarios, controllers):
-            calls.extend(s.name for s in scenarios)
+            calls.append([s.name for s in scenarios])
             return real_run_batch(scenarios, controllers)
 
         monkeypatch.setattr(vslsim.sweep, "run_batch", counting_run_batch)
         sweep_out = tmp_path / "sweep"
         argv = ["sweep", str(spec_path), "--traces", "--out", str(sweep_out)]
         assert cli_dispatch(argv) == 0
-        assert calls == ["mini_cli_L0_0.8", "mini_cli_L0_1.6"]
+        # One batch: zone 0 steps behind a pass-through cell.
+        assert calls == [["mini_cli_L0_0", "mini_cli_L0_0.8", "mini_cli_L0_1.6"]]
 
         base = load_scenario(scenario_path)
         run_out = tmp_path / "run"

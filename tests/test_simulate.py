@@ -37,11 +37,13 @@ from vslsim import (
     make_controller,
     moderate_demand_preset,
     run_sweep,
+    save_scenario,
     simulate_scenario,
     trace_events,
     warm_state,
     zone_bound_report,
 )
+from vslsim.cli import cli_dispatch
 from vslsim.ctm import (
     bottleneck_operands,
     flow_row,
@@ -479,7 +481,8 @@ class TestKernelAgainstStepLoop:
 
 def benchmark_batch(case: str) -> list[Scenario]:
     """The scenarios of one benchmark run: the high_demand preset, the tests'
-    fine grid, the zone sweep's zone 0, or its eleven other zones (one batch)."""
+    fine grid, the zone sweep's zone 0, its eleven other zones, or all twelve
+    (each set one batch)."""
     base = high_demand_preset()
     zones = [
         replace(base, geometry=replace(base.geometry, upstream_zone_length=zone))
@@ -490,6 +493,7 @@ def benchmark_batch(case: str) -> list[Scenario]:
         "fine_grid": [fine_grid_scenario()],
         "zone_0": zones[:1],
         "zone_batch": zones[1:],
+        "zone_sweep": zones,
     }[case]
 
 
@@ -500,13 +504,20 @@ class TestEventStepping:
 
     @pytest.mark.parametrize(
         "case, budget",
-        [("high_demand", 4821), ("fine_grid", 9661), ("zone_0", 4154), ("zone_batch", 4821)],
+        [
+            ("high_demand", 4821),
+            ("fine_grid", 9661),
+            ("zone_0", 4154),
+            ("zone_batch", 4821),
+            ("zone_sweep", 4821),
+        ],
     )
     def test_fluxes_calls_within_budget(self, case, budget, monkeypatch):
         # Stepping every step takes 5,401 calls (10,801 on the fine grid).
         # The warm-up before the incident is a fixed point, one call per
         # control period; zone 0's recovered free flow is another, from step
-        # 4,082 to the incident end at step 4,800.
+        # 4,082 to the incident end at step 4,800. The whole sweep in one
+        # batch steps as its eleven zones do, zone 0 behind a pass-through cell.
         scenarios = benchmark_batch(case)
         real = vslsim.simulate.flux_law
         calls = []
@@ -740,6 +751,41 @@ class TestFormatG10:
         band = low_bands[e] + (values >= edges[e])
         assert np.array_equal(band, np.searchsorted(bands, values, side="right"))
 
+    def test_provable_values_skip_the_fallback(self):
+        # Every value at decimal exponent -4 .. 9 whose exact ten-digit
+        # product P lies within 1/2 - 2**-15 of its rounding D < 1e10 is
+        # proved (the float product is within 2**-20 of P), not sent to
+        # ``%``. The fallback prints the same bytes, so only its count shows
+        # a band or bound that proves too little. The powers of ten 1e-4 ..
+        # 1e9 sit on the band edges; high_demand's trace values are what the
+        # CSV prints (its few near-ties are left out).
+        class CountingArray(np.ndarray):
+            fallback: list[int] = []
+
+            def tolist(self):
+                self.fallback.append(self.size)
+                return super().tolist()
+
+        def provable(v: float) -> bool:
+            n, d = abs(v).as_integer_ratio()  # |v| = n / d, exactly
+            e = len(str(n * 10**20 // d)) - 21  # 10**e <= |v| < 10**(e + 1)
+            if not -4 <= e <= 9:
+                return False
+            scaled = n * 10 ** (9 - e)  # P * d
+            digits = (2 * scaled + d) // (2 * d)
+            return digits < 10**10 and abs(scaled - digits * d) * 2**16 < d * (2**15 - 2)
+
+        trace = simulate_scenario(high_demand_preset())
+        powers = [float(f"1e{k}") for k in range(-4, 10)]
+        values = np.concatenate((powers, trace.times, trace.densities.ravel(), trace.flows.ravel()))
+        values = np.array([v for v in np.unique(values).tolist() if provable(v)])
+        assert set(powers) <= set(values.tolist())
+        values = np.concatenate((values, -values))
+        text = vslsim.simulate._format_g10(values.view(CountingArray))
+        assert CountingArray.fallback == []
+        printed = text.tobytes().translate(None, b"\0")
+        assert printed == "".join("%.10g," % v for v in values.tolist()).encode()
+
     def test_no_floating_point_warning(self):
         # Under errstate(all="raise") a warning fails the test: the edge
         # values and raw bit patterns, signaling NaNs among them.
@@ -963,8 +1009,77 @@ class TestBatch:
         base = replace(high_demand_preset(), controller="rule_based_reactive")
         assert_sweep_equals_serial_runs(base, variable, values)
 
+    def test_signed_zero_demand_rows_match_their_runs(self, monkeypatch, tmp_path):
+        # The zone sweep's demand steps 7000 -> -0.0 -> 0.0 -> 6500 veh/h, and
+        # its four rows step as one batch, zone 0 behind a pass-through cell.
+        # At every batch step zone 0's flows are its own law's on its own
+        # cells, bit for bit: from a warm road, an entrance flow of 0.0 where
+        # its run sends -0.0 would reach no trace byte.
+        times = (0.0, 20.0 / 60.0, 35.0 / 60.0, 50.0 / 60.0)
+        demand = DemandProfile(times, (7000.0, -0.0, 0.0, 6500.0))
+        base = replace(high_demand_preset(), demand=demand)
+        values = (0.0, 0.8, 2.0, 4.8)
+        real_run_batch, real_flux_law = vslsim.sweep.run_batch, vslsim.simulate.flux_law
+        batches, entering = [], []
+
+        def recording_run_batch(scenarios, controllers):
+            batches.append([s.name for s in scenarios])
+            return real_run_batch(scenarios, controllers)
+
+        def own_law(row, v_cells, cap, demand, bottleneck, constants):
+            q = real_flux_law(row, v_cells, cap, demand, bottleneck, constants)
+            if np.ndim(v_cells) == 2:  # a batch step; zone 0 is row 0
+                rho, own = row[0][0, 1:].copy(), np.empty(row[1].shape[1] - 1)
+                tail = tuple(x.item(0) for x in bottleneck)
+                own_cells = (v_cells[0, 1:].copy(), cap[0, 1:].copy(), demand.item(0))
+                real_flux_law(flow_row(own, rho), *own_cells, tail, constants)
+                assert q[0, 1:].tobytes() == own.tobytes()
+                entering.append(own[0])
+            return q
+
+        monkeypatch.setattr(vslsim.sweep, "run_batch", recording_run_batch)
+        monkeypatch.setattr(vslsim.simulate, "flux_law", own_law)
+        spec = SweepSpec(base=base, variable="upstream_zone_length", values=values)
+        rows = run_sweep(spec, trace_dir=tmp_path)
+        monkeypatch.undo()
+        assert [row.status for row in rows] == ["ok"] * len(values)
+        assert batches == [[row.name for row in rows]]
+        zeros = np.array(entering)[np.equal(entering, 0.0)]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # -0.0 and 0.0
+
+        path = tmp_path / "scenario.json"
+        for value in values:
+            scenario = apply_sweep_value(base, "upstream_zone_length", value)
+            save_scenario(scenario, path)
+            assert cli_dispatch(["run", str(path), "--out", str(tmp_path / "run")]) == 0
+            name = f"{scenario.name}_trace.csv"
+            assert (tmp_path / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+    def test_controllers_see_their_own_cells(self):
+        # Zone 0 steps behind a pass-through cell; its controller gets its
+        # own N cells at each control instant, as the 0.8 km row gets N + 1.
+        base = high_demand_preset()
+        zones = [apply_sweep_value(base, "upstream_zone_length", z) for z in (0.0, 0.8)]
+        seen = [[] for _ in zones]
+
+        def recording(controller, calls):
+            def call(cells, t):
+                calls.append(cells.copy())
+                return controller(cells, t)
+
+            return call
+
+        controllers = [recording(make_controller(s), calls) for s, calls in zip(zones, seen)]
+        results = vslsim.simulate.run_batch(zones, controllers)
+        every = int(round(base.control_period_hours / base.dt_hours))
+        for trace, calls in zip(results, seen):
+            assert np.array(calls).tobytes() == trace.densities[::every].tobytes()
+
+    @pytest.mark.parametrize("zone", [1.6, 0.0])
     @pytest.mark.parametrize("fault", ["controller", "state"])
-    def test_failing_row_fails_alone(self, fault, monkeypatch, tmp_path):
+    def test_failing_row_fails_alone(self, fault, zone, monkeypatch, tmp_path):
+        # Zone 0 steps behind a pass-through cell in the same batch; its
+        # errors name its own cells, as its own run's do.
         base = high_demand_preset()
         values = (0.8, 1.6, 0.0, 4.8)
         spec = SweepSpec(base=base, variable="upstream_zone_length", values=values)
@@ -972,7 +1087,7 @@ class TestBatch:
         clean.mkdir()
         before = run_sweep(spec, trace_dir=clean)
 
-        target = apply_sweep_value(base, "upstream_zone_length", 1.6)
+        target = apply_sweep_value(base, "upstream_zone_length", zone)
         if fault == "controller":
             # A NaN zone limit from 30 min on.
             def faulty(scenario):
@@ -997,7 +1112,7 @@ class TestBatch:
             def nan_state(scenario):
                 state = real_warm_state(scenario)
                 if scenario.name == target.name:
-                    state[1:] = np.nan  # every section, not the zone
+                    state[-base.geometry.num_sections :] = np.nan  # every section
                 return state
 
             monkeypatch.setattr(vslsim.simulate, "warm_state", nan_state)
@@ -1007,12 +1122,12 @@ class TestBatch:
         faulted = tmp_path / "faulted"
         faulted.mkdir()
         after = run_sweep(spec, trace_dir=faulted)
-        failed = after[1]
+        failed = after[values.index(zone)]
         assert failed.status == "failed"
         assert failed.error_type == type(serial.value).__name__
         assert failed.error == str(serial.value)
         assert not (faulted / f"{target.name}_trace.csv").exists()
-        for i in (0, 2, 3):
+        for i in set(range(len(values))) - {values.index(zone)}:
             assert after[i] == before[i]
             name = f"{after[i].name}_trace.csv"
             assert (faulted / name).read_bytes() == (clean / name).read_bytes()
