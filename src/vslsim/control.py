@@ -198,13 +198,18 @@ class RuleBasedReactive:
     def __init__(self, scenario: "Scenario") -> None:
         _require_incident(scenario)
         self._scenario = scenario
+        fd = scenario.fd
+        self._rows = {  # the posted row of each of the law's three commands
+            v: _posted(derated_command(v, scenario.vsl, fd), scenario)
+            for v in (*rule_commands(fd), fd.free_flow_speed)
+        }
 
     def __call__(self, cells: np.ndarray, t: float) -> np.ndarray:
         s = self._scenario
         command = s.fd.free_flow_speed
         if s.incident.active(t):
             command = v0_command(s.demand.at(t), float(cells[-1]), s.fd)
-        return _posted(derated_command(command, s.vsl, s.fd), s)
+        return self._rows[command]
 
 
 # Controller kind named by ``Scenario.controller`` -> class built from the scenario.

@@ -174,7 +174,7 @@ def reconstruct_trajectories(
     if seed_interval <= 0.0:
         raise ValueError("seed_interval must be strictly positive")
     dt, times = trace.dt, trace.times
-    stride = max(1, int(round(seed_interval / dt))) if dt > 0.0 else 1
+    stride = max(1, round(min(seed_interval / dt, len(times)))) if dt > 0.0 else 1
     seeds = np.arange(0, trace.num_samples - 1, stride)
     field, inflow = _speeds(trace, rho_min)
     seeds = seeds[inflow[seeds] > 0.0]

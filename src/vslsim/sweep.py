@@ -2,13 +2,12 @@
 
 Each swept value yields one summary row holding the metric report plus the
 analytic zone-bound quantities for that scenario. Rows keep the input order;
-failures are recorded in place without aborting the sweep. Values whose
-scenarios can step together (the same sections, step, horizon and control
-period, with or without a zone cell) are simulated as one batch, one ``(B,
-C)`` state through the flux law per step, and a row that fails in a batch
-fails alone. With several workers each batch group is split into at most
-one chunk per worker, and the chunks run concurrently; collation stays
-ordered either way, and the bytes do not depend on the split.
+failures are recorded in place without aborting the sweep. No sweep variable
+changes the diagram, sections, step, horizon or control period, so a sweep
+is one batch, one ``(B, C)`` state through the flux law per step, and a row
+that fails in it fails alone. With several workers the batch is split into
+at most one chunk per worker, and the chunks run concurrently; collation
+stays ordered either way, and the bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Callable, NamedTuple
 from .bounds import ZoneBoundReport, zone_bound_report
 from .control import Controller
 from .metrics import MetricsReport, evaluate_trace
-from .simulate import DemandProfile, SimulationTrace, batch_key, run_batch
+from .simulate import DemandProfile, SimulationTrace, run_batch
 from .scenario import (
     MAX_FILE_NAME_BYTES,
     MAX_NAME_BYTES,
@@ -162,33 +161,26 @@ class _Member(NamedTuple):
 
 
 def _run_one(
-    variable: str,
-    member: _Member,
-    outcome: SimulationTrace | Exception,
-    trace_dir: Path | None,
+    variable: str, m: _Member, outcome: SimulationTrace | Exception, trace_dir: Path | None
 ) -> SweepRow:
-    """One swept value from its simulation outcome; writes its trace CSV into
-    ``trace_dir`` when given."""
-    scenario = member.scenario
-    if isinstance(outcome, Exception):
-        return _failed_row(variable, member.value, scenario.name, outcome)
+    """One swept value's row from its run's outcome; writes its trace CSV
+    into ``trace_dir`` when given. A run, trace or metrics error fails it."""
     try:
+        if isinstance(outcome, Exception):
+            raise outcome
         if trace_dir is not None:
-            write_trace(scenario, outcome, trace_dir)
-        report = evaluate_trace(scenario, outcome)
+            write_trace(m.scenario, outcome, trace_dir)
+        report = evaluate_trace(m.scenario, outcome)
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the sweep
-        return _failed_row(variable, member.value, scenario.name, exc)
-    return SweepRow(variable, member.value, scenario.name, metrics=report, bound=member.bound)
+        return _failed_row(variable, m.value, m.scenario.name, exc)
+    return SweepRow(variable, m.value, m.scenario.name, metrics=report, bound=m.bound)
 
 
-def _run_chunk(job: tuple[str, list[_Member], Path | None]) -> list[tuple[int, SweepRow]]:
-    """Simulate one chunk of a batch group as one batch; its rows, indexed."""
+def _run_chunk(job: tuple[str, list[_Member], Path | None]) -> list[SweepRow]:
+    """Simulate one chunk of a sweep as one batch; its rows, in order."""
     variable, members, trace_dir = job
     outcomes = run_batch([m.scenario for m in members], [m.controller for m in members])
-    return [
-        (m.index, _run_one(variable, m, outcome, trace_dir))
-        for m, outcome in zip(members, outcomes)
-    ]
+    return [_run_one(variable, m, o, trace_dir) for m, o in zip(members, outcomes)]
 
 
 def run_sweep(
@@ -196,16 +188,15 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Evaluate every swept value; row order always matches the value order.
 
-    Values whose scenarios share a :func:`~vslsim.simulate.batch_key` (for a
-    zone sweep, every zone length, 0 included) are simulated as one batch,
-    which gives each row the bytes of its own run. The pool never exceeds the
-    number of values or of CPUs; it maps over at most that many chunks of
-    each batch group. With ``trace_dir`` each run writes its trace CSV there.
+    The values that build are simulated as one batch, which gives each row
+    the bytes of its own run. The pool never exceeds the number of values or
+    of CPUs; it maps over at most that many contiguous chunks of the batch.
+    With ``trace_dir`` each run writes its trace CSV there.
     """
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
     rows: list[SweepRow | None] = [None] * len(spec.values)
-    groups: dict[tuple, list[_Member]] = {}
+    members: list[_Member] = []
     for i, value in enumerate(spec.values):
         try:
             scenario = apply_sweep_value(spec.base, spec.variable, value)
@@ -217,23 +208,18 @@ def run_sweep(
             name = _run_name(spec.base.name, spec.variable, value)
             rows[i] = _failed_row(spec.variable, value, name, exc)
             continue
-        member = _Member(i, value, scenario, bound, controller)
-        groups.setdefault(batch_key(scenario), []).append(member)
+        members.append(_Member(i, value, scenario, bound, controller))
     workers = min(max_workers, len(spec.values), os.cpu_count() or 1)
-    jobs = []
-    for group in groups.values():
-        n = min(workers, len(group))
-        for j in range(n):
-            chunk = group[j * len(group) // n : (j + 1) * len(group) // n]
-            jobs.append((spec.variable, chunk, trace_dir))
+    n = min(workers, len(members))
+    cuts = [0] + [j * len(members) // n for j in range(1, n + 1)]
+    jobs = [(spec.variable, members[a:b], trace_dir) for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_chunk, jobs))
     else:
         done = [_run_chunk(job) for job in jobs]
-    for chunk_rows in done:
-        for i, row in chunk_rows:
-            rows[i] = row
+    for m, row in zip(members, [row for chunk in done for row in chunk]):
+        rows[m.index] = row
     return rows
 
 

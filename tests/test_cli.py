@@ -15,8 +15,9 @@ from test_scenario import scenario_documents
 import numpy as np
 
 import vslsim
-from vslsim import high_demand_preset, save_scenario
+from vslsim import LcConfig, high_demand_preset, save_scenario
 from vslsim.cli import cli_dispatch
+from vslsim.sweep import SWEEP_VARIABLES
 
 
 def write_mini_scenario(tmp_path, **overrides):
@@ -195,6 +196,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert list(out.iterdir()) == []
+
+    def test_seed_interval_past_the_horizon_seeds_one_probe(self, tmp_path, capsys):
+        from vslsim import MetricConfig
+
+        # A stride above int64 once gave float seeds, an IndexError after the run.
+        blocks = []
+        for i, seed_interval in enumerate([1e10, 1e19, 1e300]):
+            path = write_mini_scenario(
+                tmp_path, name=f"seed_{i}", metrics=MetricConfig(seed_interval=seed_interval)
+            )
+            assert cli_dispatch(["run", str(path), "--out", str(tmp_path)]) == 0
+            record = json.loads((tmp_path / f"seed_{i}_metrics.json").read_text())
+            blocks.append(record["metrics"])
+        assert blocks[0]["vehicles_counted"] == 1
+        assert blocks[1] == blocks[0] and blocks[2] == blocks[0]
 
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         # An invalid Scenario cannot be built, so the file is edited instead.
@@ -626,21 +642,31 @@ class TestStrictInputs:
         assert traces[0] == traces[1]
 
 
+# Swept variable -> its values and the mini scenario's overrides.
+SWEEP_CASES = {
+    "upstream_zone_length": ([0.0, 0.8, 1.6], {}),
+    "demand": ([5500.0, 6500.0, 7400.0], {}),
+    "derating": ([0.6, 0.785, 1.0], {}),
+    "lc_residual_drop": ([0.0, 0.03, 0.05], {"lc": LcConfig()}),
+}
+
+
 class TestSweepOutputs:
+    @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
     def test_traces_match_run_bytes_with_one_simulation_per_value(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, variable
     ):
         import vslsim.sweep
         from vslsim import apply_sweep_value, load_scenario
 
-        scenario_path = write_mini_scenario(tmp_path)
+        values, overrides = SWEEP_CASES[variable]
+        scenario_path = write_mini_scenario(tmp_path, **overrides)
         spec_path = tmp_path / "spec.json"
-        values = [0.0, 0.8, 1.6]
         spec_path.write_text(
             json.dumps(
                 {
                     "scenario": json.loads(scenario_path.read_text()),
-                    "variable": "upstream_zone_length",
+                    "variable": variable,
                     "values": values,
                 }
             )
@@ -656,13 +682,14 @@ class TestSweepOutputs:
         sweep_out = tmp_path / "sweep"
         argv = ["sweep", str(spec_path), "--traces", "--out", str(sweep_out)]
         assert cli_dispatch(argv) == 0
-        # One batch: zone 0 steps behind a pass-through cell.
-        assert calls == [["mini_cli_L0_0", "mini_cli_L0_0.8", "mini_cli_L0_1.6"]]
-
         base = load_scenario(scenario_path)
+        scenarios = [apply_sweep_value(base, variable, value) for value in values]
+        # One batch: no sweep variable changes what steps together (zone 0
+        # steps behind a pass-through cell).
+        assert calls == [[scenario.name for scenario in scenarios]]
+
         run_out = tmp_path / "run"
-        for value in values:
-            scenario = apply_sweep_value(base, "upstream_zone_length", value)
+        for scenario in scenarios:
             path = tmp_path / f"{scenario.name}.json"
             save_scenario(scenario, path)
             assert cli_dispatch(["run", str(path), "--out", str(run_out)]) == 0

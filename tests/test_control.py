@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import random_triangle
+from helpers import fine_grid_scenario, random_triangle
 
 from vslsim import (
     DemandProfile,
@@ -20,6 +20,7 @@ from vslsim import (
     derated_command,
     lc_distance,
     rule_commands,
+    simulate_scenario,
     v0_command,
     vsl_max_flow,
 )
@@ -244,3 +245,18 @@ class TestControllers:
         assert cleared[0] == pytest.approx(25.0)
         outside = controller(np.full(7, 100.0), 5.0 / 60.0)
         assert outside[0] == fd.free_flow_speed
+
+    def test_reactive_posts_one_row_per_command(self):
+        scenario = fine_grid_scenario()
+        controller = RuleBasedReactive(scenario)
+        rows = []  # held, so no two rows returned share an id
+
+        def recording(cells, t):
+            rows.append(controller(cells, t))
+            return rows[-1]
+
+        simulate_scenario(scenario, recording)
+        assert len(rows) == 541
+        distinct = list({id(row): row for row in rows}.values())
+        assert 2 <= len(distinct) <= 3
+        assert not any(row.flags.writeable for row in distinct)
