@@ -178,7 +178,12 @@ class ZoneBoundReport(ChasingVerdict):
 
 
 def zone_bound_report(inputs: BoundInputs, zone_length: float) -> ZoneBoundReport:
-    """Bundle bound, clearing time, arrival time, and verdict for reporting."""
+    """Bundle bound, clearing time, arrival time, and verdict for reporting; a
+    time past the float range, where the race is undecided, is a BoundInputError."""
     raw = l0_lower_bound_raw(inputs)
     race = chasing_verdict(inputs, zone_length)
+    if not np.isfinite(race.time_to_clear):
+        raise BoundInputError("zone_length", "gives a clearing time past the float range")
+    if not np.isfinite(race.arrival_time):
+        raise BoundInputError("zone_limit", "gives an arrival time past the float range")
     return ZoneBoundReport(**vars(race), zone_length=zone_length, lower_bound_raw=raw)

@@ -1,20 +1,18 @@
 """Deterministic scenario sweeps over one design variable.
 
-Each swept value yields one summary row holding the metric report plus the
-analytic zone-bound quantities for that scenario. Rows keep the input order;
-failures are recorded in place without aborting the sweep. No sweep variable
-changes the diagram, sections, step, horizon or control period, so a sweep
-is one batch, one ``(B, C)`` state through the flux law per step, and a row
-that fails in it fails alone. With several workers the batch is split into
-at most one chunk per worker, and the chunks run concurrently; collation
-stays ordered either way, and the bytes do not depend on the split.
+Each swept value yields one summary row, in input order, holding the metric
+report plus the analytic zone-bound quantities for that scenario. A value that
+fails to build (a bound whose times overflow is rejected as ``vslsim bound``
+rejects it) or to run fails its row alone, without aborting the sweep. No sweep
+variable changes the diagram, sections, step, horizon or control period, so a
+sweep is one batch. Several workers split it into at most one chunk each, run
+in a process pool imported only then; the bytes do not depend on the split.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -214,6 +212,7 @@ def run_sweep(
     cuts = [0] + [j * len(members) // n for j in range(1, n + 1)]
     jobs = [(spec.variable, members[a:b], trace_dir) for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_chunk, jobs))
     else:

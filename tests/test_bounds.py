@@ -173,6 +173,18 @@ class TestChasingVerdict:
         assert report.lower_bound == pytest.approx(1.7621917808, rel=1e-9)
         assert report.label == "absorbed"
 
+    @pytest.mark.parametrize(
+        "zone_limit, zone, field, time",
+        [(20.0, 1e308, "zone_length", "a clearing"), (1e-320, 1.0, "zone_limit", "an arrival")],
+    )
+    def test_report_rejects_times_past_the_float_range(self, fd, zone_limit, zone, field, time):
+        # Two infinite times decide no race: 1e308 km would read shockwave_risk.
+        inputs = BoundInputs(fd, 6, 1.6, zone_limit, 70.0, np.full(6, 70.0))
+        with pytest.raises(BoundInputError) as err:
+            zone_bound_report(inputs, zone)
+        assert err.value.field == field
+        assert str(err.value) == f"{field} gives {time} time past the float range"
+
 
 @pytest.mark.slow
 class TestSimulationAgreement:

@@ -766,3 +766,30 @@ def test_run_and_sweep_import_no_module(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"imported": [], "loaded": []}
     assert (tmp_path / "emptying_trace.csv").exists()
+
+
+# Run in a fresh interpreter: importing the package and the CLI, and a serial
+# sweep, load none of the process pool's machinery; only a pooled sweep does.
+SERIAL_IMPORTS = """
+import sys
+import vslsim, vslsim.cli
+from vslsim import SweepSpec, high_demand_preset, run_sweep
+rows = run_sweep(SweepSpec(base=high_demand_preset(), values=(0.8, 1.6)), 1)
+assert [row.status for row in rows] == ["ok", "ok"], rows
+pool = "multiprocessing concurrent.futures.process logging socket subprocess signal".split()
+print(sorted(name for name in pool if name in sys.modules))
+"""
+
+
+def test_package_cli_and_serial_sweep_load_no_process_pool():
+    src = str(Path(vslsim.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", SERIAL_IMPORTS],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"

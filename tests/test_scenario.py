@@ -802,9 +802,11 @@ class TestSweepWorkersAndCsv:
         "workers,cpus,expected", [(8, 2, [2]), (8, 16, [3]), (2, 16, [2]), (1, 16, [])]
     )
     def test_pool_clamped_to_values_and_cpus(self, fd, monkeypatch, workers, cpus, expected):
+        import concurrent.futures
         import vslsim.sweep as sweep
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+        # run_sweep imports the pool class where it starts one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         # Out-of-range deratings fail at validation, so no row simulates.
@@ -823,7 +825,7 @@ class TestSweepWorkersAndCsv:
 
         # Two CPUs even on a one-CPU machine, so two workers start a real pool.
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
-        # 0 km batches apart from the nonzero zones; -1 km fails to build.
+        # 0 km steps behind a pass-through cell in the zone batch; -1 km fails to build.
         values = (0.0, 0.8, -1.0, 1.2, 1.6)
         spec = SweepSpec(base=_mini(fd), variable="upstream_zone_length", values=values)
         written = {}
@@ -836,6 +838,29 @@ class TestSweepWorkersAndCsv:
             written[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert len(written[1]) == 5  # the summary and four traces
         assert written[2] == written[1]
+
+    def test_bound_times_past_the_float_range_fail_the_row(self, fd, tmp_path):
+        # vslsim bound rejects 1e308 km, whose clearing time overflows; its row
+        # fails the same way and leaves the 1.6 km row's bytes as they are.
+        written = []
+        for values in ((1.6,), (1.6, 1e308)):
+            out = tmp_path / f"{len(values)}_values"
+            out.mkdir()
+            spec = SweepSpec(base=_mini(fd), variable="upstream_zone_length", values=values)
+            rows = run_sweep(spec, trace_dir=out)
+            sweep_rows_to_csv(rows, out / "summary.csv")
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert [(r.status, r.error_type) for r in rows] == [
+            ("ok", None),
+            ("failed", "BoundInputError"),
+        ]
+        assert rows[1].error == "zone_length gives a clearing time past the float range"
+        alone, both = written
+        assert both.keys() == alone.keys()  # the summary and the 1.6 km trace
+        assert both["mini_L0_1.6_trace.csv"] == alone["mini_L0_1.6_trace.csv"]
+        summary = both["summary.csv"].splitlines()
+        assert summary[:2] == alone["summary.csv"].splitlines()
+        assert summary[2].startswith(b"upstream_zone_length,1e+308,mini_L0_1e+308,failed,")
 
     def test_failed_rows_named_like_ok_rows(self, fd):
         spec = SweepSpec(base=_mini(fd), variable="derating", values=(0.8, 1.5))
