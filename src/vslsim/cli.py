@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="parallel runs, at most one per value and per CPU (default 1)",
+        help="parallel runs, at most one per value that builds and per CPU (default 1)",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 

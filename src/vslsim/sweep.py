@@ -5,8 +5,8 @@ report plus the analytic zone-bound quantities for that scenario. A value that
 fails to build (a bound whose times overflow is rejected as ``vslsim bound``
 rejects it) or to run fails its row alone, without aborting the sweep. No sweep
 variable changes the diagram, sections, step, horizon or control period, so a
-sweep is one batch. Several workers split it into at most one chunk each, run
-in a process pool imported only then; the bytes do not depend on the split.
+sweep is one batch, one chunk per worker over the values that build; two or
+more workers run in a process pool imported only then, with the same bytes.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def run_sweep(
     """Evaluate every swept value; row order always matches the value order.
 
     The values that build are simulated as one batch, which gives each row
-    the bytes of its own run. The pool never exceeds the number of values or
-    of CPUs; it maps over at most that many contiguous chunks of the batch.
+    the bytes of its own run, split into one contiguous chunk per worker:
+    never more workers than values that build or CPUs, a pool for two or more.
     With ``trace_dir`` each run writes its trace CSV there.
     """
     if max_workers < 1:
@@ -207,9 +207,8 @@ def run_sweep(
             rows[i] = _failed_row(spec.variable, value, name, exc)
             continue
         members.append(_Member(i, value, scenario, bound, controller))
-    workers = min(max_workers, len(spec.values), os.cpu_count() or 1)
-    n = min(workers, len(members))
-    cuts = [0] + [j * len(members) // n for j in range(1, n + 1)]
+    workers = min(max_workers, len(members), os.cpu_count() or 1)
+    cuts = [0] + [j * len(members) // workers for j in range(1, workers + 1)]
     jobs = [(spec.variable, members[a:b], trace_dir) for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing

@@ -410,6 +410,22 @@ class TestCalibrate:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_blank_rows_are_skipped(self, tmp_path, capsys, fd):
+        obs = sample_fd_observations(fd, np.random.default_rng(3))
+        lines = [f"{o.density},{o.flow},{int(o.incident)}\n" for o in obs]
+        bodies = {"plain": lines, "blank": [*lines[:2], "\n", " , , \n", *lines[2:]]}
+        written, printed = [], []
+        for kind, body in bodies.items():
+            path, out = tmp_path / f"obs_{kind}.csv", tmp_path / f"params_{kind}.json"
+            path.write_text("density,flow,incident\n" + "".join(body))
+            assert cli_dispatch(["calibrate", str(path), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+            first, *fit = capsys.readouterr().out.splitlines()
+            assert first == f"parameters: {out}"
+            printed.append(fit)
+        assert written[0] == written[1]
+        assert printed[0] == printed[1]
+
     def test_wave_speed_fallback_reported_once(self, tmp_path, capsys, fd):
         obs = sample_fd_observations(fd, np.random.default_rng(3), n_outflow=0)
         path = tmp_path / "obs.csv"
@@ -700,6 +716,20 @@ class TestSweepOutputs:
         assert cli_dispatch(["sweep", str(tmp_path / "spec.json"), "--workers", "0"]) == 1
         assert "--workers" in capsys.readouterr().err
 
+    def test_workers_reach_the_sweep(self, tmp_path, capsys, monkeypatch):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"preset": "high_demand", "values": [1.6]}))
+        seen = []
+
+        def recording(spec, max_workers, trace_dir=None):
+            seen.append(max_workers)
+            return vslsim.sweep.run_sweep(spec, 1, trace_dir)
+
+        monkeypatch.setattr(vslsim.cli, "run_sweep", recording)
+        argv = ["sweep", str(spec_path), "--workers", "3", "--out", str(tmp_path)]
+        assert cli_dispatch(argv) == 0
+        assert seen == [3]
+
 
 @pytest.mark.filterwarnings("ignore:switch time")
 @settings(max_examples=15, deadline=None)
@@ -768,14 +798,18 @@ def test_run_and_sweep_import_no_module(tmp_path):
     assert (tmp_path / "emptying_trace.csv").exists()
 
 
-# Run in a fresh interpreter: importing the package and the CLI, and a serial
-# sweep, load none of the process pool's machinery; only a pooled sweep does.
+# Run in a fresh interpreter: importing the package and the CLI, a serial
+# sweep, and two workers over one value that builds load none of the process
+# pool's machinery; only a pooled sweep does.
 SERIAL_IMPORTS = """
 import sys
-import vslsim, vslsim.cli
+import vslsim, vslsim.cli, vslsim.sweep
 from vslsim import SweepSpec, high_demand_preset, run_sweep
 rows = run_sweep(SweepSpec(base=high_demand_preset(), values=(0.8, 1.6)), 1)
 assert [row.status for row in rows] == ["ok", "ok"], rows
+vslsim.sweep.os.cpu_count = lambda: 2
+rows = run_sweep(SweepSpec(base=high_demand_preset(), values=(1.6, -1.0)), max_workers=2)
+assert [row.status for row in rows] == ["ok", "failed"], rows
 pool = "multiprocessing concurrent.futures.process logging socket subprocess signal".split()
 print(sorted(name for name in pool if name in sys.modules))
 """

@@ -798,10 +798,22 @@ class _RecordingPool:
 
 
 class TestSweepWorkersAndCsv:
+    # Deratings above 1 fail at validation; 0.6, 0.7 and 0.8 build and run.
     @pytest.mark.parametrize(
-        "workers,cpus,expected", [(8, 2, [2]), (8, 16, [3]), (2, 16, [2]), (1, 16, [])]
+        "workers,cpus,values,expected",
+        [
+            (8, 2, (0.6, 0.7, 1.5, 0.8), [2]),
+            (8, 16, (0.6, 0.7, 1.5, 0.8), [3]),
+            (2, 16, (0.6, 0.7, 1.5, 0.8), [2]),
+            (1, 16, (0.6, 0.7, 1.5, 0.8), []),
+            # One value or none to run: no pool, whatever the workers and CPUs.
+            (8, 16, (0.7, 1.5, 2.0), []),
+            (8, 16, (1.5, 2.0, 3.0), []),
+        ],
     )
-    def test_pool_clamped_to_values_and_cpus(self, fd, monkeypatch, workers, cpus, expected):
+    def test_pool_clamped_to_values_and_cpus(
+        self, fd, monkeypatch, workers, cpus, values, expected
+    ):
         import concurrent.futures
         import vslsim.sweep as sweep
 
@@ -809,11 +821,10 @@ class TestSweepWorkersAndCsv:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        # Out-of-range deratings fail at validation, so no row simulates.
-        spec = SweepSpec(base=_mini(fd), variable="derating", values=(1.5, 2.0, 3.0))
+        spec = SweepSpec(base=_mini(fd), variable="derating", values=values)
         rows = run_sweep(spec, workers)
         assert _RecordingPool.sizes == expected
-        assert [r.status for r in rows] == ["failed"] * 3
+        assert [r.status for r in rows] == ["ok" if v <= 1 else "failed" for v in values]
 
     def test_workers_below_one_rejected(self, fd):
         spec = SweepSpec(base=_mini(fd), variable="derating", values=(1.5,))

@@ -985,8 +985,75 @@ def assert_sweep_equals_serial_runs(base: Scenario, variable: str, values) -> No
         assert repr(row.metrics) == repr(report)  # NaN metrics compare too
 
 
+@st.composite
+def batch_rows(draw, base: Scenario) -> list[Scenario]:
+    """Two to five rows of ``base``'s batch key, each with its own zone (0 or
+    0.3 to 3 km), demand flows on the base's demand times, controller, and
+    advisories on or off."""
+    size, fd = len(base.demand.times), base.fd
+    shares = st.lists(st.floats(0.3, 1.1), min_size=size, max_size=size)
+    controllers = st.sampled_from(["no_control", "rule_based", "rule_based_reactive"])
+    residuals = st.floats(0.0, fd.capacity_drop_factor)
+    advisories = st.none() | residuals.map(lambda r: LcConfig(800.0, residual_drop=r))
+    rows = []
+    for i in range(draw(st.integers(2, 5))):
+        zone = draw(st.one_of(st.just(0.0), st.floats(0.3, 3.0)))
+        flows = tuple(f * fd.capacity for f in draw(shares))
+        rows.append(
+            replace(
+                base,
+                name=f"row_{i}",
+                geometry=replace(base.geometry, upstream_zone_length=zone),
+                demand=DemandProfile(base.demand.times, flows),
+                controller=draw(controllers),
+                lc=draw(advisories),
+            )
+        )
+    return rows
+
+
+TRACE_ARRAYS = (
+    "times",
+    "densities",
+    "demand",
+    "incident_active",
+    "lc_active",
+    "limit_steps",
+    "limit_rows",
+    "flows",
+)
+
+
+def assert_batch_rows_run_solo(scenarios: list[Scenario]) -> None:
+    """``run_batch`` gives every row the bytes of its solo run, or its failure."""
+    results = vslsim.simulate.run_batch(scenarios, [make_controller(s) for s in scenarios])
+    for scenario, got in zip(scenarios, results):
+        try:
+            want = simulate_scenario(scenario)
+        except Exception as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            continue
+        assert not isinstance(got, Exception), got
+        for name in TRACE_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (scenario.name, name)
+
+
 class TestBatch:
     """Sweep values stepped as one batch against their runs one by one."""
+
+    @pytest.mark.filterwarnings("ignore:switch time")
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), base=kernel_scenarios(horizon_min=10.0))
+    def test_random_batch_rows_equal_solo_runs(self, base, data):
+        assert_batch_rows_run_solo(data.draw(batch_rows(base)))
+
+    @pytest.mark.slow
+    @pytest.mark.filterwarnings("ignore:switch time")
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), base=kernel_scenarios())
+    def test_many_random_batch_rows_equal_solo_runs(self, base, data):
+        assert_batch_rows_run_solo(data.draw(batch_rows(base)))
 
     @pytest.mark.filterwarnings("ignore:switch time")
     @settings(max_examples=20, deadline=None)
