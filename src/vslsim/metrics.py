@@ -73,6 +73,8 @@ def emission_rate_from_table(points: Sequence[tuple[float, float]]) -> RateFn:
     rates = np.array([p[1] for p in pts])
     if not (np.isfinite(speeds).all() and np.isfinite(rates).all()):
         raise ValueError("emission table points must be finite")
+    if (repeated := speeds[1:][np.diff(speeds) == 0.0]).size:
+        raise ValueError(f"emission table names the speed {repeated[0]:g} km/h more than once")
 
     def rate(speed: float | np.ndarray) -> float | np.ndarray:
         return np.interp(speed, speeds, rates)

@@ -12,9 +12,9 @@ mainline capacity and the drop is inert.
 ``run_batch`` steps several scenarios that share sections, a step, horizon
 and control period as one ``(B, C)`` state, a row without a zone cell behind
 a pass-through cell; :func:`~vslsim.scenario.simulate_scenario` runs a batch
-of one. The demand and the incident and lane-change flags are computed once
-per run, and the bottleneck's operands at each row's input steps, where its
-inputs may change.
+of one. Each row's demand and its incident and lane-change flags are read
+from its scenario, and the bottleneck's operands built, only at the row's
+input steps, where its inputs may change.
 :func:`~vslsim.ctm.flux_law` and :func:`~vslsim.ctm.update_law` step the flow
 rows of a small block laid out cells-major, the batch axis innermost;
 controllers read rows of the ``(B, T, C)`` density history and return plain
@@ -23,9 +23,10 @@ steps, every block's length of steps, the horizon); each copies the block into
 the history, tests it against the density and flow bounds and restarts it.
 When the first step after an event leaves every row's state unchanged, bit
 for bit, the steps up to the next event are filled, not stepped. The trace
-keeps the densities and the limit changes; its flows and per-sample limits
-are derived on access, and the CSV, the metrics and the vehicle balance call
-``flux_law`` a block of samples at a time, on operands built once per pass.
+keeps the densities, the limit changes and the input schedules; its flows
+and per-sample limits and inputs are derived on access, and the CSV, the
+metrics and the vehicle balance call ``flux_law`` a block of samples at a
+time, on operands built once per pass.
 
 The trace CSV prints each value as ``'%.10g' % v`` does. Its varying
 columns go through numpy a block of rows at a time (:func:`_format_g10`),
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .control import Controller
+from .control import Controller, LcConfig
 from .ctm import (
     FundamentalDiagram,
     NetworkGeometry,
@@ -296,25 +297,25 @@ class SimulationTrace:
     """Record of one run on a uniform time grid.
 
     It stores what the flux law cannot recompute: ``densities`` over every
-    simulated cell (zone first when present), the ``demand`` and the
-    incident and advisory flags per sample, and the posted speeds
-    ``[zone, section 1 .. N]`` only where they change: ``limit_rows[i]``
-    holds from step ``limit_steps[i]`` on. ``limits`` (one row per sample)
-    and ``flows`` (the cell-boundary flows, admitted inflow first and
-    bottleneck discharge last) are derived from these on each access; the
-    flux law is elementwise, so they equal the run's own values bit for bit.
+    simulated cell (zone first when present), its scenario's input schedules
+    (``demand_profile``, ``incident``, ``lc``; references, not copies), and
+    the posted speeds ``[zone, section 1 .. N]`` only where they change:
+    ``limit_rows[i]`` holds from step ``limit_steps[i]`` on. The per-sample
+    ``demand``, ``incident_active``, ``lc_active`` and ``limits`` and the
+    ``flows`` (cell-boundary flows, admitted inflow first and bottleneck
+    discharge last) are derived on each access, bit for bit the run's own:
+    the run read the same schedules, and the flux law is elementwise.
     """
 
     geometry: NetworkGeometry
     fd: FundamentalDiagram
     times: np.ndarray
     densities: np.ndarray
-    demand: np.ndarray
-    incident_active: np.ndarray
-    lc_active: np.ndarray
+    demand_profile: DemandProfile
     limit_steps: np.ndarray
     limit_rows: np.ndarray
-    lc_residual_drop: float = 0.0
+    incident: IncidentSchedule | None = None
+    lc: LcConfig | None = None
 
     @property
     def num_samples(self) -> int:
@@ -334,6 +335,23 @@ class SimulationTrace:
     @property
     def upstream_densities(self) -> np.ndarray:
         return self.densities[:, 0]
+
+    @property
+    def demand(self) -> np.ndarray:
+        """(T,) upstream demand at each sample."""
+        return self.demand_profile.at(self.times)
+
+    @property
+    def incident_active(self) -> np.ndarray:
+        """(T,) whether the closure is in force at each sample."""
+        if self.incident is None:
+            return np.zeros(self.num_samples, dtype=bool)
+        return self.incident.active(self.times)
+
+    @property
+    def lc_active(self) -> np.ndarray:
+        """(T,) whether advisories are posted: the closure, under an ``lc``."""
+        return self.incident_active & (self.lc is not None)
 
     def _posted(self) -> np.ndarray:
         """(T,) index into ``limit_rows`` of the posted row at each sample."""
@@ -355,7 +373,7 @@ class SimulationTrace:
         """Consecutive blocks of at most ``rows`` samples, each as its slice
         of the samples and a view of its ``(rows, C + 1)`` flows.
 
-        The speed caps, the law's constants and bottleneck operands (``cap_d``
+        The demand, speed caps, law's constants and bottleneck operands (``cap_d``
         alone where no drop engages) and the stretch ends are computed once per
         pass. The flows of ``_FLUX_CALL_BLOCKS`` blocks at a time go into one
         buffer, reused for the next ones, with one :func:`~vslsim.ctm.flux_law`
@@ -363,9 +381,10 @@ class SimulationTrace:
         consumer copies what it keeps."""
         fd, samples, n_cells = self.fd, self.num_samples, self.geometry.num_cells
         caps, constants = speed_caps(self.limit_rows, n_cells, fd), law_constants(fd)
-        tail = bottleneck_operands(fd, self.incident_active, self.lc_active, self.lc_residual_drop)
+        residual = 0.0 if self.lc is None else self.lc.residual_drop
+        tail = bottleneck_operands(fd, self.incident_active, self.lc_active, residual)
         cap_d, dropped, threshold = tail
-        ends = np.append(self.limit_steps[1:], samples).tolist()
+        ends, demand = np.append(self.limit_steps[1:], samples).tolist(), self.demand
         span = min(_FLUX_CALL_BLOCKS * rows, samples)
         buffer = np.empty((span, n_cells + 1))
         i = 0  # the posted row of sample k
@@ -379,7 +398,7 @@ class SimulationTrace:
                 row = flow_row(buffer[k - first : part.stop - first], self.densities[part])
                 v_cells, cap = self.limit_rows[i, -n_cells:], cap_d[part]
                 rest = (cap, threshold) if dropped is cap_d else (dropped[part], threshold[part])
-                flux_law(row, v_cells, caps[i], self.demand[part], (cap, *rest), constants)
+                flux_law(row, v_cells, caps[i], demand[part], (cap, *rest), constants)
                 k = part.stop
             for start in range(first, last, rows):
                 stop = min(start + rows, last)
@@ -473,8 +492,8 @@ def warm_state(scenario: "Scenario") -> np.ndarray:
 def _in_range(densities: np.ndarray, flows: np.ndarray, jam_out: float) -> bool:
     """Whether every density is finite and non-negative, every bottleneck
     (last cell) density at most ``jam_out`` and every flow non-negative, over
-    the last axis of arrays of any shape. Reductions only: they allocate
-    nothing, and NaN propagates through them and fails."""
+    the last axis of arrays of any shape. Reductions only, through which NaN
+    propagates and fails; on a strided view numpy buffers them: pass a block."""
     return bool(
         densities.min() >= 0.0
         and densities.max() < np.inf
@@ -565,9 +584,10 @@ def run_batch(
     constants, all built once per run. ``span`` is a control period, but at most
     ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps. A row's inputs change only
     at step 0 and the first step at or after each time its scenario names
-    (each demand step, the closure's start and end); the law's bottleneck
-    operands are taken at these input steps (the cap alone where no row's
-    drop engages). The steps run from event to event: control instants,
+    (each demand step, the closure's start and end); there each live row's
+    demand and flags are read from its scenario into ``(B,)`` vectors and
+    the bottleneck operands built (the cap alone where no row's drop
+    engages). The steps run from event to event: control instants,
     every ``span`` steps, every row's input steps and the horizon. Every
     event copies the block into the ``(B, T, C)`` history (a trace views its
     row's own columns), checks each row's own columns and restarts the
@@ -599,19 +619,15 @@ def run_batch(
     first = [n_cells - s.geometry.num_cells for s in scenarios]
     through = [b for b, f in enumerate(first) if f]
 
-    # Everything that does not depend on the densities, once per run: (B, T).
     # The input steps come from the times a row's scenario names, whatever
-    # the flows: a demand step from 0.0 to -0.0 is a change.
+    # the flows: a demand step from 0.0 to -0.0 is a change. Each row's
+    # demand is read from its scenario there, 0.0 once the row fails.
     times = np.arange(n_steps + 1) * dt
-    demand = np.stack([s.demand.at(times) for s in scenarios])
     named = [t for s in scenarios for t in s.demand.times]
-    active = np.zeros((n_rows, n_steps + 1), dtype=bool)
-    for b, s in enumerate(scenarios):
-        if s.incident is not None:
-            active[b] = s.incident.active(times)
-            named += (s.incident.start, s.incident.end)
-    lc_on = active & np.array([[s.lc is not None] for s in scenarios])
+    named += [t for s in scenarios if s.incident for t in (s.incident.start, s.incident.end)]
+    has_lc = np.array([s.lc is not None for s in scenarios])
     residual = np.array([0.0 if s.lc is None else s.lc.residual_drop for s in scenarios])
+    demand = np.zeros(n_rows)
     input_steps = {0, *(min(bisect.bisect_left(times, t), n_steps) for t in named)}
 
     densities = np.empty((n_rows, n_steps + 1, n_cells))
@@ -633,19 +649,19 @@ def run_batch(
     changes: list[list[tuple[int, np.ndarray]]] = [[] for _ in scenarios]
     failed: list[Exception | None] = [None] * n_rows
 
-    def fail(b: int, k: int, exc: Exception) -> None:
+    def fail(b: int, exc: Exception) -> None:
         failed[b] = exc
         state[0, b] = 0.0  # the next check copies it into the history
-        demand[b, k:] = 0.0
+        demand[b] = 0.0
 
-    def check(rho: np.ndarray, q: np.ndarray, start: int, k: int) -> None:
-        """Fail at step ``k`` each live row whose ``rho`` or ``q`` (from ``start``) leave range."""
+    def check(rho: np.ndarray, q: np.ndarray, start: int) -> None:
+        """Fail each live row whose ``rho`` or ``q`` (from ``start``) leave range."""
         jam_out = fd.outflow_jam_density
         for b, f in enumerate(first):
             if failed[b] is None:  # the row's own columns
                 exc = _range_error(times, rho[b, :, f:], q[:, b, f:], jam_out, start)
                 if exc is not None:
-                    fail(b, k, exc)
+                    fail(b, exc)
 
     # Events: control instants, input steps, every ``span`` steps (so a
     # stretch stays inside the block) and the horizon.
@@ -657,7 +673,7 @@ def run_batch(
     # for several. The flow row of each block row and the law's constants are
     # built once per run; speeds and caps change in place, so views follow.
     row = 0 if n_rows == 1 else slice(None)
-    steps, step_demand, constants = list(state[:, row]), demand[row].T, law_constants(fd)
+    steps, constants = list(state[:, row]), law_constants(fd)
     flow_rows = [flow_row(q, rho) for q, rho in zip(flows[:, row], steps)]
     v_cells, cap, dtl = speeds[row], caps[row], dt_over_length[row]
 
@@ -666,14 +682,17 @@ def run_batch(
     for last, k, stop in zip([0, *events], events, [*events[1:], n_steps + 1]):
         rho_past, q_past = densities[:, last : k + 1], flows[: k - last]
         rho_past[...] = state[: k + 1 - last].swapaxes(0, 1)
-        state[0] = state[k - last]
-        if not _in_range(rho_past, q_past, fd.outflow_jam_density):
-            check(rho_past, q_past, last, k)
+        state[0] = state[k - last]  # the block holds steps k, last + 1 .. k
+        if not _in_range(state[: k + 1 - last], q_past, fd.outflow_jam_density):
+            check(rho_past, q_past, last)
         if k in input_steps:
-            tail = bottleneck_operands(fd, active[:, k], lc_on[:, k], residual)
+            t = times[k]
+            demand[:] = [s.demand.at(t) if f is None else 0.0 for s, f in zip(scenarios, failed)]
+            closed = np.array([bool(s.incident and s.incident.active(t)) for s in scenarios])
+            tail = bottleneck_operands(fd, closed, closed & has_lc, residual)
             if n_rows == 1:  # Python floats: the law's one-state tail is float arithmetic
                 tail = tuple(x.item(0) for x in tail)
-            speeds[through, 0] = demand[through, k]
+            speeds[through, 0] = demand[through]
         if k % ctrl_every == 0:
             t = k * dt
             for b, (controller, f) in enumerate(zip(controllers, first)):
@@ -682,7 +701,7 @@ def run_batch(
                 try:
                     limits = _check_limits(controller(cells[b, k, f:], t), fd, n_sections + 1)
                 except Exception as exc:  # noqa: BLE001 - fails this row only
-                    fail(b, k, exc)
+                    fail(b, exc)
                     continue
                 if not changes[b] or limits.tobytes() != changes[b][-1][1].tobytes():
                     changes[b].append((k, limits.copy()))  # limits may be reused
@@ -690,7 +709,7 @@ def run_batch(
                     caps[b, f:] = speed_caps(limits, n_cells - f, fd)
         if None not in failed:
             break
-        d_k = step_demand[k]  # read after a failed row's demand was zeroed
+        d_k = demand[row]  # read after a failed row's demand was zeroed
         for j in range(stop - k):
             flux_law(flow_rows[j], v_cells, cap, d_k, tail, constants)
             if k + j == n_steps:
@@ -704,7 +723,7 @@ def run_batch(
                 break
     else:  # the horizon's flow row; its event checked its densities
         if not flows[0].min() >= 0.0:
-            check(densities[:, n_steps:], flows[:1], n_steps, n_steps)
+            check(densities[:, n_steps:], flows[:1], n_steps)
 
     results: list = list(failed)  # each row's exception, or its trace
     for b, s in enumerate(scenarios):
@@ -715,12 +734,11 @@ def run_batch(
                 fd=fd,
                 times=times,
                 densities=densities[b, :, first[b] :],
-                demand=demand[b],
-                incident_active=active[b],
-                lc_active=lc_on[b],
+                demand_profile=s.demand,
                 limit_steps=np.array(limit_steps),
                 limit_rows=np.array(limit_rows),
-                lc_residual_drop=float(residual[b]),
+                incident=s.incident,
+                lc=s.lc,
             )
     return results
 

@@ -59,9 +59,7 @@ def constant_trace(
         limit_rows=np.array(
             [[float(zone_limit)] + [fd.free_flow_speed] * geometry.num_sections]
         ),
-        demand=np.full(n, float(flow)),
-        incident_active=np.zeros(n, dtype=bool),
-        lc_active=np.zeros(n, dtype=bool),
+        demand_profile=DemandProfile.constant(flow),
     )
 
 
@@ -79,9 +77,7 @@ def speed_trace(fd, speeds, section_length):
         given_flows=flows,
         limit_steps=np.array([0]),
         limit_rows=np.full((1, cells + 1), fd.free_flow_speed),
-        demand=flows[:, 0].copy(),
-        incident_active=np.zeros(n, dtype=bool),
-        lc_active=np.zeros(n, dtype=bool),
+        demand_profile=DemandProfile.constant(1000.0),
     )
 
 
@@ -99,6 +95,7 @@ def two_speed_trace(fd, slow_from_k=600, n=1861, seeds=(0, 600)):
     flows = np.zeros((n, 2))
     flows[list(seeds), 0] = 1200.0
     flows[:, 1] = np.where(np.arange(n) < slow_from_k, 1200.0, 600.0)
+    changes = sorted({0, *seeds, *(k + 1 for k in seeds)} - {n})  # the demand pulses
     return GivenFlowsTrace(
         geometry=geometry,
         fd=fd,
@@ -107,9 +104,7 @@ def two_speed_trace(fd, slow_from_k=600, n=1861, seeds=(0, 600)):
         given_flows=flows,
         limit_steps=np.array([0]),
         limit_rows=np.full((1, 2), fd.free_flow_speed),
-        demand=flows[:, 0].copy(),
-        incident_active=np.zeros(n, dtype=bool),
-        lc_active=np.zeros(n, dtype=bool),
+        demand_profile=DemandProfile(tuple(times[changes]), tuple(flows[changes, 0])),
     )
 
 

@@ -34,6 +34,7 @@ from vslsim import (
     sweep_rows_to_csv,
     vsl_max_flow,
 )
+from vslsim.cli import cli_dispatch
 from vslsim.scenario import CONTROLLER_KINDS, PRESETS, ZONE_SWEEPS
 from vslsim.sweep import load_sweep_spec
 
@@ -518,6 +519,21 @@ class TestStrictSchema:
         doc["metrics"]["emission_table"] = [[50.0, 300.0]]
         assert any("two points" in p for p in self._violations(doc))
 
+    def test_emission_table_naming_a_speed_twice_rejected(self, tmp_path, capsys):
+        # Interpolation would read the pair as a step: 100 g/km just below
+        # 50 km/h and 300 at 50.
+        table = [[50.0, 300.0], [50.0, 100.0], [100.0, 200.0]]
+        with pytest.raises(ValueError, match="speed 50 km/h more than once"):
+            MetricConfig(emission_table=tuple(map(tuple, table)))
+        doc = self._doc()
+        doc["metrics"]["emission_table"] = table
+        problem = "metrics: emission table names the speed 50 km/h more than once"
+        assert problem in self._violations(doc)
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert cli_dispatch(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert problem in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "name", ["", "a/b", "..\\x", "a\x00b", "tab\there", "a\ud800b", "\udcff"]
     )
@@ -587,6 +603,7 @@ def scenario_documents(draw):
             st.tuples(st.floats(1.0, 130.0), st.floats(50.0, 900.0)).map(list),
             min_size=2,
             max_size=4,
+            unique_by=lambda point: point[0],  # a repeated speed is invalid
         )
     )
     zone = draw(st.sampled_from([0.0]) | st.floats(0.3, 5.0))

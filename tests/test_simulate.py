@@ -1380,3 +1380,26 @@ def test_batch_with_a_period_past_the_horizon_holds_no_period_sized_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.35 * sum(trace.densities.nbytes for trace in results)
+
+
+def test_batch_holds_no_input_copies():
+    # The 12 high-demand zone lengths as one batch: the traces keep their
+    # history, the shared times and references to their scenarios' schedules.
+    # Per-sample demand, closure and advisory rows would add 10 bytes per row
+    # and sample, 18% of the history, both held and at the peak. The run's
+    # own working set above the history and times (its state and flow
+    # blocks, 43 KiB, their row views, 29 KiB, the events and the limit
+    # changes) peaked at 106 KiB.
+    base = high_demand_preset()
+    zones = [apply_sweep_value(base, "upstream_zone_length", z) for z in HIGH_DEMAND_ZONE_SWEEP]
+    controllers = [make_controller(s) for s in zones]
+    tracemalloc.start()
+    try:
+        traces = vslsim.simulate.run_batch(zones, controllers)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    history = traces[0].densities.base.nbytes
+    assert all(trace.densities.base is traces[0].densities.base for trace in traces)
+    assert held <= history + traces[0].times.nbytes + 64 * 1024
+    assert peak <= history + traces[0].times.nbytes + 128 * 1024
