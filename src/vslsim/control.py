@@ -51,9 +51,10 @@ class VslRuleConfig:
 class LcConfig:
     """Lane change advisory settings upstream of the closure.
 
-    ``advisory_distance_per_lane`` (m) scales with the number of closed lanes
-    to give the advisory distance. ``residual_drop`` is the capacity-drop
-    factor left while advisories are active; 0 means full mitigation.
+    ``advisory_distance_per_lane`` (m) times the closed lanes gives the advisory
+    distance, which only labels the advisory event. Advisories act on traffic
+    only through ``residual_drop``, the closure drop of ``bottleneck_operands``
+    that replaces the diagram's capacity-drop factor; 0 means full mitigation.
     """
 
     advisory_distance_per_lane: float = 800.0

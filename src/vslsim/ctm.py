@@ -218,19 +218,17 @@ def law_constants(fd: FundamentalDiagram) -> tuple:
     return (*map(np.array, (fd.jam_density, fd.backprop_speed, 0.0, *out)), *out)
 
 
-def bottleneck_operands(fd: FundamentalDiagram, active, lc_on, residual_drop) -> tuple:
+def bottleneck_operands(fd: FundamentalDiagram, active, closure_drop) -> tuple:
     """The bottleneck's cap ``cap_d``, dropped cap ``(1 - drop) * cap_d`` and drop
     threshold ``cap_d / free_flow_speed`` (elementwise). ``cap_d`` is the downstream
     capacity while the closure is ``active``, the mainline capacity otherwise. The
-    drop exists only at a true bottleneck, ``cap_d`` below the mainline capacity;
-    advisories (``lc_on``) replace the diagram's factor with ``residual_drop``.
-    With no drop engaged (each 0.0 or -0.0: no closure, or advisories at residual
-    0) the dropped cap is ``cap_d`` itself, which ``(1 - 0.0) * cap_d`` equals, and
-    the threshold inf."""
+    drop is ``closure_drop`` (the diagram's factor, or the advisories' residual
+    drop) only at a true bottleneck, ``cap_d`` below the mainline capacity, and 0.0
+    elsewhere. With no drop engaged (each 0.0 or -0.0: no closure, a closure at
+    the mainline capacity, or a drop of 0) the dropped cap is ``cap_d`` itself,
+    which ``(1 - 0.0) * cap_d`` equals, and the threshold inf."""
     cap_d = np.where(active, fd.downstream_capacity, fd.capacity)
-    drop = np.where(
-        cap_d < fd.capacity, np.where(lc_on, residual_drop, fd.capacity_drop_factor), 0.0
-    )
+    drop = np.where(cap_d < fd.capacity, closure_drop, 0.0)
     if not drop.any():
         return cap_d, cap_d, np.float64(np.inf)
     return cap_d, (1.0 - drop) * cap_d, cap_d / fd.free_flow_speed

@@ -64,8 +64,8 @@ def default_emission_rate(speed: float | np.ndarray) -> float | np.ndarray:
 
 
 def emission_rate_from_table(points: Sequence[tuple[float, float]]) -> RateFn:
-    """Interpolating rate function from (speed km/h, rate g/km) pairs; maps a
-    float or an array of speeds to the same."""
+    """Interpolating rate function from (speed km/h, rate g/km >= 0) pairs;
+    maps a float or an array of speeds to the same."""
     pts = sorted((float(v), float(r)) for v, r in points)
     if len(pts) < 2:
         raise ValueError("emission table needs at least two points")
@@ -75,6 +75,8 @@ def emission_rate_from_table(points: Sequence[tuple[float, float]]) -> RateFn:
         raise ValueError("emission table points must be finite")
     if (repeated := speeds[1:][np.diff(speeds) == 0.0]).size:
         raise ValueError(f"emission table names the speed {repeated[0]:g} km/h more than once")
+    if negative := [(r, v) for v, r in pts if r < 0.0]:
+        raise ValueError("emission table rate %g g/km at %g km/h is negative" % negative[0])
 
     def rate(speed: float | np.ndarray) -> float | np.ndarray:
         return np.interp(speed, speeds, rates)

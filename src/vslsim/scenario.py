@@ -631,14 +631,14 @@ def trace_events(scenario: Scenario, trace: SimulationTrace) -> list[tuple[float
     dt = scenario.dt_hours
     steps, zone = trace.limit_steps[1:].tolist(), trace.limit_rows[1:, 0].tolist()
     events = [(k * dt, f"speed_limits zone={v:.6g}") for k, v in zip(steps, zone)]
-    active, lc_on = trace.incident_active, trace.lc_active
+    active = trace.incident_active
     before = np.concatenate(([False], active[:-1]))
     for k in np.flatnonzero(active != before).tolist():
         if not active[k]:
             events.append((k * dt, "incident_end"))
             continue
         events.append((k * dt, "incident_start"))
-        if lc_on[k]:
+        if scenario.lc is not None:
             meters = control.lc_distance(scenario.incident.lanes_closed, scenario.lc)
             events.append((k * dt, f"lane_change_advisories distance_m={meters:.6g}"))
     events.sort(key=lambda event: event[0])  # stable: limit changes first

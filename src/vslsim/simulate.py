@@ -12,9 +12,9 @@ mainline capacity and the drop is inert.
 ``run_batch`` steps several scenarios that share sections, a step, horizon
 and control period as one ``(B, C)`` state, a row without a zone cell behind
 a pass-through cell; :func:`~vslsim.scenario.simulate_scenario` runs a batch
-of one. Each row's demand and its incident and lane-change flags are read
-from its scenario, and the bottleneck's operands built, only at the row's
-input steps, where its inputs may change.
+of one. Each row's demand and closure flag are read from its scenario, and
+the bottleneck's operands built, only at the row's input steps, where its
+inputs may change.
 :func:`~vslsim.ctm.flux_law` and :func:`~vslsim.ctm.update_law` step the flow
 rows of a small block laid out cells-major, the batch axis innermost;
 controllers read rows of the ``(B, T, C)`` density history and return plain
@@ -86,7 +86,8 @@ class ControllerError(ValueError):
 
 @dataclass(frozen=True)
 class IncidentSchedule:
-    """Lane-closure window creating the downstream bottleneck."""
+    """Lane-closure window: the bottleneck discharges at ``downstream_capacity``
+    whatever ``lanes_closed``, which scales only the advisory distance."""
 
     start: float  # h
     end: float  # h
@@ -381,9 +382,8 @@ class SimulationTrace:
         consumer copies what it keeps."""
         fd, samples, n_cells = self.fd, self.num_samples, self.geometry.num_cells
         caps, constants = speed_caps(self.limit_rows, n_cells, fd), law_constants(fd)
-        residual = 0.0 if self.lc is None else self.lc.residual_drop
-        tail = bottleneck_operands(fd, self.incident_active, self.lc_active, residual)
-        cap_d, dropped, threshold = tail
+        closure_drop = self.lc.residual_drop if self.lc else fd.capacity_drop_factor
+        cap_d, dropped, threshold = bottleneck_operands(fd, self.incident_active, closure_drop)
         ends, demand = np.append(self.limit_steps[1:], samples).tolist(), self.demand
         span = min(_FLUX_CALL_BLOCKS * rows, samples)
         buffer = np.empty((span, n_cells + 1))
@@ -454,7 +454,7 @@ class SimulationTrace:
             [(held % tuple(v) + f).encode() for v in self.limit_rows.tolist() for f in flags]
         )
         suffixes = suffixes.view(np.uint8).reshape(len(suffixes), -1)
-        entry = 4 * self._posted() + self.incident_active + 2 * self.lc_active
+        entry = 4 * self._posted() + self.incident_active * (1 if self.lc is None else 3)
         # Whole rows per block; the n + 3 held columns are not in the block.
         rows = max(1, CSV_BLOCK_VALUES // (len(columns) - n - 3))
         with open(path, "wb") as fh:
@@ -585,9 +585,9 @@ def run_batch(
     ``CSV_BLOCK_VALUES // (B * (C + 1))`` steps. A row's inputs change only
     at step 0 and the first step at or after each time its scenario names
     (each demand step, the closure's start and end); there each live row's
-    demand and flags are read from its scenario into ``(B,)`` vectors and
-    the bottleneck operands built (the cap alone where no row's drop
-    engages). The steps run from event to event: control instants,
+    demand and closure flag are read from its scenario into ``(B,)`` vectors
+    and the bottleneck operands built on the rows' closure drops, one vector
+    per run. The steps run from event to event: control instants,
     every ``span`` steps, every row's input steps and the horizon. Every
     event copies the block into the ``(B, T, C)`` history (a trace views its
     row's own columns), checks each row's own columns and restarts the
@@ -625,8 +625,7 @@ def run_batch(
     times = np.arange(n_steps + 1) * dt
     named = [t for s in scenarios for t in s.demand.times]
     named += [t for s in scenarios if s.incident for t in (s.incident.start, s.incident.end)]
-    has_lc = np.array([s.lc is not None for s in scenarios])
-    residual = np.array([0.0 if s.lc is None else s.lc.residual_drop for s in scenarios])
+    drops = np.array([s.lc.residual_drop if s.lc else fd.capacity_drop_factor for s in scenarios])
     demand = np.zeros(n_rows)
     input_steps = {0, *(min(bisect.bisect_left(times, t), n_steps) for t in named)}
 
@@ -689,7 +688,7 @@ def run_batch(
             t = times[k]
             demand[:] = [s.demand.at(t) if f is None else 0.0 for s, f in zip(scenarios, failed)]
             closed = np.array([bool(s.incident and s.incident.active(t)) for s in scenarios])
-            tail = bottleneck_operands(fd, closed, closed & has_lc, residual)
+            tail = bottleneck_operands(fd, closed, drops)
             if n_rows == 1:  # Python floats: the law's one-state tail is float arithmetic
                 tail = tuple(x.item(0) for x in tail)
             speeds[through, 0] = demand[through]

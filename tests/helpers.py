@@ -305,7 +305,8 @@ def one_state_flows(rho, v, fd, demand, lc_active=False, lc_residual_drop=0.0, c
     v = np.asarray(v, dtype=float)
     n = rho.shape[-1]
     row = flow_row(np.empty(rho.shape[:-1] + (n + 1,)), rho)
-    bottleneck = bottleneck_operands(fd, closed, lc_active, lc_residual_drop)
+    closure_drop = lc_residual_drop if lc_active else fd.capacity_drop_factor
+    bottleneck = bottleneck_operands(fd, closed, closure_drop)
     return flux_law(row, v[..., -n:], speed_caps(v, n, fd), demand, bottleneck, law_constants(fd))
 
 

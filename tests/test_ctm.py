@@ -1,6 +1,7 @@
 """Fundamental diagram, geometry, and flux laws."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,13 +125,19 @@ class TestBottleneckOutflow:
     def test_lane_change_replaces_drop_factor(self, fd):
         cap_d = fd.downstream_capacity
 
-        def dropped(closed, lc_active, residual):
-            return bottleneck_operands(fd, closed, lc_active, residual)[1]
+        def dropped(closed, closure_drop):
+            return bottleneck_operands(fd, closed, closure_drop)[1]
 
-        assert dropped(True, False, 0.0) == pytest.approx(0.9 * cap_d)
-        assert dropped(True, True, 0.0) == cap_d
-        assert dropped(True, True, 0.04) == 0.96 * cap_d
-        assert dropped(False, False, 0.0) == fd.capacity  # no bottleneck
+        assert dropped(True, fd.capacity_drop_factor) == pytest.approx(0.9 * cap_d)
+        assert dropped(True, 0.0) == cap_d
+        assert dropped(True, 0.04) == 0.96 * cap_d
+        assert dropped(False, fd.capacity_drop_factor) == fd.capacity  # no bottleneck
+        # A closure at the mainline capacity is no bottleneck: whatever its
+        # drop, the dropped cap is cap_d itself and the threshold inf.
+        flat = replace(fd, downstream_capacity=fd.capacity)
+        for closure_drop in (0.0, fd.capacity_drop_factor, 0.04):
+            cap, dropped_cap, threshold = bottleneck_operands(flat, True, closure_drop)
+            assert cap == fd.capacity and dropped_cap is cap and threshold == np.inf
         assert discharge(100.0, fd, lc_active=True) == cap_d
         assert discharge(100.0, fd, lc_active=True, lc_residual_drop=0.04) == 0.96 * cap_d
         # The threshold is strict: at cap_d / v_f the full cap still applies.
@@ -264,7 +271,8 @@ class TestOneStatePath:
             closed = bool(rng.integers(2))
             lc_active = bool(rng.integers(2))
             residual = float(rng.uniform(0.0, fd.capacity_drop_factor))
-            operands = bottleneck_operands(fd, closed, lc_active, residual)
+            closure_drop = residual if lc_active else fd.capacity_drop_factor
+            operands = bottleneck_operands(fd, closed, closure_drop)
             cap_d = float(operands[0])
             rho = rng.uniform(0.0, fd.jam_density, size=n_cells)
             rho[rng.uniform(size=n_cells) < 0.2] = 0.0
@@ -362,7 +370,9 @@ class TestPreparedViews:
             if j % 4 == 0:  # an input step: new bottleneck operands
                 inputs = self.draw_inputs(rng, rows, j // 4)
                 demand = rng.uniform(0.0, fd.capacity, size=rows)
-                tail = bottleneck_operands(fd, *inputs)
+                closed, lc, residual = inputs
+                closure_drop = np.where(lc, residual, fd.capacity_drop_factor)
+                tail = bottleneck_operands(fd, closed, closure_drop)
                 if rows == 1:  # Python floats, as run_batch passes one row's
                     inputs = tuple(x.item(0) for x in inputs)
                     tail = tuple(x.item(0) for x in tail)
@@ -402,7 +412,8 @@ class TestDropFreeTail:
         fd = random_triangle(rng)
         combos = list(itertools.product(inputs, self.CELLS))
         closed, lc, residual = (np.array(x) for x in zip(*(c for c, _ in combos)))
-        tail = bottleneck_operands(fd, closed, lc, residual)
+        closure_drop = np.where(lc, residual, fd.capacity_drop_factor)
+        tail = bottleneck_operands(fd, closed, closure_drop)
         n_sections, n_cells, rows = 6, 7, len(combos)
         rho = np.empty((n_cells, rows)).T
         rho[...] = rng.uniform(0.0, fd.jam_density, size=rho.shape)
@@ -415,7 +426,7 @@ class TestDropFreeTail:
         row = flow_row(np.empty((n_cells + 1, rows)).T, rho)
         q = flux_law(row, v[:, -n_cells:], cap, demand, tail, law_constants(fd))
         for b in range(rows):
-            one_tail = [float(x) for x in bottleneck_operands(fd, closed[b], lc[b], residual[b])]
+            one_tail = [float(x) for x in bottleneck_operands(fd, closed[b], closure_drop[b])]
             one_row = flow_row(np.empty(n_cells + 1), rho[b].copy())
             one = flux_law(
                 one_row, v[b, -n_cells:], cap[b], demand.item(b), one_tail, law_constants(fd)

@@ -35,7 +35,7 @@ from vslsim import (
     vsl_max_flow,
 )
 from vslsim.cli import cli_dispatch
-from vslsim.scenario import CONTROLLER_KINDS, PRESETS, ZONE_SWEEPS
+from vslsim.scenario import CONTROLLER_KINDS, PRESETS, ZONE_SWEEPS, trace_events
 from vslsim.sweep import load_sweep_spec
 
 
@@ -292,6 +292,39 @@ class TestScenarioAnalytics:
         assert inputs.upstream_density == 60.0
         assert np.allclose(inputs.densities, 55.0)
 
+    def test_closed_lanes_and_advisory_distance_change_no_simulated_number(self, tmp_path):
+        # The closure discharges at downstream_capacity whatever lanes_closed,
+        # and advisories act only through residual_drop: three closed lanes and
+        # 50 m per lane change the advisory event and the hash, nothing else.
+        base = high_demand_preset()
+        variant = replace(
+            base,
+            incident=replace(base.incident, lanes_closed=3),
+            lc=replace(base.lc, advisory_distance_per_lane=50.0),
+        )
+        runs = [(s, simulate_scenario(s)) for s in (base, variant)]
+        (_, a), (_, b) = runs
+        assert a.densities.tobytes() == b.densities.tobytes()
+        bodies = []
+        for i, (s, trace) in enumerate(runs):
+            trace.to_csv(tmp_path / f"{i}.csv", comment=s.content_hash())
+            bodies.append((tmp_path / f"{i}.csv").read_bytes().split(b"\n", 1)[1])
+        assert bodies[0] == bodies[1]
+        assert evaluate_trace(base, a) == evaluate_trace(variant, b)
+        x, y = (dict(vars(s.bound_inputs())) for s in (base, variant))
+        assert x.pop("densities").tobytes() == y.pop("densities").tobytes() and x == y
+        assert base.switch_time() == variant.switch_time()
+        events = [trace_events(s, trace) for s, trace in runs]
+        changed = [(e, f) for e, f in zip(*events) if e != f]
+        t0 = base.incident.start
+        assert changed == [
+            (
+                (t0, "lane_change_advisories distance_m=800"),
+                (t0, "lane_change_advisories distance_m=150"),
+            )
+        ]
+        assert (base.content_hash(), variant.content_hash()) == ("e88d75b52af7", "bbb6e90062f4")
+
 
 def _mini(fd):
     return Scenario(
@@ -530,6 +563,22 @@ class TestStrictSchema:
         problem = "metrics: emission table names the speed 50 km/h more than once"
         assert problem in self._violations(doc)
         path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert cli_dispatch(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert problem in capsys.readouterr().err
+
+    def test_emission_table_with_a_negative_rate_rejected(self, tmp_path, capsys):
+        # Interpolation would report a negative CO2 per vehicle-km; a rate of
+        # 0 stays valid.
+        table = [[0.0, 100.0], [100.0, -50.0]]
+        with pytest.raises(ValueError, match="rate -50 g/km at 100 km/h is negative"):
+            MetricConfig(emission_table=tuple(map(tuple, table)))
+        assert MetricConfig(emission_table=((0.0, 100.0), (100.0, 0.0))).rate_fn()(100.0) == 0.0
+        doc = self._doc()
+        doc["metrics"]["emission_table"] = table
+        problem = "metrics: emission table rate -50 g/km at 100 km/h is negative"
+        assert problem in self._violations(doc)
+        path = tmp_path / "negative.json"
         path.write_text(json.dumps(doc))
         assert cli_dispatch(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert problem in capsys.readouterr().err

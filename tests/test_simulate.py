@@ -344,8 +344,8 @@ class TestProfilesAndTypes:
 def replay_flows(scenario: Scenario, trace) -> np.ndarray:
     """``flux_law`` applied to the whole (T, C) density history at once."""
     fd, n = trace.fd, trace.geometry.num_cells
-    residual = scenario.lc.residual_drop if scenario.lc is not None else 0.0
-    bottleneck = bottleneck_operands(fd, trace.incident_active, trace.lc_active, residual)
+    closure_drop = fd.capacity_drop_factor if scenario.lc is None else scenario.lc.residual_drop
+    bottleneck = bottleneck_operands(fd, trace.incident_active, closure_drop)
     caps = speed_caps(trace.limits, n, fd)
     row = flow_row(np.empty((trace.num_samples, n + 1)), trace.densities)
     return flux_law(row, trace.limits[:, -n:], caps, trace.demand, bottleneck, law_constants(fd))
