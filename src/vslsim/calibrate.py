@@ -119,8 +119,6 @@ def fit_fundamental_diagram(
         raise CalibrationError("no-incident flows are all zero")
 
     split = float(rho[int(np.argmax(q))])
-    v_f = float("nan")
-    w = float("nan")
     for rounds in range(1, MAX_ALTERNATIONS + 1):
         free = rho <= split * (1.0 + SPLIT_RTOL)
         congested = ~free
@@ -142,11 +140,9 @@ def fit_fundamental_diagram(
         w = -slope
         diag.fitted_free_flow_speed = fitted_vf
         diag.alternations = rounds
-        new_split = capacity / v_f
-        if abs(new_split - split) <= 1e-9:
-            split = new_split
+        last, split = split, capacity / v_f
+        if abs(split - last) <= 1e-9:
             break
-        split = new_split
     else:
         diag.split_converged = False
         diag.notes.append("branch split did not converge; using the last split")

@@ -181,11 +181,9 @@ class RuleBasedSchedule:
         self._free = _posted(fd.free_flow_speed, scenario)
 
     def __call__(self, cells: np.ndarray, t: float) -> np.ndarray:
-        if self._incident.start <= t < self.switch_time:
-            return self._congested
-        if self.switch_time <= t < self._incident.end:
-            return self._cleared
-        return self._free
+        if not self._incident.active(t):
+            return self._free
+        return self._congested if t < self.switch_time else self._cleared
 
 
 class RuleBasedReactive:

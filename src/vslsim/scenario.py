@@ -178,6 +178,10 @@ class Scenario:
                     f"dt: {self.dt:.6g} s does not divide the horizon "
                     f"{self.horizon * 60.0:.6g} min into whole steps"
                 )
+            elif horizon_ok and self.incident and not self.incident.active(
+                (np.ceil(self.incident.start / self.dt_hours) + (-1, 0, 1)) * self.dt_hours
+            ).any():  # the first step at or after the start is one of these three
+                problems.append(f"incident: no step of dt = {self.dt:.6g} s lies in the closure")
             if not (
                 self.control_period >= self.dt
                 and _whole_multiple(self.control_period, self.dt)
@@ -625,22 +629,20 @@ def simulate_scenario(scenario: Scenario, controller=None) -> SimulationTrace:
 def trace_events(scenario: Scenario, trace: SimulationTrace) -> list[tuple[float, str]]:
     """The run's events in time order, each at ``k * dt_hours`` for the
     first step ``k`` it holds: every change of the posted limits after the
-    first posting (labelled with the zone command), each closure start and
-    end, and the lane change advisories that start with a closure. At one
-    instant a limit change comes first."""
-    dt = scenario.dt_hours
+    first posting (labelled with the zone command), the closure's start and
+    its advisories at its first held step, and its end at the step after
+    its last, if the run has that step. A limit change comes first at one instant."""
+    dt, incident = scenario.dt_hours, scenario.incident
     steps, zone = trace.limit_steps[1:].tolist(), trace.limit_rows[1:, 0].tolist()
     events = [(k * dt, f"speed_limits zone={v:.6g}") for k, v in zip(steps, zone)]
-    active = trace.incident_active
-    before = np.concatenate(([False], active[:-1]))
-    for k in np.flatnonzero(active != before).tolist():
-        if not active[k]:
-            events.append((k * dt, "incident_end"))
-            continue
-        events.append((k * dt, "incident_start"))
+    if incident is not None:  # a scenario's closure holds a step
+        first, after = np.searchsorted(trace.times, (incident.start, incident.end)).tolist()
+        events.append((first * dt, "incident_start"))
         if scenario.lc is not None:
-            meters = control.lc_distance(scenario.incident.lanes_closed, scenario.lc)
-            events.append((k * dt, f"lane_change_advisories distance_m={meters:.6g}"))
+            meters = control.lc_distance(incident.lanes_closed, scenario.lc)
+            events.append((first * dt, f"lane_change_advisories distance_m={meters:.6g}"))
+        if after < trace.num_samples:
+            events.append((after * dt, "incident_end"))
     events.sort(key=lambda event: event[0])  # stable: limit changes first
     return events
 

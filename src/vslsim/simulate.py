@@ -436,7 +436,7 @@ class SimulationTrace:
         flows of whole rows, ``CSV_BLOCK_VALUES`` values at a time, go
         through :func:`_format_g10`; each block's flows come from
         :meth:`_flow_blocks`. The posted speeds and the two flags end each
-        row: that suffix is formatted once per posted row and flag pair,
+        row: that suffix is formatted once per posted row and closure state,
         then looked up for each sample through :meth:`_posted`.
         """
         n = self.geometry.num_sections
@@ -447,14 +447,14 @@ class SimulationTrace:
         columns += ["incident", "lc"]
         table = [self.times, self.upstream_densities, self.section_densities]
         held = ",".join(["%.10g"] * (n + 1))
-        # The suffix of each posted row and flag pair, entry 4 * row + incident
-        # + 2 * lc, as a row of bytes zero-padded to the longest.
-        flags = (",0,0\n", ",1,0\n", ",0,1\n", ",1,1\n")
+        # Each posted row's suffix with the closure off, then on (lc follows it
+        # under an LcConfig): entry 2 * row + incident, bytes zero-padded.
+        flags = (",0,0\n", ",1,0\n" if self.lc is None else ",1,1\n")
         suffixes = np.array(
             [(held % tuple(v) + f).encode() for v in self.limit_rows.tolist() for f in flags]
         )
         suffixes = suffixes.view(np.uint8).reshape(len(suffixes), -1)
-        entry = 4 * self._posted() + self.incident_active * (1 if self.lc is None else 3)
+        entry = 2 * self._posted() + self.incident_active
         # Whole rows per block; the n + 3 held columns are not in the block.
         rows = max(1, CSV_BLOCK_VALUES // (len(columns) - n - 3))
         with open(path, "wb") as fh:

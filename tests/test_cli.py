@@ -223,6 +223,20 @@ class TestRun:
         assert "CFL" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "bound"])
+    def test_closure_that_holds_no_step_is_validation_error(self, tmp_path, capsys, command):
+        # 3 s to 4 s as a file's minutes give them: no step of 1 s is closed.
+        doc = high_demand_preset().to_dict()
+        doc.update(controller="no_control", horizon_min=5.0)
+        doc["incident"].update(start_min=0.05, end_min=4.0 / 60.0)
+        path = tmp_path / "short_closure.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert cli_dispatch(args) == 2
+        assert "incident: no step of dt = 1 s lies in the closure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_name_too_long_for_its_files_fails_before_any_output(
         self, tmp_path, capsys, monkeypatch
     ):

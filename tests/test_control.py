@@ -1,5 +1,6 @@
 """Rule-based speed command law, schedule, derating, lane change advisories."""
 
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -158,6 +159,19 @@ class TestSchedule:
             limits = controller(state, minute / 60.0)
             assert limits[0] == pytest.approx(zone)
             assert np.all(limits[1:] == fd.free_flow_speed)
+        # Each boundary takes the row that follows it; one ulp lower, the row before.
+        start, switch, end = INCIDENT.start, controller.switch_time, INCIDENT.end
+        for t, at, below in ((start, 20.0, 100.0), (switch, 25.0, 20.0), (end, 100.0, 25.0)):
+            assert controller(state, t)[0] == at
+            assert controller(state, math.nextafter(t, 0.0))[0] == below
+        # A switch clamped to the closure end never posts the cleared row.
+        with pytest.warns(UserWarning, match="clamping"):
+            clamped = RuleBasedSchedule(corridor(fd, geometry, replace(self.CFG, switch_margin=5.0)))
+        assert clamped.switch_time == end
+        times = [start, math.nextafter(end, 0.0), end, *np.linspace(0.0, 1.5, 181).tolist()]
+        posted = [clamped(state, t)[0] for t in times]
+        assert posted[:3] == [20.0, 20.0, 100.0]
+        assert 25.0 not in posted
 
     def test_switch_time_is_30_minutes(self, fd, geometry):
         assert corridor(fd, geometry, self.CFG).switch_time() == pytest.approx(0.5)

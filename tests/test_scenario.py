@@ -138,6 +138,28 @@ class TestValidation:
         for field in fields:
             assert any(p.startswith(field) for p in problems), (field, problems)
 
+    def test_closure_that_holds_no_step_rejected(self):
+        # 3 s to 4 s as a file's minutes give them: step 3 lies one ulp below
+        # the start and step 4 on the end, so no step of the run is closed.
+        base, short = high_demand_preset(), dict(controller="no_control", horizon=5.0 / 60.0)
+        closure = IncidentSchedule(start=0.05 / 60.0, end=4.0 / 60.0 / 60.0)
+        assert violations(base, incident=closure, **short) == [
+            "incident: no step of dt = 1 s lies in the closure"
+        ]
+        # Every one-second closure from whole seconds 1 to 299 s is rejected
+        # exactly when no step of the grid lies in it.
+        grid = np.arange(301) * base.dt_hours  # the run's times
+        rejected = 0
+        for second in range(1, 300):
+            start, end = second / 60.0 / 60.0, (second + 1) / 60.0 / 60.0
+            closure = IncidentSchedule(start=start, end=end)
+            if np.searchsorted(grid, start) == np.searchsorted(grid, end):
+                rejected += 1
+                assert violations(base, incident=closure, **short)[0].startswith("incident:")
+            else:
+                replace(base, incident=closure, **short)
+        assert rejected == 41
+
     def test_name_fits_its_longest_output_file_name(self):
         # <name>_metrics.json must fit in 255 bytes: 242 bytes of name do,
         # 243 do not, counted in UTF-8 ("é" takes two).
@@ -739,7 +761,8 @@ def python_hours(draw):
     """A random file's scenario and new hour values for it, arbitrary floats
     as Python code may give them: ``(scenario, changes, hours)``, where
     ``changes`` is for ``dataclasses.replace`` and ``hours`` lists each new
-    hour value under its file key, in the file's order."""
+    hour value under its file key, in the file's order. The closure lasts
+    over two steps, so it holds one."""
     scenario = scenario_from_dict(draw(scenario_documents()))
     horizon = draw(st.integers(60, 7200)) * scenario.dt / 3600.0
     n = len(scenario.demand.times) - 1
@@ -753,7 +776,7 @@ def python_hours(draw):
     hours = [(f"demand.times_min[{i}]", t) for i, t in enumerate(changes["demand"].times)]
     if scenario.incident is not None:
         start = draw(hours_between(0.0, horizon / 2.0))
-        end = draw(hours_between(start, horizon))
+        end = draw(hours_between(start + 2 * scenario.dt_hours, horizon))
         changes["incident"] = replace(scenario.incident, start=start, end=end)
         hours += [("incident.start_min", start), ("incident.end_min", end)]
     hours += [("vsl.switch_margin_min", margin), ("horizon_min", horizon)]

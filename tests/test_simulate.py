@@ -251,6 +251,20 @@ class TestRun:
         assert "incident_start" in labels
         assert "incident_end" in labels
 
+    def test_closure_held_to_the_last_sample_lists_no_end(self, fd):
+        # dt divides the horizon within STEP_RTOL, so a closure may end
+        # between the last sample (300 s) and the horizon: the run holds it
+        # to the end, and its end is no event.
+        horizon, end = 5.000000003 / 60.0, 5.000000001 / 60.0
+        assert 300 / 3600.0 < end < horizon
+        scenario = mini_scenario(
+            fd, incident=IncidentSchedule(start=2.0 / 60.0, end=end), horizon=horizon
+        )
+        trace = simulate_scenario(scenario)
+        assert trace.incident_active[-1]
+        assert [label for _, label in trace_events(scenario, trace)] == ["incident_start"]
+        assert_matches_oracle(scenario, trace)
+
 
 class TestConservation:
     def test_per_step_balance(self, fd):
@@ -381,7 +395,8 @@ def kernel_scenarios(draw, horizon_min: float = 12.0, off_grid: bool = False) ->
     demand steps, any controller, advisories on or off; closure 2 to 8 min.
     With ``off_grid`` the demand steps and the closure start and end fall on
     whole seconds between control instants, in hours as a file's minutes
-    give them; the closure starts in the first 5 min and lasts up to 5 min."""
+    give them; the closure starts in the first 5 min and lasts 2 s to 5 min,
+    so it holds a step."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sections = draw(st.integers(1, 4))
     section_length = draw(st.floats(0.3, 1.5))
@@ -390,7 +405,7 @@ def kernel_scenarios(draw, horizon_min: float = 12.0, off_grid: bool = False) ->
         seconds = off_grid_seconds(1, int(horizon_min * 60.0) - 1)
         steps = [0] + sorted(draw(st.lists(seconds, max_size=2, unique=True)))
         start = draw(off_grid_seconds(1, 299))
-        end = draw(off_grid_seconds(start + 1, start + 300))
+        end = draw(off_grid_seconds(start + 2, start + 300))
         times = tuple(s / 60.0 / 60.0 for s in steps[1:])
         incident = IncidentSchedule(start=start / 60.0 / 60.0, end=end / 60.0 / 60.0)
     else:
