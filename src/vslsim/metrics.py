@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .simulate import CSV_BLOCK_VALUES, SimulationTrace
+from .simulate import SimulationTrace
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -101,7 +101,7 @@ def _speeds(trace: SimulationTrace, rho_min: float) -> tuple[np.ndarray, np.ndar
     field = np.empty((samples, cells))
     inflow = np.empty(samples)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for block, q in trace._flow_blocks(max(1, CSV_BLOCK_VALUES // (cells + 1))):
+        for block, q in trace._flow_blocks(trace._block_rows):
             r, limits = rho[block], posted_limits.take(posted[block], axis=0)
             field[block] = np.where(r > max(rho_min, 0.0), np.minimum(q[:, 1:] / r, limits), limits)
             inflow[block] = q[:, 0]
@@ -169,9 +169,7 @@ class ProbeSet:
 
 
 def reconstruct_trajectories(
-    trace: SimulationTrace,
-    seed_interval: float,
-    rho_min: float = DENSITY_FLOOR,
+    trace: SimulationTrace, seed_interval: float, rho_min: float = DENSITY_FLOOR
 ) -> ProbeSet:
     """Seed one probe at the entrance every ``seed_interval`` hours while
     demand is being admitted, and solve every probe's cell crossing times."""
@@ -264,10 +262,7 @@ def _window(trace: SimulationTrace, t_start: float, t_end: float) -> slice:
 
 
 def rrmse_density_pooled(
-    trace: SimulationTrace,
-    rho_star: float,
-    t_start: float,
-    t_end: float,
+    trace: SimulationTrace, rho_star: float, t_start: float, t_end: float
 ) -> float:
     """Relative RMS deviation pooled over sections and time.
 
@@ -306,9 +301,7 @@ def evaluate_trace(scenario: Scenario, trace: SimulationTrace) -> MetricsReport:
     config = scenario.metrics
     t_start, t_end = scenario.metrics_window()
     rho_star = scenario.rho_star()
-    probes = reconstruct_trajectories(
-        trace, config.seed_interval / 3600.0, config.density_floor
-    )
+    probes = reconstruct_trajectories(trace, config.seed_interval / 3600.0, config.density_floor)
     done = probes.crossings[probes.complete]
     transit = done[:, -1] - done[:, 0]
     att_min = 60.0 * float(np.mean(transit)) if transit.size else math.nan

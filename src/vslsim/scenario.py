@@ -26,7 +26,6 @@ from a file pass (checked, not proven, on 15 million random minute values).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import unicodedata
@@ -273,6 +272,7 @@ class Scenario:
         return encode(SCENARIO_SCHEMA, self, "", [])
 
     def content_hash(self) -> str:
+        import hashlib  # loads OpenSSL: only the commands that hash pay for it
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 

@@ -61,9 +61,8 @@ if TYPE_CHECKING:
 
 # Values per block of the derived passes: the trace CSV formats this many
 # values' worth of whole rows per numpy pass, and the metrics and the vehicle
-# balance take blocks of this many flows. The CSV pass's temporaries
-# (one-block arrays, and its text at 26 bytes a value) peak near 0.6 MB; a
-# whole-trace pass would add tens of megabytes to the peak memory of a run.
+# balance take blocks of as many rows. The formatter's temporaries peak near
+# 273 KiB; a whole-trace pass would add tens of megabytes to a run's peak.
 CSV_BLOCK_VALUES = 4096
 
 # Blocks of ``SimulationTrace._flow_blocks`` derived per ``flux_law`` call. A
@@ -198,14 +197,8 @@ def _g10_tables() -> tuple[np.ndarray, ...]:
     keep |= (e >= 0) & (last > e + 1) & (slot == 7 + 2 * e)  # the units' point
     keep &= e >= -4
     masks = np.where(keep, np.frombuffer(_G10_TEMPLATE, np.uint8), 0).reshape(-1, 26)
-    record = np.dtype(
-        {
-            "names": ["prefix", "high", "middle", "low"],
-            "formats": [np.uint16, np.uint64, np.uint64, np.uint64],
-            "offsets": [0, 2, 10, 18],
-            "itemsize": 26,
-        }
-    )
+    groups = [(name, np.uint64) for name in ("high", "middle", "low")]
+    record = np.dtype([("prefix", np.uint16), *groups])  # packed, 26 bytes
     return low_bands, edges, scales, four_digits.view(np.uint64).ravel(), four_zeros, masks, record
 
 
@@ -239,7 +232,11 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
     quotient rounds to an integer it does not reach. One four-digit table
     gives every group's digit bytes, and another its trailing zeros.
     The three groups fill a 26-byte record laid out as the text, which one
-    contiguous ``minimum`` merges into the value's mask row.
+    contiguous ``minimum`` merges into the value's mask row. The buffer of
+    ``|v|`` holds in turn the product, ``|scaled - D|`` and the high and
+    middle groups; the band's holds the mask-row index. The exponent, floats
+    and zero counts are freed before the records, the groups before the mask
+    rows: the temporaries peak near 68 bytes a value.
 
     Every other value (zero, subnormals, NaN, inf, an exponent outside
     [-4, 9], a fraction near one half, ``D`` at its bounds) is formatted
@@ -260,17 +257,20 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
     exponent = bits >> 52  # biased: the sign bit of |v| is 0
     band = low_bands.take(exponent)  # e + 5 from 1e-4 on
     band += magnitude >= edges.take(exponent)
-    scaled = magnitude * scales.take(band)
+    del exponent, bits
+    scaled = np.multiply(magnitude, scales.take(band), out=magnitude)
     digits = np.rint(scaled)
     fast = (scaled >= 1e9) & (digits < 1e10)
-    fast &= np.abs(scaled - digits) < 0.5 - 2.0**-16
+    fast &= np.abs(np.subtract(scaled, digits, out=scaled), out=scaled) < 0.5 - 2.0**-16
     slow = ~fast
     digits[slow] = 1e9
-    hi = np.floor(digits / 1e8)
+    hi = np.floor(np.divide(digits, 1e8, out=scaled), out=scaled)
     digits -= hi * 1e8
-    mid = np.floor(digits / 1e4)
+    hi = hi.astype(np.intp)
+    mid = np.floor(np.divide(digits, 1e4, out=scaled), out=scaled)
     digits -= mid * 1e4
-    hi, mid, lo = hi.astype(np.intp), mid.astype(np.intp), digits.astype(np.intp)
+    mid, lo = mid.astype(np.intp), digits.astype(np.intp)
+    del magnitude, scaled, digits
     # Trailing zeros of D: those of the low group, plus the middle's where
     # the low is 0, plus the high's where both are. D >= 1e9, so at most 9.
     zeros = four_zeros.take(lo)
@@ -278,14 +278,19 @@ def _format_g10(values: np.ndarray) -> np.ndarray:
     zeros[carry] += four_zeros.take(mid[carry])
     carry = carry[mid[carry] == 0]
     zeros[carry] += four_zeros.take(hi[carry])
-    # The mask row of (e, sign, last nonzero digit 10 - zeros).
-    row = (band * 2 + np.signbit(values)) * 10 + (9 - zeros)
-    text = masks.take(row, axis=0)
+    # The mask row of (e, sign, last nonzero digit 10 - zeros), built in band.
+    band *= 2
+    band += np.signbit(values)
+    band *= 10
+    band += np.subtract(9, zeros, out=zeros)
+    del zeros, carry
     digit_bytes = np.empty(values.shape[0], record)
     digit_bytes["prefix"] = 0xFFFF
     digit_bytes["high"] = four_digits.take(hi)
     digit_bytes["middle"] = four_digits.take(mid)
     digit_bytes["low"] = four_digits.take(lo)
+    del hi, mid, lo
+    text = masks.take(band, axis=0)
     np.minimum(text, digit_bytes.view(np.uint8).reshape(-1, 26), out=text)
     if slow.any():
         printed = ["%.10g," % v for v in values[slow].tolist()]
@@ -370,6 +375,11 @@ class SimulationTrace:
         ((_, q),) = self._flow_blocks(self.num_samples)
         return q
 
+    @property
+    def _block_rows(self) -> int:
+        """Samples per derived-pass block: CSV rows of 2N + 4 formatted values."""
+        return max(1, CSV_BLOCK_VALUES // (2 * self.geometry.num_sections + 4))
+
     def _flow_blocks(self, rows: int) -> Iterator[tuple[slice, np.ndarray]]:
         """Consecutive blocks of at most ``rows`` samples, each as its slice
         of the samples and a view of its ``(rows, C + 1)`` flows.
@@ -412,10 +422,9 @@ class SimulationTrace:
         and update pairing. Only the entrance and exit flows are kept.
         """
         dt = self.dt
-        width = self.geometry.num_cells + 1
         ends = np.empty((self.num_samples, 2))
-        for block, q in self._flow_blocks(max(1, CSV_BLOCK_VALUES // width)):
-            ends[block] = q[:, :: width - 1]
+        for block, q in self._flow_blocks(self._block_rows):
+            ends[block] = q[:, :: self.geometry.num_cells]
         lengths = self.geometry.cell_lengths()
         entered = float(np.sum(ends[:-1, 0])) * dt
         exited = float(np.sum(ends[:-1, 1])) * dt
@@ -433,11 +442,11 @@ class SimulationTrace:
         """Write one row per sample; a leading comment line carries provenance.
 
         Every value prints as ``%.10g`` prints it. The time, densities and
-        flows of whole rows, ``CSV_BLOCK_VALUES`` values at a time, go
-        through :func:`_format_g10`; each block's flows come from
-        :meth:`_flow_blocks`. The posted speeds and the two flags end each
-        row: that suffix is formatted once per posted row and closure state,
-        then looked up for each sample through :meth:`_posted`.
+        flows of :attr:`_block_rows` rows at a time go through
+        :func:`_format_g10`, the flows from :meth:`_flow_blocks`. The posted
+        speeds and the two flags end each row: that suffix is formatted once
+        per posted row and closure state, then looked up for each sample
+        through :meth:`_posted`.
         """
         n = self.geometry.num_sections
         columns = ["t_h", "rho_0"]
@@ -455,13 +464,11 @@ class SimulationTrace:
         )
         suffixes = suffixes.view(np.uint8).reshape(len(suffixes), -1)
         entry = 2 * self._posted() + self.incident_active
-        # Whole rows per block; the n + 3 held columns are not in the block.
-        rows = max(1, CSV_BLOCK_VALUES // (len(columns) - n - 3))
         with open(path, "wb") as fh:
             if comment:
                 fh.write(f"# {comment}\n".encode())
             fh.write((",".join(columns) + "\n").encode())
-            for block, q in self._flow_blocks(rows):
+            for block, q in self._flow_blocks(self._block_rows):
                 parts = [col[block] for col in table]
                 if not self.geometry.has_zone:
                     parts.append(q[:, 0])  # no zone cell: q_in and q_1 coincide

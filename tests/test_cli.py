@@ -770,9 +770,11 @@ def test_random_valid_scenarios_run_end_to_end(doc, tmp_path_factory):
 
 # Run in a fresh interpreter: once ``vslsim.cli`` is imported, a ``run`` and a
 # traced serial ``sweep`` import no module, and none of numpy's masked or
-# string-array modules is loaded by any of it.
+# string-array modules is loaded by any of it. Both hash their scenario, so
+# hashlib is imported first: only the commands that hash load it (see
+# test_commands_that_hash_nothing_load_no_hashlib).
 OP_IMPORTS = """
-import json, sys
+import hashlib, json, sys
 from dataclasses import replace
 from pathlib import Path
 import vslsim.cli
@@ -841,3 +843,32 @@ def test_package_cli_and_serial_sweep_load_no_process_pool():
         check=True,
     )
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# Run in a fresh interpreter: `bound`, `presets` and a sweep without traces
+# hash no scenario, so they never load hashlib and OpenSSL; `run` does.
+UNHASHED_IMPORTS = """
+import contextlib, io, sys
+from vslsim import SweepSpec, high_demand_preset, run_sweep
+from vslsim.cli import cli_dispatch
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli_dispatch(["bound", "high_demand"]) == cli_dispatch(["presets"]) == 0
+    assert run_sweep(SweepSpec(base=high_demand_preset(), values=(1.6,)), 1)[0].status == "ok"
+    before = sorted(name for name in ("hashlib", "_hashlib") if name in sys.modules)
+    assert cli_dispatch(["run", "high_demand", "--out", sys.argv[1]]) == 0
+print(before, "_hashlib" in sys.modules)
+"""
+
+
+def test_commands_that_hash_nothing_load_no_hashlib(tmp_path):
+    src = str(Path(vslsim.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", UNHASHED_IMPORTS, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[] True"

@@ -39,6 +39,7 @@ from vslsim import (
     run_sweep,
     save_scenario,
     simulate_scenario,
+    speed_field,
     trace_events,
     warm_state,
     zone_bound_report,
@@ -824,6 +825,23 @@ class TestFormatG10:
         assert ["%.10g" % abs(v) for v in values[:2]] == ["0.0001", "0.0001"]
         assert_prints_as_g10(values)
 
+    def test_block_working_set(self):
+        # A block of 4,096 random finite values at the printed exponents. The
+        # temporaries peak at 68 traced bytes a value (the two 26-byte
+        # records, the three digit groups and the mask-row index); 142 when
+        # every step allocated its own array and held it to the end.
+        rng = np.random.default_rng(38)
+        values = rng.choice([-1.0, 1.0], 4096) * 10.0 ** rng.uniform(-4.0, 10.0, 4096)
+        vslsim.simulate._format_g10(values)  # the first call builds the tables
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            vslsim.simulate._format_g10(values)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * values.size, peak / values.size
+
     def test_many_random_values(self):
         rng = np.random.default_rng(14)
         n = 50_000
@@ -1317,13 +1335,15 @@ def test_derived_passes_allocate_a_block_at_a_time(tmp_path, monkeypatch):
     # Peak traced memory above entry, in units of the densities' bytes. The
     # metrics pass keeps its (T, C) speed field; no pass holds the whole
     # (T, C + 1) flows or (T, N + 1) limits, which took 5.2, 1.9 and 1.9
-    # units when each pass derived them whole.
+    # units when each pass derived them whole. The passes read 1.57, 0.39
+    # and 0.34; the CSV read 0.54 when the formatter held every temporary,
+    # and the balance 0.46 in blocks of 4,096 flows, not of the CSV's rows.
     scenario = fine_grid_scenario()
     trace = simulate_scenario(scenario)
     passes = {
         "evaluate_trace": (lambda: evaluate_trace(scenario, trace), 2.0),
-        "to_csv": (lambda: trace.to_csv(tmp_path / "trace.csv"), 1.0),
-        "vehicle_balance": (trace.vehicle_balance, 0.75),
+        "to_csv": (lambda: trace.to_csv(tmp_path / "trace.csv"), 0.47),
+        "vehicle_balance": (trace.vehicle_balance, 0.40),
     }
 
     def whole(trace):
@@ -1342,6 +1362,27 @@ def test_derived_passes_allocate_a_block_at_a_time(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     assert all(peaks[name] <= bound for name, (_, bound) in passes.items()), peaks
+
+
+@pytest.mark.parametrize("preset, rows", [(high_demand_preset, 256), (fine_grid_scenario, 78)])
+def test_derived_passes_share_one_block_size(tmp_path, monkeypatch, preset, rows):
+    # The trace CSV, the metrics' speed field and the vehicle balance take
+    # blocks of the CSV's rows: 4,096 values of its 2N + 4 formatted
+    # columns. The metrics and the balance took 4,096 // (C + 1) rows, 512
+    # on high_demand and 157 on the fine grid.
+    trace = simulate_scenario(preset())
+    requested = []
+    flow_blocks = SimulationTrace._flow_blocks
+
+    def recording(self, n):
+        requested.append(n)
+        return flow_blocks(self, n)
+
+    monkeypatch.setattr(SimulationTrace, "_flow_blocks", recording)
+    trace.to_csv(tmp_path / "trace.csv")
+    speed_field(trace)
+    trace.vehicle_balance()
+    assert requested == [rows] * 3
 
 
 def test_control_period_past_the_horizon_allocates_for_the_run():
